@@ -39,6 +39,8 @@ from .williamson import engineer_gibbs_target
 __all__ = [
     "CatalogId",
     "PARAM_NAMES",
+    "resolve_param",
+    "resolve_params",
     "catalog_build",
     "catalog_analytic",
     "thermal_bath",
@@ -115,16 +117,22 @@ def squeeze_transform(r: float) -> np.ndarray:
     return np.block([[qq, z], [z, pp]])
 
 
-def _check_params(cid: CatalogId, params: dict) -> dict[str, float]:
+def resolve_param(cid: CatalogId, key: str) -> tuple[str, ...]:
+    """The parameter names ``key`` sets: itself, or the per-mode names an alias fans out to."""
+    names = PARAM_ALIASES.get(cid, {}).get(key, (key,))
+    if not set(names) <= set(PARAM_NAMES[cid]):
+        raise ValueError(
+            f"unknown parameter {key!r} for {cid.value}; expected {sorted(PARAM_NAMES[cid])}"
+        )
+    return names
+
+
+def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
+    """Complete parameters of a catalog model by their own names, aliases fanned out."""
     expected = set(PARAM_NAMES[cid])
     resolved: dict[str, float] = {}
     for key, value in params.items():
-        names = PARAM_ALIASES.get(cid, {}).get(key, (key,))
-        for name in names:
-            if name not in expected:
-                raise ValueError(
-                    f"unknown parameter {key!r} for {cid.value}; expected {sorted(expected)}"
-                )
+        for name in resolve_param(cid, key):
             if name in resolved:
                 raise ValueError(f"parameter {name!r} of {cid.value} given more than once")
             resolved[name] = float(value)
@@ -137,7 +145,7 @@ def _check_params(cid: CatalogId, params: dict) -> dict[str, float]:
 def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_TOL) -> ModelSpec:
     """Instantiate a catalog model from its named parameters."""
     cid = CatalogId(cid) if not isinstance(cid, CatalogId) else cid
-    p = _check_params(cid, params)
+    p = resolve_params(cid, params)
     z2 = np.zeros((2, 2))
 
     if cid is CatalogId.TWO_OSC_THERMAL:
@@ -279,7 +287,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
     TMTSS : target_cm, separability_flip, steerability_flip (r units).
     """
     cid = CatalogId(cid) if not isinstance(cid, CatalogId) else cid
-    p = _check_params(cid, params)
+    p = resolve_params(cid, params)
 
     if cid is CatalogId.TWO_OSC_THERMAL:
         if quantity == "steady_cm":

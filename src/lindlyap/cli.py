@@ -26,6 +26,8 @@ computation needs an asymptotically stable model), 3 engineering failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -35,7 +37,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import criteria as criteria_mod
 from . import evolution, lyapunov, williamson
-from .core import Tolerances
+from .core import Tolerances, check_hermitian, symplectic_form
 from .model import GaussianDynamics, LindbladVector, ModelSpec, QuadraticHamiltonian, stability_check
 from .williamson import EngineeringError
 
@@ -122,16 +124,10 @@ def _parse_tolerances(doc) -> Tolerances | None:
     block = doc["tolerances"]
     if not isinstance(block, dict):
         raise InputError('"tolerances" must be an object')
-    allowed = {"eig_zero_band", "stability_margin", "residual_tol"}
-    unknown = set(block) - allowed
+    unknown = set(block) - {f.name for f in dataclasses.fields(Tolerances)}
     if unknown:
         raise InputError(f"unknown tolerance keys: {sorted(unknown)}")
-    base = Tolerances()
-    return Tolerances(
-        eig_zero_band=float(block.get("eig_zero_band", base.eig_zero_band)),
-        stability_margin=float(block.get("stability_margin", base.stability_margin)),
-        residual_tol=float(block.get("residual_tol", base.residual_tol)),
-    )
+    return Tolerances(**{key: float(value) for key, value in block.items()})
 
 
 def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
@@ -201,14 +197,10 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
 
 
 def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
+    tol = doc_tols or Tolerances()
     if getattr(args, "tol", None) is not None:
-        base = doc_tols or Tolerances()
-        return Tolerances(
-            eig_zero_band=args.tol,
-            stability_margin=base.stability_margin,
-            residual_tol=args.tol,
-        )
-    return doc_tols or Tolerances()
+        return dataclasses.replace(tol, eig_zero_band=args.tol, residual_tol=args.tol)
+    return tol
 
 
 def _require_stable(dyn: GaussianDynamics, tol: Tolerances) -> float:
@@ -301,31 +293,28 @@ def cmd_stability(args) -> int:
 # ---------------------------------------------------------------- criteria
 
 
-def _criterion_kinds(args, n: int) -> list:
-    wanted = args.kind
-    kinds: list = []
-    needs_partition = wanted in ("separability", "steerability", "all")
-    partition = None
-    if needs_partition and n >= 2:
-        partition = _parse_partition(args.partition, n)
-    if wanted in ("uncertainty", "all"):
-        kinds.append(criteria_mod.Uncertainty())
-    if wanted in ("classicality", "all"):
-        kinds.append(criteria_mod.Classicality())
-    if wanted in ("separability", "all"):
-        if partition is None:
-            if wanted == "separability":
-                raise InputError("separability needs at least two modes")
-        else:
-            kinds.append(criteria_mod.Separability(partition))
-    if wanted in ("steerability", "all"):
-        if partition is None:
-            if wanted == "steerability":
-                raise InputError("steerability needs at least two modes")
-        else:
-            kinds.append(criteria_mod.Steerability(partition, 1))
-            kinds.append(criteria_mod.Steerability(partition, 2))
-    return kinds
+# criterion kinds by name: (needs a partition, constructor from the partition)
+_KINDS = {
+    "uncertainty": (False, lambda part: criteria_mod.Uncertainty()),
+    "classicality": (False, lambda part: criteria_mod.Classicality()),
+    "separability": (True, criteria_mod.Separability),
+    "steerability_part1": (True, lambda part: criteria_mod.Steerability(part, 1)),
+    "steerability_part2": (True, lambda part: criteria_mod.Steerability(part, 2)),
+}
+# criteria --kind choices: the table entries each one runs
+_KIND_CHOICES = {
+    "uncertainty": ("uncertainty",),
+    "classicality": ("classicality",),
+    "separability": ("separability",),
+    "steerability": ("steerability_part1", "steerability_part2"),
+    "all": tuple(_KINDS),
+}
+
+
+def _make_kinds(names, partition_arg: str | None, n: int) -> dict:
+    """Criterion kinds of the named table entries, by name; the partition is parsed once, if needed."""
+    partition = _parse_partition(partition_arg, n) if any(_KINDS[k][0] for k in names) else None
+    return {k: _KINDS[k][1](partition) for k in names}
 
 
 def _kind_label(kind) -> str:
@@ -373,9 +362,10 @@ def cmd_criteria(args) -> int:
     tol = _resolve_tol(args, doc_tols)
     dyn = spec.build(tol)
     _require_stable(dyn, tol)
-    kinds = _criterion_kinds(args, dyn.n)
-    if not kinds:
-        raise InputError(f"no applicable criteria of kind {args.kind!r} for n = {dyn.n}")
+    names = _KIND_CHOICES[args.kind]
+    if args.kind == "all" and dyn.n < 2:
+        names = tuple(k for k in names if not _KINDS[k][0])
+    kinds = _make_kinds(names, args.partition, dyn.n).values()
 
     results = []
     cm = lyapunov.steady_covariance(dyn, tol) if args.level in ("state", "both") else None
@@ -395,185 +385,146 @@ def cmd_criteria(args) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_range(arg: str, flag: str) -> np.ndarray:
+def _fields(arg: str, flag: str, form: str, types) -> list:
+    """The colon-separated fields of an option value, each converted by its type."""
     parts = arg.split(":")
-    if len(parts) != 3:
-        raise InputError(f"{flag} must be A:B:STEPS, got {arg!r}")
+    if len(parts) != len(types):
+        raise InputError(f"{flag} must be {form}, got {arg!r}")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        return [t(part) for t, part in zip(types, parts)]
     except ValueError as exc:
-        raise InputError(f"{flag} must be A:B:STEPS: {exc}") from exc
+        raise InputError(f"{flag} must be {form}: {exc}") from exc
+
+
+def _sweep_range(arg: str, flag: str) -> np.ndarray:
+    lo, hi, count = _fields(arg, flag, "A:B:STEPS", (float, float, int))
     if count < 1:
         raise InputError(f"{flag} needs at least one step")
     return np.linspace(lo, hi, count)
 
 
-_SWEEP_KINDS = ("uncertainty", "classicality", "separability", "steerability_part1", "steerability_part2")
+# sweep quantities by column name: (quantity, criterion kind name or None)
+_QUANTITIES = {
+    "abscissa": ("abscissa", None),
+    "purity": ("purity", None),
+    "min_symplectic_eig": ("min_symplectic_eig", None),
+    **{f"{level}_{kind}_min_eig": (level, kind) for level in ("state", "env") for kind in _KINDS},
+}
 
 
-def _quantity_value(
-    name: str,
-    cid,
-    params: dict,
-    partition_arg: str | None,
-    tol: Tolerances,
-) -> float:
-    spec = catalog_mod.catalog_build(cid, params, tol)
-    dyn = spec.build(tol)
-    report = stability_check(dyn, tol)
-    if name == "abscissa":
-        return report.spectral_abscissa
-    if not report.is_stable:
-        return math.nan
-    if name in ("purity", "min_symplectic_eig"):
-        cm = lyapunov.steady_covariance(dyn, tol)
-        mu = williamson.symplectic_spectrum(cm)
-        return float(1.0 / np.prod(mu)) if name == "purity" else float(mu.min())
-    for level in ("state", "env"):
-        prefix = level + "_"
-        if name.startswith(prefix) and name.endswith("_min_eig"):
-            kind_name = name[len(prefix) : -len("_min_eig")]
-            if kind_name not in _SWEEP_KINDS:
-                raise InputError(f"unknown criterion kind in quantity {name!r}")
-            kind = _make_sweep_kind(kind_name, partition_arg, dyn.n)
-            if level == "state":
-                cm = lyapunov.steady_covariance(dyn, tol)
-                res = criteria_mod.state_criterion(cm, kind, tol)
-            else:
-                res = criteria_mod.environment_criterion(dyn, kind, tol)
-            return float(res.spectrum[0])
-    raise InputError(
-        f"unknown quantity {name!r}; expected abscissa, purity, min_symplectic_eig, "
-        "or <state|env>_<kind>_min_eig"
-    )
+class _SweepPoint:
+    """One sweep model, built and stability-checked once for all the columns of its row."""
 
-
-def _make_sweep_kind(kind_name: str, partition_arg: str | None, n: int):
-    if kind_name == "uncertainty":
-        return criteria_mod.Uncertainty()
-    if kind_name == "classicality":
-        return criteria_mod.Classicality()
-    partition = _parse_partition(partition_arg, n)
-    if kind_name == "separability":
-        return criteria_mod.Separability(partition)
-    if kind_name == "steerability_part1":
-        return criteria_mod.Steerability(partition, 1)
-    if kind_name == "steerability_part2":
-        return criteria_mod.Steerability(partition, 2)
-    raise InputError(f"unknown criterion kind {kind_name!r}")
-
-
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    try:
-        flo, fhi = f(lo), f(hi)
-    except Exception:
-        return math.nan
-    if not (np.isfinite(flo) and np.isfinite(fhi)) or flo * fhi > 0:
-        return math.nan
-    if flo == 0:
-        return lo
-    if fhi == 0:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
+    def __init__(self, cid, params: dict, tol: Tolerances):
+        self.tol = tol
         try:
-            fmid = f(mid)
-        except Exception:
+            self.dyn = catalog_mod.catalog_build(cid, params, tol).build(tol)
+            self.report = stability_check(self.dyn, tol)
+        except ValueError:  # parameters outside the family's domain
+            self.report = None
+
+    @functools.cached_property
+    def steady_cm(self) -> np.ndarray:
+        return lyapunov.steady_covariance(self.dyn, self.tol)
+
+    def value(self, quantity: str, kind=None) -> float:
+        """A column of ``_QUANTITIES`` (quantity or level, kind); nan where it is undefined."""
+        if self.report is None:
             return math.nan
-        if not np.isfinite(fmid):
+        if quantity == "abscissa":
+            return self.report.spectral_abscissa
+        if not self.report.is_stable:
             return math.nan
-        if fmid == 0:
-            return mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+        try:
+            if kind is None:
+                mu = williamson.symplectic_spectrum(self.steady_cm)
+                return float(1.0 / np.prod(mu)) if quantity == "purity" else float(mu.min())
+            if quantity == "state":
+                return float(criteria_mod.state_criterion(self.steady_cm, kind, self.tol).spectrum[0])
+            return float(criteria_mod.environment_criterion(self.dyn, kind, self.tol).spectrum[0])
+        except ValueError:
+            return math.nan
 
 
-def _parse_threshold_spec(spec_str: str) -> tuple[str, str, str]:
-    parts = spec_str.split(":")
-    if len(parts) != 3:
-        raise InputError(f"--threshold must be KIND:LEVEL:PARAM, got {spec_str!r}")
-    kind_name, level, param = parts
-    if kind_name not in _SWEEP_KINDS or kind_name == "uncertainty":
-        raise InputError(f"--threshold kind must be one of {_SWEEP_KINDS[1:]}, got {kind_name!r}")
+def _threshold(cid, params: dict, names, level: str, kind, bracket, tol: Tolerances) -> float:
+    """Value of the parameters ``names`` in ``bracket`` where the criterion's smallest eigenvalue
+    changes sign, by Brent's method; nan if the bracket holds no sign change or reaches a point
+    without a finite value (an unstable model, or one that cannot be built)."""
+    from scipy.optimize import brentq  # imported here: it slows every other command's start-up
+
+    def f(x):
+        val = _SweepPoint(cid, {**params, **dict.fromkeys(names, x)}, tol).value(level, kind)
+        if not math.isfinite(val):
+            raise ValueError(f"no finite value at {x}")
+        return val
+
+    try:
+        # xtol + rtol * |x| <= 1e-14 * max(1, |x|): stop once the bracket is that narrow
+        return brentq(f, *bracket, xtol=5e-15, rtol=5e-15)
+    except ValueError:
+        return math.nan
+
+
+def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str, ...]]:
+    kind_name, level, param = _fields(spec_str, "--threshold", "KIND:LEVEL:PARAM", (str, str, str))
+    if kind_name not in _KINDS or kind_name == "uncertainty":
+        raise InputError(f"--threshold kind must be one of {tuple(_KINDS)[1:]}, got {kind_name!r}")
     if level not in ("state", "env"):
         raise InputError(f"--threshold level must be state or env, got {level!r}")
-    return kind_name, level, param
+    return kind_name, level, param, catalog_mod.resolve_param(cid, param)
 
 
 def cmd_sweep(args) -> int:
     spec, doc_tols, info = _parse_model(_load_json(args.model))
-    del spec
     if not info:
         raise InputError("sweep needs a catalog model (named parameters to vary)")
     tol = _resolve_tol(args, doc_tols)
     cid = info["catalog"]
-    base_params = dict(info["params"])
+    base_params = catalog_mod.resolve_params(cid, info["params"])
 
     grid1 = _sweep_range(args.range, "--range")
-    grid2 = None
+    names1 = catalog_mod.resolve_param(cid, args.param)
+    grid2, names2 = [None], ()
     if args.param2 is not None:
         if args.range2 is None:
             raise InputError("--param2 needs --range2")
         grid2 = _sweep_range(args.range2, "--range2")
+        names2 = catalog_mod.resolve_param(cid, args.param2)
     elif args.range2 is not None:
         raise InputError("--range2 needs --param2")
 
     quantities = args.quantity or ["abscissa"]
-    thresholds = [_parse_threshold_spec(s) for s in (args.threshold or [])]
-    parts = args.threshold_range.split(":")
-    if len(parts) != 2:
-        raise InputError(f"--threshold-range must be A:B, got {args.threshold_range!r}")
-    try:
-        thr_lo, thr_hi = float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise InputError(f"--threshold-range must be A:B: {exc}") from exc
+    for q in quantities:
+        if q not in _QUANTITIES:
+            raise InputError(
+                f"unknown quantity {q!r}; expected abscissa, purity, min_symplectic_eig, "
+                "or <state|env>_<kind>_min_eig"
+            )
+    columns = [_QUANTITIES[q] for q in quantities]
+    thresholds = [_parse_threshold_spec(s, cid) for s in (args.threshold or [])]
+    bracket = _fields(args.threshold_range, "--threshold-range", "A:B", (float, float))
+    kinds = _make_kinds(
+        [k for _, k in columns if k] + [k for k, _, _, _ in thresholds], args.partition, spec.n
+    )
 
-    # validate the partition once up front so a typo fails loudly instead of
-    # yielding nan cells from inside the bisection
-    needs_partition = any(
-        k in q for q in quantities for k in ("separability", "steerability")
-    ) or any(k in ("separability", "steerability_part1", "steerability_part2") for k, _, _ in thresholds)
-    if needs_partition:
-        base_spec = catalog_mod.catalog_build(cid, base_params)
-        _parse_partition(args.partition, base_spec.n)
-
-    def threshold_value(kind_name, level, param, point_params) -> float:
-        def f(x):
-            trial = dict(point_params)
-            trial[param] = x
-            return _quantity_value(f"{level}_{kind_name}_min_eig", cid, trial, args.partition, tol)
-
-        return _bisect(f, thr_lo, thr_hi)
-
-    header = [args.param] + ([args.param2] if grid2 is not None else [])
+    header = [args.param] + ([args.param2] if args.param2 is not None else [])
     header += quantities
-    header += [f"thr_{k}_{lvl}_{prm}" for (k, lvl, prm) in thresholds]
+    header += [f"thr_{k}_{lvl}_{prm}" for (k, lvl, prm, _) in thresholds]
 
     rows = [",".join(header)]
-    points2 = grid2 if grid2 is not None else [None]
     for v1 in grid1:
-        for v2 in points2:
-            point = dict(base_params)
-            point[args.param] = float(v1)
+        for v2 in grid2:
+            point = {**base_params, **dict.fromkeys(names1, float(v1))}
             cells = [_fmt(v1)]
             if v2 is not None:
-                point[args.param2] = float(v2)
+                point.update(dict.fromkeys(names2, float(v2)))
                 cells.append(_fmt(v2))
-            for q in quantities:
-                try:
-                    val = _quantity_value(q, cid, point, args.partition, tol)
-                except InputError:
-                    raise
-                except Exception:
-                    val = math.nan
-                cells.append(_fmt(val))
-            for kind_name, level, param in thresholds:
-                cells.append(_fmt(threshold_value(kind_name, level, param, point)))
+            model = _SweepPoint(cid, point, tol)
+            cells += [_fmt(model.value(q, kinds.get(k))) for q, k in columns]
+            cells += [
+                _fmt(_threshold(cid, point, names, level, kinds[k], bracket, tol))
+                for k, level, _, names in thresholds
+            ]
             rows.append(",".join(cells))
     _emit("\n".join(rows), args.output)
     return EXIT_OK
@@ -624,9 +575,7 @@ def cmd_engineer(args) -> int:
     target = _load_target_cm(args, tol)
     if target.shape[0] % 2:
         raise InputError(f"target must be 2n x 2n, got shape {target.shape}")
-    dev = np.abs(target - target.T).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(target).max()):
-        raise InputError(f"target must be symmetric, asymmetry {dev:.3e}")
+    target = check_hermitian(target, tol, what="target")
 
     try:
         decomp = williamson.williamson_decompose(target, tol)
@@ -754,7 +703,8 @@ def cmd_williamson(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     n = cm.shape[0] // 2
-    j_dev = float(np.abs(decomp.s @ _j(n) @ decomp.s.T - _j(n)).max())
+    j = symplectic_form(n)
+    j_dev = float(np.abs(decomp.s @ j @ decomp.s.T - j).max())
     m_dev = float(np.abs(decomp.s @ cm @ decomp.s.T - decomp.lambda_matrix).max())
     if args.json:
         payload = {
@@ -773,12 +723,6 @@ def cmd_williamson(args) -> int:
     lines.append(f"|S M S^T - Lambda|_max: {_fmt(m_dev)}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK
-
-
-def _j(n: int) -> np.ndarray:
-    from .core import symplectic_form
-
-    return symplectic_form(n)
 
 
 # ---------------------------------------------------------------- parser
@@ -807,7 +751,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument(
         "--kind",
-        choices=["uncertainty", "classicality", "separability", "steerability", "all"],
+        choices=list(_KIND_CHOICES),
         default="all",
     )
     p.add_argument(
@@ -833,9 +777,9 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--threshold",
         action="append",
-        help="KIND:LEVEL:PARAM bisection column (repeatable), e.g. separability:env:zeta",
+        help="KIND:LEVEL:PARAM threshold column (repeatable), e.g. separability:env:zeta",
     )
-    p.add_argument("--threshold-range", default="1e-6:50", help="bisection bracket A:B")
+    p.add_argument("--threshold-range", default="1e-6:50", help="bracket A:B of the threshold search")
     p.add_argument("--partition", default=None, help="partition for separability/steerability")
     p.set_defaults(func=cmd_sweep)
 

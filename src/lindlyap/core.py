@@ -9,7 +9,8 @@ from the interleaved ordering (q_1, p_1, q_2, p_2, ...).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "check_hermitian",
     "inertia",
     "psd_verdict",
+    "classify_spectrum",
 ]
 
 
@@ -43,6 +45,12 @@ class Tolerances:
     eig_zero_band: float = 1e-9
     stability_margin: float = 1e-10
     residual_tol: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
 
     def scaled(self, factor: float) -> "Tolerances":
         """A copy with every tolerance multiplied by ``factor``."""
@@ -117,7 +125,7 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
     scale = max(1.0, np.abs(m).max()) if m.size else 1.0
     if dev > tol.residual_tol * scale:
         raise ValueError(
-            f"{what} is not Hermitian: ||m - m^dag||_inf = {dev:.3e} "
+            f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
             f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"
         )
     return hermitian_part(m)
@@ -145,20 +153,29 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
+def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[InertiaIndex, Definiteness]:
+    """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the
+    zero band and marginality rules of :func:`inertia` and :func:`psd_verdict`."""
+    band = tol.eig_zero_band * max(1.0, np.abs(eig).max() if eig.size else 0.0)
+    idx = InertiaIndex(
+        positive=int(np.sum(eig > band)),
+        zero=int(np.sum(np.abs(eig) <= band)),
+        negative=int(np.sum(eig < -band)),
+    )
+    if idx.negative > 0:
+        return idx, Definiteness.INDEFINITE
+    if idx.zero > 0:
+        return idx, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
+    return idx, Definiteness.POSITIVE_DEFINITE
+
+
 def inertia(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> InertiaIndex:
     """Count positive, zero, and negative eigenvalues of a Hermitian matrix.
 
     Eigenvalues within eig_zero_band * max(1, max |eig|) of zero count as zero.
     Raises ValueError if ``m`` is not Hermitian within residual_tol.
     """
-    h = check_hermitian(m, tol)
-    eig = np.linalg.eigvalsh(h)
-    band = tol.eig_zero_band * max(1.0, np.abs(eig).max() if eig.size else 0.0)
-    return InertiaIndex(
-        positive=int(np.sum(eig > band)),
-        zero=int(np.sum(np.abs(eig) <= band)),
-        negative=int(np.sum(eig < -band)),
-    )
+    return classify_spectrum(np.linalg.eigvalsh(check_hermitian(m, tol)), tol)[0]
 
 
 def psd_verdict(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
@@ -166,9 +183,4 @@ def psd_verdict(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
 
     Marginal means no eigenvalue below the zero band but at least one inside it.
     """
-    idx = inertia(m, tol)
-    if idx.negative > 0:
-        return Definiteness.INDEFINITE
-    if idx.zero > 0:
-        return Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
-    return Definiteness.POSITIVE_DEFINITE
+    return classify_spectrum(np.linalg.eigvalsh(check_hermitian(m, tol)), tol)[1]

@@ -26,12 +26,11 @@ from .core import (
     InertiaIndex,
     Tolerances,
     check_hermitian,
-    inertia,
-    psd_verdict,
+    classify_spectrum,
     symplectic_form,
 )
 from .lyapunov import shifted_source, shifted_source_symmetric
-from .model import GaussianDynamics, stability_check
+from .model import GaussianDynamics, require_stable
 
 __all__ = [
     "Level",
@@ -182,16 +181,18 @@ class CriterionResult:
         return self.verdict.value
 
 
+_VERDICTS = {
+    Definiteness.POSITIVE_DEFINITE: Verdict.HOLDS,
+    Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL: Verdict.MARGINAL,
+    Definiteness.INDEFINITE: Verdict.VIOLATED,
+}
+
+
 def _verdict_of(tested: np.ndarray, tol: Tolerances) -> tuple[Verdict, np.ndarray, InertiaIndex]:
+    # one eigensolve: the spectrum, its inertia and the verdict all come from it
     spectrum = np.linalg.eigvalsh(check_hermitian(tested, tol, what="tested matrix"))
-    idx = inertia(tested, tol)
-    kind = psd_verdict(tested, tol)
-    verdict = {
-        Definiteness.POSITIVE_DEFINITE: Verdict.HOLDS,
-        Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL: Verdict.MARGINAL,
-        Definiteness.INDEFINITE: Verdict.VIOLATED,
-    }[kind]
-    return verdict, spectrum, idx
+    idx, definiteness = classify_spectrum(spectrum, tol)
+    return _VERDICTS[definiteness], spectrum, idx
 
 
 def _ppt_label(kind: CriterionKind, verdict: Verdict) -> str:
@@ -212,9 +213,7 @@ def state_criterion(
     v = np.asarray(cm, dtype=float)
     if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
         raise ValueError(f"covariance matrix must be 2n x 2n, got shape {v.shape}")
-    dev = np.abs(v - v.T).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(v).max()):
-        raise ValueError(f"covariance matrix must be symmetric, asymmetry {dev:.3e}")
+    v = check_hermitian(v, tol, what="covariance matrix")
     n = v.shape[0] // 2
     tested = v + xi_matrix(kind, n)
     verdict, spectrum, idx = _verdict_of(tested, tol)
@@ -242,12 +241,7 @@ def environment_criterion(
     conjugate noise Gram matrix, which is PSD for every model, so its verdict
     is always "holds".
     """
-    report = stability_check(dyn, tol)
-    if not report.is_stable:
-        raise ValueError(
-            "environment criteria need an asymptotically stable drift matrix "
-            f"(spectral abscissa {report.spectral_abscissa:.6e})"
-        )
+    require_stable(dyn, "environment criterion", tol)
     n = dyn.n
     gamma = dyn.drift_matrix
     xi = xi_matrix(kind, n)
@@ -262,29 +256,18 @@ def environment_criterion(
                 f"internal inconsistency: shifted diffusion deviates from twice the "
                 f"conjugate noise Gram matrix by {dev:.3e}"
             )
-        _, spectrum, idx = _verdict_of(tested, tol)
-        if idx.negative:
-            raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")
-        return CriterionResult(
-            kind=kind,
-            level=Level.ENVIRONMENT,
-            tested_matrix=tested,
-            spectrum=spectrum,
-            inertia=idx,
-            verdict=Verdict.HOLDS,
-            conclusiveness=Conclusiveness.IFF,
-        )
-
-    symmetric_drift = np.abs(gamma - gamma.T).max() <= tol.residual_tol * max(
-        1.0, np.abs(gamma).max()
-    )
-    if symmetric_drift:
+        concl = Conclusiveness.IFF
+    elif np.abs(gamma - gamma.T).max() <= tol.residual_tol * max(1.0, np.abs(gamma).max()):
         tested = shifted_source_symmetric(dyn.diffusion, gamma, xi, tol)
         concl = Conclusiveness.IFF
     else:
         tested = shifted_source(dyn.diffusion, gamma, xi, tol)
         concl = Conclusiveness.SUFFICIENT_ONLY
     verdict, spectrum, idx = _verdict_of(tested, tol)
+    if isinstance(kind, Uncertainty):
+        if idx.negative:
+            raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")
+        verdict = Verdict.HOLDS  # a marginal Gram matrix still satisfies the uncertainty relation
     return CriterionResult(
         kind=kind,
         level=Level.ENVIRONMENT,

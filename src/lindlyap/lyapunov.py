@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part
-from .model import GaussianDynamics, stability_check
+from .model import GaussianDynamics, require_stable
 
 __all__ = [
     "LyapunovProblem",
@@ -59,16 +59,6 @@ def _as_problem(problem, source=None) -> LyapunovProblem:
     return LyapunovProblem(problem, source)
 
 
-def _require_stable(a: np.ndarray, tol: Tolerances) -> float:
-    report = stability_check(a, tol)
-    if not report.is_stable:
-        raise ValueError(
-            "Lyapunov solve needs an asymptotically stable generator "
-            f"(spectral abscissa {report.spectral_abscissa:.6e})"
-        )
-    return report.spectral_abscissa
-
-
 def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve A P + P A^dag + Q = 0 by vectorization.
 
@@ -80,7 +70,7 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
-    _require_stable(a, tol)
+    require_stable(a, "Lyapunov solve", tol)
 
     dim = a.shape[0]
     eye = np.eye(dim)
@@ -116,7 +106,7 @@ def solve_integral(
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
-    abscissa = _require_stable(a, tol)
+    abscissa = require_stable(a, "Lyapunov solve", tol).spectral_abscissa
     if horizon is None:
         horizon = 40.0 / abs(abscissa)
     if steps % 2:
@@ -179,11 +169,7 @@ def shifted_source_symmetric(source, generator, shift, tol: Tolerances = DEFAULT
     congruence-transformed source and its positivity becomes a two-sided test.
     """
     a = np.asarray(generator)
-    dev = np.abs(a - a.conj().T).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(a).max()):
-        raise ValueError(
-            f"symmetric-shift form needs a self-adjoint generator, deviation {dev:.3e}"
-        )
+    check_hermitian(a, tol, what="generator (the symmetric-shift form needs a self-adjoint one)")
     q = np.asarray(source)
     xi = check_hermitian(np.asarray(shift), tol, what="shift")
     return q - xi @ a - a @ xi

@@ -26,6 +26,7 @@ __all__ = [
     "LindbladRealization",
     "build_dynamics",
     "stability_check",
+    "require_stable",
     "mean_fixed_point",
     "realize_lindblad",
 ]
@@ -46,9 +47,7 @@ class QuadraticHamiltonian:
         h = np.atleast_2d(np.asarray(self.hessian, dtype=float))
         if h.shape[0] != h.shape[1] or h.shape[0] % 2:
             raise ValueError(f"hessian must be 2n x 2n, got shape {h.shape}")
-        if np.abs(h - h.T).max() > 1e-12 * max(1.0, np.abs(h).max()):
-            raise ValueError("hessian must be symmetric")
-        h = 0.5 * (h + h.T)
+        h = check_hermitian(h, Tolerances(residual_tol=1e-12), what="hessian")
         lin = self.linear
         lin = np.zeros(h.shape[0]) if lin is None else np.asarray(lin, dtype=float)
         if lin.shape != (h.shape[0],):
@@ -187,17 +186,23 @@ def stability_check(
     )
 
 
+def require_stable(target: GaussianDynamics | np.ndarray, what: str, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
+    """Stability report of a drift matrix; raises ValueError naming ``what`` if it is not stable."""
+    report = stability_check(target, tol)
+    if not report.is_stable:
+        raise ValueError(
+            f"{what} needs an asymptotically stable drift matrix "
+            f"(spectral abscissa {report.spectral_abscissa:.6e})"
+        )
+    return report
+
+
 def mean_fixed_point(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Stationary mean vector, the solution of drift_matrix x + drive = 0.
 
     Requires an asymptotically stable drift matrix.
     """
-    report = stability_check(dyn, tol)
-    if not report.is_stable:
-        raise ValueError(
-            "mean fixed point needs an asymptotically stable drift matrix "
-            f"(spectral abscissa {report.spectral_abscissa:.3e})"
-        )
+    require_stable(dyn, "mean fixed point", tol)
     return np.linalg.solve(dyn.drift_matrix, -dyn.drive)
 
 
@@ -233,10 +238,7 @@ def realize_lindblad(
         raise ValueError(f"drift matrix must be 2n x 2n, got shape {gamma.shape}")
     if d.shape != gamma.shape:
         raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
-    dev = np.abs(d - d.T).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(d).max()):
-        raise ValueError(f"diffusion must be symmetric, asymmetry {dev:.3e}")
-    d = 0.5 * (d + d.T)
+    d = check_hermitian(d, tol, what="diffusion")
     n = gamma.shape[0] // 2
     j = symplectic_form(n)
 

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg import schur
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, symplectic_form
-from .model import LindbladRealization, realize_lindblad, stability_check
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, symplectic_form
+from .model import LindbladRealization, realize_lindblad, require_stable
 
 __all__ = [
     "EngineeringError",
@@ -89,10 +89,7 @@ def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Willia
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
-    dev = np.abs(m - m.T).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(m).max()):
-        raise ValueError(f"matrix must be symmetric, asymmetry {dev:.3e}")
-    m = 0.5 * (m + m.T)
+    m = check_hermitian(m, tol)
     n = m.shape[0] // 2
     j = symplectic_form(n)
 
@@ -146,13 +143,8 @@ class EngineeredReservoir:
 def _finish_engineering(
     target: np.ndarray, gamma: np.ndarray, d: np.ndarray, tol: Tolerances
 ) -> EngineeredReservoir:
-    report = stability_check(gamma, tol)
-    if not report.is_stable:
-        raise EngineeringError(
-            f"engineered drift matrix is not asymptotically stable "
-            f"(spectral abscissa {report.spectral_abscissa:.6e})"
-        )
     try:
+        require_stable(gamma, "engineered reservoir", tol)
         realization = realize_lindblad(gamma, d, tol)
     except ValueError as exc:
         raise EngineeringError(f"engineering infeasible: {exc}") from exc

@@ -460,3 +460,62 @@ class TestDocumentSchema:
         model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
         rc, _, _ = run(capsys, "sweep", model, "--param", "epsilon")  # missing --range
         assert rc == 1
+
+
+class TestSweepParameters:
+    PER_MODE = dict(omega1=0.5, omega2=0.5, kappa=1.0, zeta1=0.7, zeta2=0.7, nbar1=0.3, nbar2=0.3)
+
+    def test_alias_on_per_mode_document(self, capsys, tmp_path):
+        model = catalog_doc(tmp_path, "TwoOscThermal", **self.PER_MODE)
+        rc, out, _ = run(
+            capsys,
+            "sweep",
+            model,
+            "--param",
+            "nbar",
+            "--range",
+            "0.1:0.5:3",
+            "--quantity",
+            "env_classicality_min_eig",
+            "--threshold",
+            "classicality:env:zeta",
+        )
+        assert rc == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "nbar,env_classicality_min_eig,thr_classicality_env_zeta"
+        for line in lines[1:]:
+            nbar, min_eig, thr = (float(c) for c in line.split(","))
+            assert np.isfinite(min_eig)
+            want = catalog_analytic(
+                "TwoOscThermal", "classicality_threshold_env", {**self.PER_MODE, "nbar1": nbar, "nbar2": nbar}
+            )
+            assert thr == pytest.approx(want * self.PER_MODE["kappa"], rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--param", "zeeta", "--range", "1:2:3"],
+            ["--param", "zeta", "--range", "1:2:3", "--param2", "zeeta", "--range2", "1:2:2"],
+            ["--param", "zeta", "--range", "1:2:3", "--threshold", "separability:env:zeeta"],
+        ],
+    )
+    def test_unknown_parameter_exits_one(self, capsys, tmp_path, extra):
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, err = run(capsys, "sweep", model, *extra)
+        assert rc == 1 and "zeeta" in err and out == ""
+
+    @pytest.mark.parametrize("bracket", ["0.5:40", "2:40"], ids=["crosses_stability_edge", "no_flip"])
+    def test_threshold_without_flip_is_nan(self, capsys, tmp_path, bracket):
+        # OPOThermal: stable above zeta = epsilon + kappa = 1.05, env separability flips at kappa / (2 nbar)
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        argv = ["sweep", model, "--param", "nbar", "--range", "0.3:0.3:1", "--threshold", "separability:env:zeta"]
+        rc, out, _ = run(capsys, *argv, "--threshold-range", "1.1:40")
+        assert rc == 0 and float(out.split()[-1].split(",")[-1]) == pytest.approx(1.0 / 0.6, rel=1e-12)
+        rc, out, _ = run(capsys, *argv, "--threshold-range", bracket)
+        assert rc == 0 and out.split()[-1].split(",")[-1] == "nan"
+
+
+def test_document_tolerances_validated(capsys, tmp_path):
+    doc = {"catalog": "OPO", "params": {"epsilon": 0.3, "kappa": 1.0}, "tolerances": {"residual_tol": -1}}
+    rc, out, err = run(capsys, "steady", write_doc(tmp_path, "m.json", doc))
+    assert rc == 1 and "residual_tol" in err and out == ""

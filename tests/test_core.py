@@ -153,3 +153,14 @@ class TestTolerances:
     def test_frozen(self):
         with pytest.raises(Exception):
             Tolerances().residual_tol = 1.0
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("field", ["eig_zero_band", "stability_margin", "residual_tol"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Tolerances(**{field: value})
+
+    def test_zero_accepted(self):
+        assert Tolerances(eig_zero_band=0.0).eig_zero_band == 0.0

@@ -5,6 +5,7 @@ from conftest import locate_flip, random_physical_cm, random_stable_model
 from lindlyap import (
     Classicality,
     Conclusiveness,
+    Definiteness,
     Level,
     Partition,
     Separability,
@@ -14,6 +15,8 @@ from lindlyap import (
     catalog_analytic,
     catalog_build,
     environment_criterion,
+    inertia,
+    psd_verdict,
     state_criterion,
     steady_covariance,
     steerability_both_parts,
@@ -313,3 +316,44 @@ class TestHierarchy:
         assert one.verdict is Verdict.VIOLATED
         assert two.verdict is Verdict.VIOLATED
         assert sep.verdict is Verdict.VIOLATED
+
+
+class TestOneSpectrumPerVerdict:
+    KINDS = [Uncertainty(), Classicality(), Separability(HALF), Steerability(HALF, 1), Steerability(HALF, 2)]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_one_eigensolve_per_criterion(self, monkeypatch, kind):
+        dyn = opo_thermal(1.5)
+        cm = steady_covariance(dyn)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        state_criterion(cm, kind)
+        assert len(calls) == 1
+        environment_criterion(dyn, kind)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "offset, definiteness, verdict, zeros",
+        [
+            (2.0, Definiteness.POSITIVE_DEFINITE, Verdict.HOLDS, 0),
+            (0.5, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL, Verdict.MARGINAL, 1),
+            (-0.5, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL, Verdict.MARGINAL, 1),
+            (-2.0, Definiteness.INDEFINITE, Verdict.VIOLATED, 0),
+        ],
+    )
+    def test_verdict_agrees_with_inertia_and_psd_verdict(self, offset, definiteness, verdict, zeros):
+        # one eigenvalue just inside or just outside the zero band (eig_zero_band * max |eig|)
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
+        m = q @ np.diag([1.0, 0.5, 0.25, offset * 1e-9]) @ q.T
+        m = 0.5 * (m + m.T)
+        res = state_criterion(m + np.eye(4), Classicality())  # tests m + I - I
+        assert psd_verdict(m) is definiteness
+        assert res.verdict is verdict
+        assert inertia(m) == res.inertia
+        assert res.inertia.zero == zeros
