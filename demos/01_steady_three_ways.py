@@ -24,7 +24,7 @@ dyn = catalog_build("TwoOscThermal", params).build()
 report = stability_check(dyn)
 print(f"spectral abscissa: {report.spectral_abscissa:+.6f}  (stable: {report.is_stable})")
 
-# route 1: solve the stationary equation by vectorization
+# route 1: solve the stationary equation on a Schur form (Bartels-Stewart)
 v_solve = steady_covariance(dyn)
 print("\nstationary covariance matrix:")
 print(np.array_str(v_solve, precision=6, suppress_small=True))

@@ -11,7 +11,8 @@ V' = Gamma V + V Gamma^T + D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "build_dynamics",
     "stability_check",
     "require_stable",
+    "unstable_drift_error",
     "mean_fixed_point",
     "realize_lindblad",
 ]
@@ -110,6 +112,9 @@ class GaussianDynamics:
     Gram matrix of the coupling vectors, mean_shift is the jump-operator
     contribution to the mean flow, and drive = hamiltonian linear part minus
     mean_shift is the constant term of the mean equation.
+
+    The arrays are read-only copies, so the cached drift spectrum cannot go
+    stale.
     """
 
     hessian: np.ndarray
@@ -119,9 +124,20 @@ class GaussianDynamics:
     mean_shift: np.ndarray
     drive: np.ndarray
 
+    def __post_init__(self):
+        for f in fields(self):
+            arr = np.array(getattr(self, f.name))
+            arr.flags.writeable = False
+            object.__setattr__(self, f.name, arr)
+
     @property
     def n(self) -> int:
         return self.drift_matrix.shape[0] // 2
+
+    @cached_property
+    def drift_spectrum(self) -> np.ndarray:
+        """Read-only eigenvalues of drift_matrix, sorted by (real part, imaginary part)."""
+        return _sorted_spectrum(self.drift_matrix)
 
 
 def build_dynamics(
@@ -164,7 +180,14 @@ class StabilityReport:
 
     is_stable: bool
     spectral_abscissa: float
-    spectrum: np.ndarray  # sorted by (real part, imaginary part)
+    spectrum: np.ndarray  # read-only, sorted by (real part, imaginary part)
+
+
+def _sorted_spectrum(gamma: np.ndarray) -> np.ndarray:
+    eig = np.linalg.eigvals(gamma)
+    spectrum = eig[np.lexsort((eig.imag, eig.real))]
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def stability_check(
@@ -172,12 +195,14 @@ def stability_check(
 ) -> StabilityReport:
     """Decide asymptotic stability of a drift matrix (or of a model's drift).
 
-    Stable means every eigenvalue real part lies below -stability_margin.
+    Stable means every eigenvalue real part lies below -stability_margin.  A
+    model's spectrum is computed once and cached on it; a bare matrix is
+    decomposed on every call.
     """
-    gamma = target.drift_matrix if isinstance(target, GaussianDynamics) else np.asarray(target)
-    eig = np.linalg.eigvals(gamma)
-    order = np.lexsort((eig.imag, eig.real))
-    spectrum = eig[order]
+    if isinstance(target, GaussianDynamics):
+        spectrum = target.drift_spectrum
+    else:
+        spectrum = _sorted_spectrum(np.asarray(target))
     abscissa = float(spectrum[-1].real)
     return StabilityReport(
         is_stable=bool(abscissa < -tol.stability_margin),
@@ -190,11 +215,15 @@ def require_stable(target: GaussianDynamics | np.ndarray, what: str, tol: Tolera
     """Stability report of a drift matrix; raises ValueError naming ``what`` if it is not stable."""
     report = stability_check(target, tol)
     if not report.is_stable:
-        raise ValueError(
-            f"{what} needs an asymptotically stable drift matrix "
-            f"(spectral abscissa {report.spectral_abscissa:.6e})"
-        )
+        raise unstable_drift_error(what, report.spectral_abscissa)
     return report
+
+
+def unstable_drift_error(what: str, abscissa: float) -> ValueError:
+    """The refusal raised when ``what`` meets a drift matrix with spectral abscissa ``abscissa``."""
+    return ValueError(
+        f"{what} needs an asymptotically stable drift matrix (spectral abscissa {abscissa:.6e})"
+    )
 
 
 def mean_fixed_point(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

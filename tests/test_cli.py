@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lindlyap
 from lindlyap import catalog_analytic, squeeze_transform
 from lindlyap.cli import main
 
@@ -519,3 +523,17 @@ def test_document_tolerances_validated(capsys, tmp_path):
     doc = {"catalog": "OPO", "params": {"epsilon": 0.3, "kappa": 1.0}, "tolerances": {"residual_tol": -1}}
     rc, out, err = run(capsys, "steady", write_doc(tmp_path, "m.json", doc))
     assert rc == 1 and "residual_tol" in err and out == ""
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    """Start-up cost: importing the CLI pulls in scipy.linalg and no other scipy subpackage."""
+    src = os.path.dirname(os.path.dirname(lindlyap.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import lindlyap.cli; "
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {name for name in proc.stdout.split() if not name.startswith("_")}
+    assert "optimize" not in loaded
+    assert loaded <= {"linalg", "version"}

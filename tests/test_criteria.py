@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,9 @@ from lindlyap import (
     catalog_build,
     environment_criterion,
     inertia,
+    mean_fixed_point,
     psd_verdict,
+    stability_check,
     state_criterion,
     steady_covariance,
     steerability_both_parts,
@@ -357,3 +361,35 @@ class TestOneSpectrumPerVerdict:
         assert res.verdict is verdict
         assert inertia(m) == res.inertia
         assert res.inertia.zero == zeros
+
+
+class TestCachedDriftSpectrum:
+    def test_one_drift_eigensolve_per_model(self, monkeypatch):
+        dyn = opo_thermal(1.5)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvals(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        assert stability_check(dyn).is_stable
+        for kind in TestOneSpectrumPerVerdict.KINDS:
+            environment_criterion(dyn, kind)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "refuse, what",
+        [
+            (lambda dyn: environment_criterion(dyn, Classicality()), "environment criterion"),
+            (mean_fixed_point, "mean fixed point"),
+            (steady_covariance, "Lyapunov solve"),
+        ],
+    )
+    def test_unstable_model_refused_after_caching(self, refuse, what):
+        dyn = catalog_build("OPO", dict(epsilon=1.2, kappa=1.0)).build()  # abscissa +0.1
+        assert not stability_check(dyn).is_stable
+        message = f"{what} needs an asymptotically stable drift matrix (spectral abscissa 1.000000e-01)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            refuse(dyn)

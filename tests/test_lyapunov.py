@@ -1,10 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_stable_model
 from lindlyap import (
     LyapunovProblem,
+    QuadraticHamiltonian,
+    Tolerances,
+    build_dynamics,
     catalog_build,
     residual,
     shifted_source,
@@ -12,8 +20,10 @@ from lindlyap import (
     solve,
     solve_integral,
     steady_covariance,
+    stability_check,
     steady_state_problem,
     symplectic_form,
+    thermal_bath,
 )
 
 
@@ -80,6 +90,131 @@ class TestSolve:
         a, q = random_stable_pair(rng, 4, complex_gen=True)
         p = solve(a, q)
         assert np.allclose(p, p.conj().T, atol=1e-12)
+
+
+def kronecker_solve(a, q):
+    """Reference solution from the vectorized n^2 x n^2 system (I x A + conj(A) x I) vec P = -vec Q."""
+    eye = np.eye(a.shape[0])
+    big = np.kron(eye, a) + np.kron(a.conj(), eye)
+    vec = np.linalg.solve(big, -q.reshape(-1, order="F").astype(complex))
+    return vec.reshape(a.shape, order="F")
+
+
+ROUTES = ("real", "complex generator", "complex source")
+
+
+@st.composite
+def stable_pairs(draw):
+    """A stable generator of dimension <= 8 and a Hermitian PSD source.
+
+    The generator is a random (so generally non-normal) matrix plus rotation
+    blocks that favour complex eigenvalue pairs, shifted so that its spectral
+    abscissa is -gap.
+    """
+    dim = draw(st.integers(1, 8))
+    route = draw(st.sampled_from(ROUTES))
+    entries = hnp.arrays(float, (dim, dim), elements=st.floats(-2.0, 2.0))
+    a = draw(entries)
+    for k, w in enumerate(draw(st.lists(st.floats(0.5, 3.0), max_size=dim // 2))):
+        a[2 * k, 2 * k + 1] += w
+        a[2 * k + 1, 2 * k] -= w
+    if route == "complex generator":
+        a = a + 1j * draw(entries)
+    gap = draw(st.floats(0.1, 2.0))
+    a = a - (np.linalg.eigvals(a).real.max() + gap) * np.eye(dim)
+    b = draw(entries)
+    if route != "real":
+        b = b + 1j * draw(entries)
+    return a, b @ b.conj().T
+
+
+def damped_chain(n, seed):
+    """n modes with Hessian I + 0.2 M M^T / n and a thermal bath on every mode."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(2 * n, 2 * n))
+    vectors = []
+    for mode in range(n):
+        vectors += thermal_bath(n, mode, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 1.0)))
+    return build_dynamics(QuadraticHamiltonian(np.eye(2 * n) + 0.2 * m @ m.T / n), vectors)
+
+
+class TestBartelsStewart:
+    @settings(max_examples=200, deadline=None)
+    @given(stable_pairs())
+    def test_matches_kronecker_reference(self, pair):
+        a, q = pair
+        p = solve(a, q)
+        ref = kronecker_solve(a, q)
+        assert np.abs(p - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        assert np.isrealobj(p) == (np.isrealobj(a) and np.isrealobj(q))
+        assert np.array_equal(p, p.conj().T)
+
+    @pytest.mark.parametrize(
+        "route, offset",
+        [(route, offset) for route in ROUTES for offset in (-1e-12, -1e-13, 1e-13, 1e-12, -0.1, 0.1)]
+        + [("triangular", offset) for offset in (-1e-12, 0.0, 1e-12)],
+    )
+    def test_refuses_exactly_the_unstable_generators(self, route, offset):
+        """solve refuses a generator iff stability_check does, also next to -stability_margin.
+
+        The leading rotation block puts an eigenvalue pair at sigma +- 0.8i with
+        sigma = -stability_margin + offset; the rest is more stable and coupled
+        to it from above, so the generator is non-normal.
+        """
+        tol = Tolerances(stability_margin=0.25)
+        sigma = -tol.stability_margin + offset
+        t = np.array(
+            [
+                [sigma, 0.8, 0.3, -0.5],
+                [-0.8, sigma, 0.7, 0.2],
+                [0.0, 0.0, -1.0, 0.4],
+                [0.0, 0.0, 0.0, -1.5],
+            ]
+        )
+        rng = np.random.default_rng(7)
+        q = np.eye(4)
+        if route == "triangular":  # a real double eigenvalue sigma, exact in both factorizations
+            a = np.triu(t)
+        elif route == "complex generator":
+            u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            a = u @ t @ u.conj().T
+        else:
+            o, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            a = o @ t @ o.T
+            if route == "complex source":
+                q = q + 0.5j * np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        if stability_check(a, tol).is_stable:
+            p = solve(a, q, tol=tol)
+            assert residual(a, p, q) < 1e-12
+        else:
+            with pytest.raises(ValueError, match="Lyapunov solve needs an asymptotically stable"):
+                solve(a, q, tol=tol)
+
+    def test_single_precision_input_solved_in_double(self):
+        rng = np.random.default_rng(12)
+        a, q = random_stable_pair(rng, 6)
+        p = solve(a.astype(np.float32), q.astype(np.float32))
+        assert p.dtype == np.float64
+        assert residual(a.astype(np.float32), p, q.astype(np.float32)) < 1e-12 * np.abs(q).max()
+
+    def test_large_solve_meets_residual_tolerance(self):
+        dyn = damped_chain(32, seed=1)
+        p = steady_covariance(dyn)
+        assert p.shape == (64, 64)
+        assert residual(steady_state_problem(dyn), p) <= 1e-12 * np.abs(dyn.diffusion).max()
+
+    def test_allocation_peak_at_n24(self):
+        """O(n^2) working memory: the n^4 Kronecker matrix alone would take 42 MB."""
+        dyn = damped_chain(24, seed=2)
+        solve(dyn.drift_matrix, dyn.diffusion)  # warm the LAPACK wrappers
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solve(dyn.drift_matrix, dyn.diffusion)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestSolveIntegral:

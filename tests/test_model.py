@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from lindlyap import (
+    GaussianDynamics,
     LindbladVector,
     QuadraticHamiltonian,
+    Tolerances,
     build_dynamics,
     catalog_build,
     mean_fixed_point,
@@ -124,6 +126,23 @@ class TestStability:
     def test_margin_counts_zero_as_unstable(self):
         dyn = catalog_build("OPO", dict(epsilon=1.0, kappa=1.0)).build()
         assert not stability_check(dyn).is_stable
+
+    def test_model_arrays_are_read_only_copies(self):
+        drift = np.diag([-1.0, -2.0])
+        dyn = GaussianDynamics(np.eye(2), drift, np.eye(2), np.eye(2, dtype=complex), np.zeros(2), np.zeros(2))
+        drift[0, 0] = 5.0
+        assert dyn.drift_matrix[0, 0] == -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            dyn.drift_matrix[0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            stability_check(dyn).spectrum[0] = 5.0
+        assert stability_check(dyn).spectral_abscissa == -1.0
+
+    def test_cached_spectrum_verdict_follows_tolerance(self):
+        dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()  # abscissa -0.35
+        assert stability_check(dyn).is_stable
+        assert not stability_check(dyn, Tolerances(stability_margin=0.4)).is_stable
+        assert stability_check(dyn, Tolerances(stability_margin=0.3)).is_stable
 
 
 class TestMeanFixedPoint:
