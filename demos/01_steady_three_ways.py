@@ -3,8 +3,8 @@
 A pair of position-coupled oscillators, each leaking into its own thermal
 bath, relaxes to a unique Gaussian steady state.  We obtain its covariance
 matrix from the stationary equation directly, from the integral
-representation, and by integrating the moment equations until the transient
-has died, then check that all three agree.
+representation, and by propagating the moment equations exactly until the
+transient has died, then check that all three agree.
 """
 
 import numpy as np
@@ -33,10 +33,10 @@ print(np.array_str(v_solve, precision=6, suppress_small=True))
 v_quad = solve_integral(dyn.drift_matrix, dyn.diffusion)
 print(f"\nquadrature route, max deviation:  {np.abs(v_quad - v_solve).max():.2e}")
 
-# route 3: integrate the moment equations from a hot uncorrelated start
+# route 3: propagate the moment equations exactly from a hot uncorrelated start
 t_end = 40.0 / abs(report.spectral_abscissa)
 traj = evolve(dyn, np.zeros(4), 5.0 * np.eye(4), t_end=t_end, dt=5e-3, record_every=4000)
-print(f"time integration to t = {t_end:.1f}:")
+print(f"exact propagation to t = {t_end:.1f}:")
 for t, v in zip(traj.times, traj.cms):
     print(f"  t = {t:7.2f}   |V(t) - V_ss|_max = {np.abs(v - v_solve).max():.3e}")
 

@@ -550,7 +550,7 @@ def _parse_kv_params(arg: str) -> dict:
     return out
 
 
-def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
+def _load_target_cm(args) -> np.ndarray:
     if args.target and args.catalog:
         raise InputError("give either --target or --catalog, not both")
     if args.target:
@@ -572,7 +572,7 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
 
 def cmd_engineer(args) -> int:
     tol = _resolve_tol(args, None)
-    target = _load_target_cm(args, tol)
+    target = _load_target_cm(args)
     if target.shape[0] % 2:
         raise InputError(f"target must be 2n x 2n, got shape {target.shape}")
     target = check_hermitian(target, tol, what="target")
@@ -658,7 +658,10 @@ def cmd_evolve(args) -> int:
     dim = 2 * dyn.n
     v0 = args.v0_scale * np.eye(dim)
     x0 = np.zeros(dim)
-    traj = evolution.evolve(dyn, x0, v0, t_end, dt=args.dt, record_every=max(1, args.stride), tol=tol)
+    try:
+        traj = evolution.evolve(dyn, x0, v0, t_end, dt=args.dt, record_every=max(1, args.stride))
+    except RuntimeError as exc:  # the moments of a model that is not stable diverged
+        raise InputError(str(exc)) from exc
 
     if args.json:
         payload = {
@@ -791,10 +794,10 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=["gibbs", "covariant"], default="gibbs")
     p.set_defaults(func=cmd_engineer)
 
-    p = sub.add_parser("evolve", help="integrate the moment equations, CSV output")
+    p = sub.add_parser("evolve", help="propagate the moment equations exactly, CSV output")
     add_common(p)
     p.add_argument("--t-end", type=float, default=None, help="final time (default 40/|abscissa|)")
-    p.add_argument("--dt", type=float, default=None, help="integrator step")
+    p.add_argument("--dt", type=float, default=None, help="time grid step (the propagation is exact for any step)")
     p.add_argument("--v0-scale", type=float, default=5.0, help="initial covariance scale s in s*I")
     p.add_argument("--stride", type=int, default=200, help="record every N-th step in the CSV")
     p.set_defaults(func=cmd_evolve)

@@ -369,6 +369,28 @@ class TestEvolve:
         rc, _, err = run(capsys, "evolve", model)
         assert rc == 1 and "--t-end" in err
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--t-end", "inf"], "t_end"),
+            (["--dt", "0"], "dt"),
+            (["--dt", "-1"], "dt"),
+            (["--v0-scale", "nan"], "v0"),
+        ],
+    )
+    def test_bad_input_exits_one(self, capsys, tmp_path, flags, field):
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, err = run(capsys, "evolve", model, *flags)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {field} must be finite")
+
+    def test_divergence_exits_one(self, capsys, tmp_path):
+        model = catalog_doc(tmp_path, "OPO", epsilon=1.5, kappa=1.0)
+        rc, out, err = run(capsys, "evolve", model, "--t-end", "2000", "--dt", "0.1")
+        assert rc == 1 and out == ""
+        assert err.startswith("error: moments diverged at step ")
+        assert err.count("\n") == 1
+
 
 class TestWilliamson:
     def test_cm_file(self, capsys, tmp_path):
