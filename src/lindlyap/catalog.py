@@ -128,7 +128,7 @@ def resolve_param(cid: CatalogId, key: str) -> tuple[str, ...]:
 
 
 def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
-    """Complete parameters of a catalog model by their own names, aliases fanned out."""
+    """Complete, finite parameters of a catalog model by their own names, aliases fanned out."""
     expected = set(PARAM_NAMES[cid])
     resolved: dict[str, float] = {}
     for key, value in params.items():
@@ -136,6 +136,8 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
             if name in resolved:
                 raise ValueError(f"parameter {name!r} of {cid.value} given more than once")
             resolved[name] = float(value)
+            if not math.isfinite(resolved[name]):
+                raise ValueError(f"parameter {key!r} of {cid.value} must be finite, got {value!r}")
     missing = expected - set(resolved)
     if missing:
         raise ValueError(f"missing parameters for {cid.value}: {sorted(missing)}")

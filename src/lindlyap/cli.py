@@ -192,7 +192,10 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
         if re.shape != (2 * n,) or im.shape != (2 * n,):
             raise InputError(f"lindblad[{k}] coupling must have length {2 * n}")
         mu = complex(float(entry.get("mu_re", 0.0)), float(entry.get("mu_im", 0.0)))
-        vectors.append(LindbladVector(re + 1j * im, mu))
+        try:
+            vectors.append(LindbladVector(re + 1j * im, mu))
+        except ValueError as exc:
+            raise InputError(f"lindblad[{k}]: {exc}") from exc
     return ModelSpec(ham, vectors), tols, info
 
 
@@ -645,6 +648,10 @@ def cmd_engineer(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    if args.stride < 1:
+        raise InputError(f"--stride must be at least 1, got {args.stride}")
+    if args.v0_scale < 0:
+        raise InputError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
     dyn = spec.build(tol)
@@ -659,7 +666,7 @@ def cmd_evolve(args) -> int:
     v0 = args.v0_scale * np.eye(dim)
     x0 = np.zeros(dim)
     try:
-        traj = evolution.evolve(dyn, x0, v0, t_end, dt=args.dt, record_every=max(1, args.stride))
+        traj = evolution.evolve(dyn, x0, v0, t_end, dt=args.dt, record_every=args.stride)
     except RuntimeError as exc:  # the moments of a model that is not stable diverged
         raise InputError(str(exc)) from exc
 
@@ -798,8 +805,8 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--t-end", type=float, default=None, help="final time (default 40/|abscissa|)")
     p.add_argument("--dt", type=float, default=None, help="time grid step (the propagation is exact for any step)")
-    p.add_argument("--v0-scale", type=float, default=5.0, help="initial covariance scale s in s*I")
-    p.add_argument("--stride", type=int, default=200, help="record every N-th step in the CSV")
+    p.add_argument("--v0-scale", type=float, default=5.0, help="initial covariance scale s >= 0 in s*I")
+    p.add_argument("--stride", type=int, default=200, help="record every N-th step in the CSV (N >= 1)")
     p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("williamson", help="symplectic normal form of a covariance matrix")

@@ -9,6 +9,7 @@ from the interleaved ordering (q_1, p_1, q_2, p_2, ...).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -71,13 +72,20 @@ class Layout(enum.Enum):
     INTERLEAVED_QP = "interleaved_qp"  # (q_1, p_1, q_2, p_2, ...)
 
 
+@functools.lru_cache(maxsize=64)
 def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n x 2n symplectic form J = [[0, I], [-I, 0]] (block layout)."""
+    """Return the 2n x 2n symplectic form J = [[0, I], [-I, 0]] (block layout).
+
+    The result is built once per n and shared by every caller, so it is
+    read-only; copy it before modifying it.
+    """
     if n < 1:
         raise ValueError(f"need at least one mode, got n={n}")
     z = np.zeros((n, n))
     i = np.eye(n)
-    return np.block([[z, i], [-i, z]])
+    j = np.block([[z, i], [-i, z]])
+    j.flags.writeable = False
+    return j
 
 
 def _block_to_interleaved_perm(n: int) -> np.ndarray:
@@ -117,13 +125,18 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
     """Validate that ``m`` is Hermitian within tolerance and return its Hermitian part.
 
     The deviation is measured as ||m - m^dag||_inf relative to max(1, ||m||_inf).
+    A matrix with a NaN or infinite entry is rejected as not finite.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     dev = np.abs(m - m.conj().T).max()
     scale = max(1.0, np.abs(m).max()) if m.size else 1.0
-    if dev > tol.residual_tol * scale:
+    bound = tol.residual_tol * scale
+    # a NaN entry makes dev NaN, which fails `<=`; an infinite one makes the bound infinite
+    if not (dev <= bound < math.inf) and not np.isfinite(m).all():
+        raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
+    if not (dev <= bound):
         raise ValueError(
             f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
             f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"

@@ -16,6 +16,7 @@ and steerability tests.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,26 +139,31 @@ def _partial_form(n: int, flip: frozenset[int]) -> np.ndarray:
     return 0.5 * (j + tmat @ j @ tmat)
 
 
+@functools.lru_cache(maxsize=64)
 def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
-    """Hermitian test matrix of a criterion on n modes."""
+    """Hermitian test matrix of a criterion on n modes.
+
+    The result is built once per (kind, n) and shared by every caller, so it
+    is read-only; copy it before modifying it.
+    """
     if isinstance(kind, Uncertainty):
-        return 1j * symplectic_form(n)
-    if isinstance(kind, Classicality):
-        return -np.eye(2 * n, dtype=complex)
-    if isinstance(kind, Separability):
+        xi = 1j * symplectic_form(n)
+    elif isinstance(kind, Classicality):
+        xi = -np.eye(2 * n, dtype=complex)
+    elif isinstance(kind, (Separability, Steerability)):
         part = kind.partition
         if part.mode_count != n:
             raise ValueError(f"partition is over {part.mode_count} modes, expected {n}")
-        t = part.time_reversal()
-        return 1j * (t @ symplectic_form(n) @ t)
-    if isinstance(kind, Steerability):
-        part = kind.partition
-        if part.mode_count != n:
-            raise ValueError(f"partition is over {part.mode_count} modes, expected {n}")
-        steered = part.part_one if kind.steered_part == 1 else part.part_two
-        unsteered = frozenset(range(n)) - frozenset(steered)
-        return 1j * _partial_form(n, unsteered)
-    raise TypeError(f"unknown criterion kind {kind!r}")
+        if isinstance(kind, Separability):
+            t = part.time_reversal()
+            xi = 1j * (t @ symplectic_form(n) @ t)
+        else:
+            steered = part.part_one if kind.steered_part == 1 else part.part_two
+            xi = 1j * _partial_form(n, frozenset(range(n)) - frozenset(steered))
+    else:
+        raise TypeError(f"unknown criterion kind {kind!r}")
+    xi.flags.writeable = False
+    return xi
 
 
 @dataclass(frozen=True)
@@ -189,8 +195,8 @@ _VERDICTS = {
 
 
 def _verdict_of(tested: np.ndarray, tol: Tolerances) -> tuple[Verdict, np.ndarray, InertiaIndex]:
-    # one eigensolve: the spectrum, its inertia and the verdict all come from it
-    spectrum = np.linalg.eigvalsh(check_hermitian(tested, tol, what="tested matrix"))
+    # one eigensolve of a Hermitian matrix: the spectrum, its inertia and the verdict all come from it
+    spectrum = np.linalg.eigvalsh(tested)
     idx, definiteness = classify_spectrum(spectrum, tol)
     return _VERDICTS[definiteness], spectrum, idx
 
@@ -215,6 +221,7 @@ def state_criterion(
         raise ValueError(f"covariance matrix must be 2n x 2n, got shape {v.shape}")
     v = check_hermitian(v, tol, what="covariance matrix")
     n = v.shape[0] // 2
+    # exactly Hermitian, with no second check: v is, and Xi's entries are 0, +-1 or +-1/2 times i
     tested = v + xi_matrix(kind, n)
     verdict, spectrum, idx = _verdict_of(tested, tol)
     return CriterionResult(
@@ -263,7 +270,7 @@ def environment_criterion(
     else:
         tested = shifted_source(dyn.diffusion, gamma, xi, tol)
         concl = Conclusiveness.SUFFICIENT_ONLY
-    verdict, spectrum, idx = _verdict_of(tested, tol)
+    verdict, spectrum, idx = _verdict_of(check_hermitian(tested, tol, what="tested matrix"), tol)
     if isinstance(kind, Uncertainty):
         if idx.negative:
             raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")

@@ -93,11 +93,14 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"LAPACK trsyl rejected argument {-info}")
     p = hermitian_part(u @ (x / scale) @ u.conj().T)
 
-    # below the smallest normal float a residual is underflow noise, not error
-    q_scale = max(np.abs(q).max(), np.finfo(float).tiny)
+    # the residual is judged against the size of the equation's terms, 2 |A| |P| + |Q|, the
+    # normwise backward error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., sec. 16.2); a non-normal A makes |P| >> |Q| and then |Q| alone cannot be reached.
+    # Below the smallest normal float a residual is underflow noise, not error.
+    scale = max(2.0 * np.abs(a).max() * np.abs(p).max() + np.abs(q).max(), np.finfo(float).tiny)
     res = np.abs(a @ p + p @ a.conj().T + q).max()
-    if res > tol.residual_tol * q_scale:
-        raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {q_scale:.3e}")
+    if not (res <= tol.residual_tol * scale):
+        raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}")
     return p
 
 

@@ -264,3 +264,16 @@ class TestThresholdFormulas:
         # above nbar = 1/4 at omega/kappa = 1/2 the state classicality flip has no real solution
         params = dict(omega=0.5, kappa=1.0, zeta=1.0, nbar=0.3)
         assert math.isnan(catalog_analytic("TwoOscThermal", "classicality_threshold_state", params))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "cid, key, params",
+    [
+        ("OPOThermal", "epsilon", dict(kappa=0.8, zeta=1.5, nbar=0.3)),
+        ("TwoOscThermal", "nbar", dict(omega=0.5, kappa=1.0, zeta=0.7)),  # an alias
+    ],
+)
+def test_non_finite_parameter_refused(cid, key, params, value):
+    with pytest.raises(ValueError, match=f"^parameter '{key}' of {cid} must be finite"):
+        catalog_build(cid, {**params, key: value})

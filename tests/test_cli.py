@@ -559,3 +559,47 @@ def test_cli_import_loads_only_scipy_linalg():
     loaded = {name for name in proc.stdout.split() if not name.startswith("_")}
     assert "optimize" not in loaded
     assert loaded <= {"linalg", "version"}
+
+
+class TestNonFiniteDocuments:
+    """A NaN or infinite number in a document exits 1 with a message naming its field."""
+
+    def check(self, capsys, tmp_path, doc, message):
+        rc, out, err = run(capsys, "steady", write_doc(tmp_path, "m.json", doc))
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_catalog_parameter(self, capsys, tmp_path):
+        doc = {"catalog": "OPOThermal", "params": {"epsilon": float("nan"), "kappa": 0.8, "zeta": 1.5, "nbar": 0.3}}
+        self.check(capsys, tmp_path, doc, "parameter 'epsilon' of OPOThermal must be finite, got nan")
+
+    def test_explicit_hessian(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(OPO_DOC))
+        doc["hessian"][0][1] = doc["hessian"][1][0] = float("nan")
+        self.check(capsys, tmp_path, doc, "hessian is not finite: it has a NaN or infinite entry")
+
+    def test_explicit_coupling(self, capsys, tmp_path):
+        doc = json.loads(json.dumps(OPO_DOC))
+        doc["lindblad"][0]["lambda_re"][1] = float("inf")
+        self.check(capsys, tmp_path, doc, "lindblad[0]: coupling lambda is not finite: it has a NaN or infinite entry")
+
+
+class TestEvolveFlags:
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--stride", "-5"], "--stride must be at least 1, got -5"),
+            (["--stride", "0"], "--stride must be at least 1, got 0"),
+            (["--v0-scale", "-1"], "--v0-scale must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_bad_flag_exits_one(self, capsys, tmp_path, flags, message):
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, err = run(capsys, "evolve", model, "--t-end", "0.01", "--dt", "0.001", *flags)
+        assert rc == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_stride_one_records_every_step(self, capsys, tmp_path):
+        model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
+        rc, out, _ = run(capsys, "evolve", model, "--t-end", "0.01", "--dt", "0.001", "--stride", "1")
+        assert rc == 0 and len(out.strip().splitlines()) == 12  # header and t = 0 .. 0.01

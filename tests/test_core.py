@@ -164,3 +164,56 @@ class TestToleranceValidation:
 
     def test_zero_accepted(self):
         assert Tolerances(eig_zero_band=0.0).eig_zero_band == 0.0
+
+
+class TestSharedSymplecticForm:
+    def test_one_array_per_size(self):
+        assert symplectic_form(3) is symplectic_form(3)
+        assert symplectic_form(3) is not symplectic_form(4)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            symplectic_form(2)[0, 2] = 5.0
+        assert symplectic_form(2)[0, 2] == 1.0
+
+    def test_cache_is_bounded(self):
+        for n in range(1, 200):
+            symplectic_form(n)
+        info = symplectic_form.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[1.0, NAN], [NAN, 1.0]],
+            [[NAN, 0.0], [0.0, 1.0]],
+            [[1.0, INF], [0.0, 1.0]],
+            [[0.0, INF], [-INF, 0.0]],
+            [[INF, 0.0], [0.0, 1.0]],
+            [[1.0, complex(0.0, NAN)], [0.0, 1.0]],
+        ],
+    )
+    def test_check_hermitian(self, m):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^covariance matrix is not finite"):
+                check_hermitian(np.array(m), what="covariance matrix")
+            with pytest.raises(ValueError, match="not finite"):
+                check_hermitian(np.array(m), Tolerances(residual_tol=0.0))
+
+    def test_verdicts_refuse_nan(self):
+        m = np.array([[1.0, NAN], [NAN, 1.0]])
+        for verdict in (psd_verdict, inertia):
+            with pytest.raises(ValueError, match="not finite"):
+                verdict(m)
+
+    def test_finite_extremes_accepted(self):
+        big = np.array([[1e300, -1e300], [-1e300, 1e300]])
+        assert np.array_equal(check_hermitian(big), big)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))  # the deviation overflows

@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import locate_flip, random_physical_cm, random_stable_model
 from lindlyap import (
@@ -27,6 +30,7 @@ from lindlyap import (
     symplectic_form,
     xi_matrix,
 )
+from lindlyap.core import check_hermitian
 
 HALF = Partition(2, frozenset({1}))
 
@@ -393,3 +397,109 @@ class TestCachedDriftSpectrum:
         message = f"{what} needs an asymptotically stable drift matrix (spectral abscissa 1.000000e-01)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             refuse(dyn)
+
+
+class TestSharedXi:
+    KINDS = TestOneSpectrumPerVerdict.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_one_array_per_kind_and_size(self, kind):
+        assert xi_matrix(kind, 2) is xi_matrix(kind, 2)
+        # an equal kind built anew shares the same array
+        twin = Partition(2, frozenset({1}))
+        assert xi_matrix(Separability(twin), 2) is xi_matrix(Separability(HALF), 2)
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_read_only(self, kind):
+        xi = xi_matrix(kind, 2)
+        before = xi.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            xi[0, 0] = 7.0
+        assert np.array_equal(xi_matrix(kind, 2), before)
+
+    def test_cache_is_bounded_over_many_partitions(self):
+        n = 9
+        for mask in range(1, 2**n - 1):
+            part = Partition(n, frozenset(k for k in range(n) if mask >> k & 1))
+            xi_matrix(Separability(part), n)
+        info = xi_matrix.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def count_hermitian_checks(monkeypatch):
+    """Count check_hermitian calls made from the criteria and lyapunov modules."""
+    import lindlyap.criteria
+    import lindlyap.lyapunov
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("what", "matrix"))
+        return check_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(lindlyap.criteria, "check_hermitian", counted)
+    monkeypatch.setattr(lindlyap.lyapunov, "check_hermitian", counted)
+    return calls
+
+
+class TestHermitianChecksPerVerdict:
+    KINDS = TestOneSpectrumPerVerdict.KINDS
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    def test_state_criterion_checks_once(self, monkeypatch, kind):
+        cm = steady_covariance(opo_thermal(1.5))
+        calls = count_hermitian_checks(monkeypatch)
+        state_criterion(cm, kind)
+        assert calls == ["covariance matrix"]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
+    @pytest.mark.parametrize(
+        "model, symmetric",
+        [
+            (lambda: opo_thermal(1.5), True),
+            (lambda: catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build(), False),
+        ],
+        ids=["symmetric drift", "non-symmetric drift"],
+    )
+    def test_environment_criterion_keeps_its_checks(self, monkeypatch, kind, model, symmetric):
+        dyn = model()
+        calls = count_hermitian_checks(monkeypatch)
+        res = environment_criterion(dyn, kind)
+        assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
+        # the shift, the generator of a symmetric shift, and the shifted source
+        expected = 3 if symmetric and not isinstance(kind, Uncertainty) else 2
+        assert len(calls) == expected and calls[-1] == "tested matrix"
+
+    def test_nan_covariance_refused(self):
+        # every comparison with NaN is False, so a `dev > bound` test would let this through
+        cm = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for kind in (Classicality(), Uncertainty()):
+            with pytest.raises(ValueError, match="^covariance matrix is not finite"):
+                state_criterion(cm, kind)
+
+
+@st.composite
+def covariances_and_kinds(draw):
+    n = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    b = draw(hnp.arrays(float, (2 * n, 2 * n), elements=st.floats(-1.0, 1.0)))
+    v = scale * (b + b.T)
+    # a one-ulp asymmetry, which check_hermitian accepts and symmetrizes away
+    v[0, -1] = np.nextafter(v[0, -1], np.inf)
+    kinds = [Uncertainty(), Classicality()]
+    if n > 1:
+        flipped = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        part = Partition(n, flipped)
+        kinds += [Separability(part), Steerability(part, draw(st.sampled_from((1, 2))))]
+    return v, n, kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(covariances_and_kinds())
+def test_state_tested_matrix_is_exactly_hermitian(case):
+    """V + Xi needs no Hermitian check of its own: it is Hermitian to the last bit."""
+    v, n, kinds = case
+    hv = check_hermitian(v)
+    for kind in kinds:
+        tested = hv + xi_matrix(kind, n)
+        assert np.array_equal(tested, tested.conj().T)

@@ -327,3 +327,23 @@ class TestSteadyStateProblem:
         assert np.allclose(prob.generator, dyn.drift_matrix)
         assert np.allclose(prob.source, dyn.diffusion)
         assert np.allclose(solve(prob), steady_covariance(dyn))
+
+
+class TestResidualGate:
+    def test_nan_source_refused(self):
+        q = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for solver in (solve, solve_integral):
+            with pytest.raises(ValueError, match="^source is not finite"):
+                solver(-np.eye(2), q)
+
+    def test_non_normal_generator_with_a_huge_solution(self):
+        """A Jordan block makes |P| ~ 3e13 |Q|.  The residual then sits near
+        eps |A| |P|, far above eps |Q|, although P is accurate to 1e-15; the
+        gate measures it against 2 |A| |P| + |Q| and so accepts the solve."""
+        a = -0.109375 * np.eye(8) + np.diag(np.ones(7), 1)
+        q = np.full((8, 8), 8.0)
+        p = solve(a, q)
+        ref = kronecker_solve(a, q)
+        assert np.abs(p).max() > 1e13 * np.abs(q).max()
+        assert residual(a, p, q) > 1e-8 * np.abs(q).max()
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -206,3 +206,21 @@ class TestRealizeLindblad:
         """Pure damping with no diffusion violates the noise positivity constraint."""
         with pytest.raises(ValueError, match="not realizable"):
             realize_lindblad(-np.eye(2), np.zeros((2, 2)))
+
+
+class TestFiniteModelData:
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: QuadraticHamiltonian([[1.0, np.nan], [np.nan, 1.0]]), "hessian"),
+            (lambda: QuadraticHamiltonian([[np.inf, 0.0], [0.0, 1.0]]), "hessian"),
+            (lambda: QuadraticHamiltonian(np.eye(2), [0.0, np.nan]), "linear term xi"),
+            (lambda: QuadraticHamiltonian(np.eye(2), None, np.inf), "offset h0"),
+            (lambda: LindbladVector([1.0, np.inf]), "coupling lambda"),
+            (lambda: LindbladVector([1.0, complex(0.0, np.nan)]), "coupling lambda"),
+            (lambda: LindbladVector([1.0, 1j], complex(np.nan, 0.0)), "offset mu"),
+        ],
+    )
+    def test_non_finite_entries_refused(self, build, field):
+        with pytest.raises(ValueError, match=f"^{field} is not finite"):
+            build()
