@@ -117,8 +117,9 @@ def reorder(m: np.ndarray, src: Layout, dst: Layout) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2, halved before the sum so that entries near the largest float cannot overflow."""
     m = np.asarray(m)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * m + 0.5 * m.conj().T
 
 
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:

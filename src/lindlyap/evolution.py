@@ -6,9 +6,12 @@ affine map x -> Phi x + c, V -> Phi V Phi^T + W with Phi = exp(Gamma t).  Phi,
 c and W come from a matrix exponential of a Van Loan block (Van Loan, IEEE
 TAC 23(3), 1978) whose generator is Gamma with `drive` appended as an extra
 column, taken over a short time and squared up to t.  One such map covers a
-whole recording stride and is applied once per recorded state, so the grid
-step only chooses the recorded times, not the accuracy.  The covariance is
-re-symmetrized after every recorded state.
+whole recording stride, so the grid step only chooses the recorded times, not
+the accuracy.  The recorded states are filled by doubling: the map over m
+strides takes the block of states [0, m) to the block [m, 2m) in one batched
+product and is then squared into the map over 2m strides, so K recorded
+states cost O(log K) array operations and each passes through at most
+log2 K maps.  The covariance is re-symmetrized at every recorded state.
 """
 
 from __future__ import annotations
@@ -57,9 +60,15 @@ def _flow(dyn: GaussianDynamics, t: float):
     flow = block[dim + 1 :, dim + 1 :].T
     phi, c = flow[:dim, :dim], flow[:dim, dim]
     w = flow[:dim, :] @ block[: dim + 1, dim + 1 :][:, :dim]
-    for _ in range(m):  # the flow over 2s from the flow over s
-        phi, c, w = phi @ phi, phi @ c + c, phi @ w @ phi.T + w
-    return phi, c, w
+    flow = phi, c, w
+    for _ in range(m):
+        flow = _square(*flow)
+    return flow
+
+
+def _square(phi, c, w):
+    """The flow over 2s from the flow (Phi, c, W) over s."""
+    return phi @ phi, phi @ c + c, phi @ w @ phi.T + w
 
 
 def evolve(
@@ -76,9 +85,12 @@ def evolve(
     min(1e-3, 0.05 / ||Gamma||_2).  It only sets the grid: states are
     recorded at the grid times k h with k a multiple of `record_every` (the
     final state is always recorded), and each one is the exact flow of the
-    moment equations from the one before.  t_end and dt must be finite and
-    positive, x0 and v0 finite.  Aborts if a recorded moment stops being
-    finite.
+    moment equations from an earlier recorded state, over a power of two
+    strides.  A map whose square would not be finite (a growing mode over a
+    long time) is not squared further, but applied block by block, so an
+    unexcited unstable mode does not poison the trajectory.  t_end and dt
+    must be finite and positive, x0 and v0 finite.  Aborts, naming the first
+    recorded step, if a recorded moment stops being finite.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if value is not None and not (math.isfinite(value) and value > 0):
@@ -102,25 +114,43 @@ def evolve(
     steps = max(1, math.ceil(t_end / dt))
     h = t_end / steps
 
-    times = [0.0]
-    means = [x]
-    cms = [v]
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
-        full, tail = divmod(steps, record_every)
-        stride = _flow(dyn, record_every * h) if full else None
-        partial = _flow(dyn, tail * h) if tail else None
-        k = 0
-        while k < steps:
-            count = min(record_every, steps - k)
-            p, c, w = stride if count == record_every else partial
-            x = p @ x + c
-            v = p @ v @ p.T + w
-            v = 0.5 * (v + v.T)
-            k += count
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-                raise RuntimeError(f"moments diverged at step {k} (t = {k * h:.6g})")
-            times.append(k * h)
-            means.append(x)
-            cms.append(v)
+    full, tail = divmod(steps, record_every)
+    ks = np.arange(0, steps + 1, record_every)  # grid index of each recorded state
+    if tail:
+        ks = np.append(ks, steps)
+    means = np.empty((len(ks), dim))
+    cms = np.empty((len(ks), dim, dim))
+    means[0], cms[0] = x, v
 
-    return Trajectory(times=np.array(times), means=np.array(means), cms=np.array(cms))
+    def advance(flow, src, dst, size):
+        """States [dst, dst + size) as the flow of states [src, src + size)."""
+        phi, c, w = flow
+        xs = means[src : src + size] @ phi.T + c
+        vs = phi @ cms[src : src + size] @ phi.T + w
+        vs = 0.5 * (vs + vs.transpose(0, 2, 1))
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
+        if not finite.all():
+            k = ks[dst + int(np.argmin(finite))]
+            raise RuntimeError(f"moments diverged at step {k} (t = {k * h:.6g})")
+        means[dst : dst + size] = xs
+        cms[dst : dst + size] = vs
+
+    with np.errstate(over="ignore", invalid="ignore"):  # `advance` reports divergence
+        if full:
+            # states [m, 2m) are the m-stride map applied to states [0, m), and the
+            # 2m-stride map is its square; once a square would not be finite, the
+            # largest finite map goes on filling one block of m states at a time
+            flow, m, done, doubling = _flow(dyn, record_every * h), 1, 1, True
+            while done <= full:
+                size = min(m, full + 1 - done)
+                advance(flow, done - m, done, size)
+                done += size
+                if doubling and done <= full:
+                    wide = _square(*flow)
+                    doubling = all(np.isfinite(a).all() for a in wide)
+                    if doubling:
+                        flow, m = wide, 2 * m
+        if tail:
+            advance(_flow(dyn, tail * h), full, full + 1, 1)
+
+    return Trajectory(times=ks * h, means=means, cms=cms)

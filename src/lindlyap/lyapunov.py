@@ -7,12 +7,18 @@ is read off the diagonal of T) and reduces the equation to the triangular
 Sylvester system T X + X T^dag = -U^dag Q U, solved by LAPACK ``trsyl``, with
 P = U X U^dag.  Cost is O(n^3) time and O(n^2) memory.  An independent
 quadrature solver evaluates the integral representation
-P = int_0^inf exp(A t) Q exp(A^dag t) dt and is kept deliberately separate so
-the two routes can cross-check each other.
+P = int_0^inf exp(A t) Q exp(A^dag t) dt by composite Simpson quadrature and
+is kept deliberately separate so the two routes can cross-check each other:
+it never touches the Schur form or ``trsyl``.  Its integrand is advanced by
+congruence with the one-step propagator, and the congruence sum over the
+nodes is doubled in O(log steps) matrix products rather than stepped node by
+node.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +26,7 @@ import numpy as np
 from scipy.linalg import expm, get_lapack_funcs, schur
 
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part
-from .model import GaussianDynamics, require_stable, unstable_drift_error
+from .model import GaussianDynamics, _require_finite, require_stable, unstable_drift_error
 
 __all__ = [
     "LyapunovProblem",
@@ -36,7 +42,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LyapunovProblem:
-    """Data of A P + P A^dag + Q = 0: a stable generator and a Hermitian source."""
+    """Data of A P + P A^dag + Q = 0: a stable, finite generator and a Hermitian source."""
 
     generator: np.ndarray
     source: np.ndarray
@@ -48,6 +54,7 @@ class LyapunovProblem:
             raise ValueError(f"generator must be square, got shape {a.shape}")
         if q.shape != a.shape:
             raise ValueError(f"source shape {q.shape} does not match generator shape {a.shape}")
+        _require_finite(("generator", a))
         object.__setattr__(self, "generator", a)
         object.__setattr__(self, "source", q)
 
@@ -104,6 +111,23 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return p
 
 
+def _congruence_sum(p: np.ndarray, q: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{k < count} p^k q (p^k)^dag, p^count) by binary doubling of the sum."""
+    dtype = np.result_type(p, q)
+    total = np.zeros(q.shape, dtype)
+    offset = np.eye(len(p), dtype=dtype)  # p^j, with j the number of terms in `total`
+    block, power = q, p  # the sum of the first m terms, and p^m, for m = 1, 2, 4, ...
+    while True:
+        if count & 1:
+            total = total + offset @ block @ offset.conj().T
+            offset = offset @ power
+        count >>= 1
+        if not count:
+            return total, offset
+        block = block + power @ block @ power.conj().T
+        power = power @ power
+
+
 def solve_integral(
     problem,
     source=None,
@@ -114,30 +138,35 @@ def solve_integral(
     """Quadrature solution of the same equation via its integral representation.
 
     Integrates exp(A t) Q exp(A^dag t) over [0, horizon] with composite Simpson
-    weights; the propagator over one step is computed once and the integrand is
-    advanced by congruence, so only a single matrix exponential is needed.  The
-    default horizon 40 / |spectral abscissa| makes the discarded tail
-    negligible; a warning is issued if the integrand has not decayed at the
-    endpoint.  Independent of :func:`solve` by construction.
+    weights on `steps` intervals (rounded up to even).  The propagator P over
+    one step is computed once and the integrand is advanced by congruence,
+    node k being P^k Q (P^k)^dag: the even nodes sum to E by binary doubling
+    of the congruence over P^2, the odd ones to P E P^dag, so a single matrix
+    exponential and O(log steps) products are needed.  The default horizon
+    40 / |spectral abscissa| makes the discarded tail negligible; a warning is
+    issued if the integrand has not decayed at the endpoint.  horizon must be
+    finite and positive, steps an integer >= 1.  Independent of :func:`solve`
+    by construction.
     """
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
     abscissa = require_stable(a, "Lyapunov solve", tol).spectral_abscissa
     if horizon is None:
         horizon = 40.0 / abs(abscissa)
-    if steps % 2:
-        steps += 1
+    half = (int(steps) + 1) // 2
 
-    h = horizon / steps
+    h = horizon / (2 * half)
     step_prop = expm(a * h)
-    node = q.astype(complex)
-    acc = node.copy()  # weight 1 at t = 0
-    for k in range(1, steps):
-        node = step_prop @ node @ step_prop.conj().T
-        acc += (4.0 if k % 2 else 2.0) * node
-    node = step_prop @ node @ step_prop.conj().T
-    acc += node
+    # Simpson weights 1, 4, 2, ..., 2, 4, 1: twice the even nodes below t = horizon,
+    # four times the odd ones, less the doubled node at t = 0, plus the node at t = horizon
+    even, last_prop = _congruence_sum(step_prop @ step_prop, q, half)
+    node = last_prop @ q @ last_prop.conj().T
+    acc = 4.0 * (step_prop @ even @ step_prop.conj().T) + 2.0 * even - q + node
 
     tail = np.abs(node).max()
     scale = np.abs(q).max() or 1.0

@@ -126,7 +126,7 @@ class GaussianDynamics:
     mean_shift is the constant term of the mean equation.
 
     The arrays are read-only copies, so the cached drift spectrum cannot go
-    stale.
+    stale.  Every entry must be finite.
     """
 
     hessian: np.ndarray
@@ -139,6 +139,7 @@ class GaussianDynamics:
     def __post_init__(self):
         for f in fields(self):
             arr = np.array(getattr(self, f.name))
+            _require_finite((f.name, arr))
             arr.flags.writeable = False
             object.__setattr__(self, f.name, arr)
 
@@ -209,12 +210,14 @@ def stability_check(
 
     Stable means every eigenvalue real part lies below -stability_margin.  A
     model's spectrum is computed once and cached on it; a bare matrix is
-    decomposed on every call.
+    decomposed on every call, and must be finite.
     """
     if isinstance(target, GaussianDynamics):
         spectrum = target.drift_spectrum
     else:
-        spectrum = _sorted_spectrum(np.asarray(target))
+        gamma = np.asarray(target)
+        _require_finite(("drift matrix", gamma))
+        spectrum = _sorted_spectrum(gamma)
     abscissa = float(spectrum[-1].real)
     return StabilityReport(
         is_stable=bool(abscissa < -tol.stability_margin),
@@ -279,6 +282,7 @@ def realize_lindblad(
         raise ValueError(f"drift matrix must be 2n x 2n, got shape {gamma.shape}")
     if d.shape != gamma.shape:
         raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
+    _require_finite(("drift matrix", gamma))
     d = check_hermitian(d, tol, what="diffusion")
     n = gamma.shape[0] // 2
     j = symplectic_form(n)

@@ -1,4 +1,5 @@
 import numpy as np
+from hypothesis import settings
 from scipy.optimize import brentq
 
 from lindlyap import (
@@ -8,6 +9,13 @@ from lindlyap import (
     stability_check,
     thermal_bath,
 )
+
+# Property tests draw the same examples on every run and store none, so a rare
+# draw cannot fail one run and then replay in every later run of a checkout.
+# `--hypothesis-profile explore --hypothesis-seed N` draws afresh from seed N.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, database=None)
+settings.load_profile("ci")
 
 
 def random_stable_model(rng, n=None, max_tries=60):

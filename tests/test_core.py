@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,15 @@ class TestHermitianHelpers:
     def test_check_hermitian_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             check_hermitian(np.zeros((2, 3)))
+
+    def test_hermitian_part_near_the_largest_float(self):
+        z = 1.5e308 * (1 + 1j)
+        m = np.array([[0.0, z], [np.conj(z), 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = check_hermitian(m)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, m)
 
 
 class TestInertia:

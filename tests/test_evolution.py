@@ -219,3 +219,65 @@ class TestRouteAgreement:
         assert traj.times.tolist() == [k * h for k in ks]
         vss = solve(gamma, d)
         assert np.abs(traj.final_cm - vss).max() <= 1e-11 * max(1.0, np.abs(vss).max())
+
+
+class TestDoubledRecording:
+    """Recorded states are filled by doubling the stride map: check every index."""
+
+    GAMMA = np.array([[-0.3, 1.0], [-0.8, -0.5]])  # non-normal, complex eigenvalue pair
+    D = np.array([[1.0, 0.2], [0.2, 0.6]])
+    DRIVE = np.array([0.4, -0.7])
+
+    @pytest.mark.parametrize("tail", [0, 2])
+    @pytest.mark.parametrize("strides", [*range(1, 10), 16, 17, 31, 32, 33])
+    def test_every_record_matches_closed_form(self, strides, tail):
+        dyn = raw_pair_dynamics(self.GAMMA, self.D, drive=self.DRIVE)
+        x0 = np.array([1.5, -0.5])
+        v0 = np.array([[3.0, 0.4], [0.4, 2.0]])
+        steps = 3 * strides + tail
+        h = 0.25  # a binary fraction, so that the grid has exactly `steps` steps
+        traj = evolve(dyn, x0, v0, t_end=h * steps, dt=h, record_every=3)
+        ks = [*range(0, steps + 1, 3)] + ([steps] if tail else [])
+        assert len(traj.times) == strides + 1 + (1 if tail else 0)
+        assert traj.times.tolist() == [k * h for k in ks]
+        vss = solve(self.GAMMA, self.D)
+        xss = np.linalg.solve(self.GAMMA, -self.DRIVE)
+        for t, x, v in zip(traj.times, traj.means, traj.cms):
+            phi = expm(self.GAMMA * t)
+            assert np.abs(x - (xss + phi @ (x0 - xss))).max() < 1e-12
+            assert np.abs(v - (vss + phi @ (v0 - vss) @ phi.T)).max() < 1e-12
+            assert np.array_equal(v, v.T)
+
+    @pytest.mark.parametrize("rate, decay, t_end", [(0.5, 1.0, 4000.0), (40.0, 0.01, 60.0)])
+    def test_unexcited_unstable_mode_stays_finite(self, rate, decay, t_end):
+        """exp(rate t) overflows once rate t > 709.8, but it only ever multiplies zeros.
+
+        A stride map squared past that point would not be finite, so the
+        largest finite map goes on filling the trajectory block by block, and
+        the stable mode still follows its closed form.
+        """
+        dyn = raw_pair_dynamics(np.diag([rate, -decay]), np.diag([0.0, 1.0]))
+        traj = evolve(dyn, np.zeros(2), np.diag([0.0, 1.0]), t_end=t_end, dt=1.0)
+        assert len(traj.times) == t_end + 1
+        assert np.all(np.isfinite(traj.means)) and np.all(np.isfinite(traj.cms))
+        assert not traj.means.any() and not traj.cms[:, 0, :].any()
+        v_inf = 0.5 / decay
+        want = v_inf + (1.0 - v_inf) * np.exp(-2.0 * decay * traj.times)
+        assert np.abs(traj.cms[:, 1, 1] - want).max() < 1e-12 * v_inf
+
+    @pytest.mark.parametrize(
+        "gamma, x0, v0, record_every, step",
+        [
+            # V = exp(2t) I overflows first at t = 355
+            (np.eye(2), np.zeros(2), np.eye(2), 1, 355),
+            (np.eye(2), np.zeros(2), np.eye(2), 4, 356),
+            (np.eye(2), np.zeros(2), np.eye(2), 100, 400),
+            # x = exp(t) overflows first at t = 710, V stays finite
+            (np.diag([1.0, -1.0]), np.ones(2), np.diag([0.0, 1.0]), 1, 710),
+            (np.diag([1.0, -1.0]), np.ones(2), np.diag([0.0, 1.0]), 7, 714),
+        ],
+    )
+    def test_divergence_names_first_non_finite_record(self, gamma, x0, v0, record_every, step):
+        dyn = raw_pair_dynamics(gamma, np.zeros((2, 2)))
+        with pytest.raises(RuntimeError, match=rf"^moments diverged at step {step} \(t = {step}\)$"):
+            evolve(dyn, x0, v0, t_end=1000.0, dt=1.0, record_every=record_every)

@@ -347,3 +347,71 @@ class TestResidualGate:
         assert np.abs(p).max() > 1e13 * np.abs(q).max()
         assert residual(a, p, q) > 1e-8 * np.abs(q).max()
         assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def stepped_simpson(a, q, horizon, steps):
+    """The integral route as one congruence and one weighted sum per Simpson node."""
+    steps += steps % 2
+    h = horizon / steps
+    step_prop = scipy.linalg.expm(a * h)
+    node = q.astype(complex)
+    acc = node.copy()
+    for k in range(1, steps):
+        node = step_prop @ node @ step_prop.conj().T
+        acc += (4.0 if k % 2 else 2.0) * node
+    acc += step_prop @ node @ step_prop.conj().T
+    p = 0.5 * (acc + acc.conj().T) * (h / 3.0)
+    return p.real if np.isrealobj(a) and np.isrealobj(q) else p
+
+
+class TestSolveIntegralDoubling:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 64, 2400])
+    @pytest.mark.parametrize("n, complex_gen", [(1, False), (2, False), (4, False), (3, True)])
+    def test_matches_stepped_simpson(self, n, complex_gen, steps):
+        rng = np.random.default_rng(10 * n + complex_gen)
+        a, q = random_stable_pair(rng, n, complex_gen)
+        horizon = 40.0 / abs(stability_check(a).spectral_abscissa)
+        ref = stepped_simpson(a, q, horizon, steps)
+        p = solve_integral(a, q, horizon=horizon, steps=steps)
+        assert p.dtype == ref.dtype
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_non_normal_generator(self):
+        a = -0.5 * np.eye(4) + np.diag(np.ones(3), 1)
+        q = np.eye(4)
+        ref = stepped_simpson(a, q, 80.0, 2400)
+        assert np.abs(solve_integral(a, q, horizon=80.0) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tail_warning_reads_the_last_node(self):
+        """Over one unit of time the last node is exp(-0.02) of the source."""
+        with pytest.warns(RuntimeWarning, match=r"integrand norm 9\.802e-01 at the horizon"):
+            solve_integral(-0.01 * np.eye(2), np.eye(2), horizon=1.0, steps=7)
+
+
+class TestSolveIntegralArguments:
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_horizon_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="^horizon must be finite and positive"):
+            solve_integral(-np.eye(2), np.eye(2), horizon=horizon)
+
+    @pytest.mark.parametrize("steps", [0, -4, 2.0, 2.5, True, None])
+    def test_steps_integer_and_positive(self, steps):
+        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
+            solve_integral(-np.eye(2), np.eye(2), steps=steps)
+
+    def test_numpy_integer_steps(self):
+        p = solve_integral(-np.eye(2), 2.0 * np.eye(2), steps=np.int64(1201))
+        assert np.allclose(p, np.eye(2), atol=1e-6)
+
+
+class TestNonFiniteGenerator:
+    @pytest.mark.parametrize("solver", [solve, solve_integral])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refused_naming_the_generator(self, solver, bad):
+        a = np.array([[-1.0, bad], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="^generator is not finite"):
+            solver(a, np.eye(2))
+
+    def test_problem_refused(self):
+        with pytest.raises(ValueError, match="^generator is not finite"):
+            LyapunovProblem(np.array([[np.nan]]), np.eye(1))

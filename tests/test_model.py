@@ -224,3 +224,31 @@ class TestFiniteModelData:
     def test_non_finite_entries_refused(self, build, field):
         with pytest.raises(ValueError, match=f"^{field} is not finite"):
             build()
+
+
+class TestFiniteDrift:
+    NAN_DRIFT = np.array([[-1.0, np.nan], [0.0, -1.0]])
+
+    @pytest.mark.parametrize(
+        "field", ["hessian", "drift_matrix", "diffusion", "noise_gram", "mean_shift", "drive"]
+    )
+    def test_dynamics_fields(self, field):
+        arrays = dict(
+            hessian=np.eye(2),
+            drift_matrix=-np.eye(2),
+            diffusion=np.eye(2),
+            noise_gram=0.5 * np.eye(2, dtype=complex),
+            mean_shift=np.zeros(2),
+            drive=np.zeros(2),
+        )
+        arrays[field] = np.full_like(arrays[field], np.inf)
+        with pytest.raises(ValueError, match=f"^{field} is not finite"):
+            GaussianDynamics(**arrays)
+
+    def test_bare_stability_check(self):
+        with pytest.raises(ValueError, match="^drift matrix is not finite"):
+            stability_check(self.NAN_DRIFT)
+
+    def test_realize_lindblad_names_the_drift(self):
+        with pytest.raises(ValueError, match="^drift matrix is not finite"):
+            realize_lindblad(self.NAN_DRIFT, np.eye(2))
