@@ -51,10 +51,12 @@ from .model import (
     LindbladVector,
     ModelSpec,
     QuadraticHamiltonian,
+    SchurForm,
     StabilityReport,
     build_dynamics,
     mean_fixed_point,
     realize_lindblad,
+    schur_form,
     stability_check,
 )
 from .symmetry import (

@@ -39,6 +39,7 @@ from .williamson import engineer_gibbs_target
 __all__ = [
     "CatalogId",
     "PARAM_NAMES",
+    "NONNEGATIVE_PARAMS",
     "resolve_param",
     "resolve_params",
     "catalog_build",
@@ -64,6 +65,17 @@ PARAM_NAMES: dict[CatalogId, tuple[str, ...]] = {
     CatalogId.CASCADED_OPO: ("epsilon1", "epsilon2", "kappa"),
     CatalogId.OPO_THERMAL: ("epsilon", "kappa", "zeta", "nbar"),
     CatalogId.TMTSS: ("r", "nbar"),
+}
+
+# parameters that are rates or occupations, so must be >= 0; the others (frequencies, Hamiltonian
+# couplings such as OPOThermal's kappa, drive strengths and squeezing) are free
+NONNEGATIVE_PARAMS: dict[CatalogId, frozenset[str]] = {
+    CatalogId.TWO_OSC_THERMAL: frozenset({"zeta1", "zeta2", "nbar1", "nbar2"}),
+    CatalogId.TWO_OSC_RWA: frozenset({"zeta1", "zeta2", "nbar1", "nbar2"}),
+    CatalogId.OPO: frozenset({"kappa"}),
+    CatalogId.CASCADED_OPO: frozenset({"kappa"}),
+    CatalogId.OPO_THERMAL: frozenset({"zeta", "nbar"}),
+    CatalogId.TMTSS: frozenset({"nbar"}),
 }
 
 # parameter aliases that fan out to several underlying names (sweep convenience)
@@ -128,7 +140,11 @@ def resolve_param(cid: CatalogId, key: str) -> tuple[str, ...]:
 
 
 def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
-    """Complete, finite parameters of a catalog model by their own names, aliases fanned out."""
+    """Complete, finite parameters of a catalog model by their own names, aliases fanned out.
+
+    Rates and occupations (``NONNEGATIVE_PARAMS``) must be >= 0.  An error
+    names the parameter as given, alias included.
+    """
     expected = set(PARAM_NAMES[cid])
     resolved: dict[str, float] = {}
     for key, value in params.items():
@@ -138,6 +154,11 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
             resolved[name] = float(value)
             if not math.isfinite(resolved[name]):
                 raise ValueError(f"parameter {key!r} of {cid.value} must be finite, got {value!r}")
+            if resolved[name] < 0 and name in NONNEGATIVE_PARAMS[cid]:
+                raise ValueError(
+                    f"parameter {key!r} of {cid.value} is a rate or occupation and must be >= 0, "
+                    f"got {value!r}"
+                )
     missing = expected - set(resolved)
     if missing:
         raise ValueError(f"missing parameters for {cid.value}: {sorted(missing)}")

@@ -606,8 +606,7 @@ def cmd_engineer(args) -> int:
             lam, -0.5 * np.eye(dim), lam, decomp.s, tol
         )
 
-    cm = lyapunov.solve(reservoir.drift_matrix, reservoir.diffusion, tol=tol)
-    target_dev = float(np.abs(cm - target).max())
+    target_dev = float(np.abs(reservoir.steady_cm - target).max())
     realization = reservoir.realization
     vectors = [
         {"lambda_re": v.coupling.real, "lambda_im": v.coupling.imag} for v in realization.vectors

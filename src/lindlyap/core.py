@@ -170,12 +170,10 @@ class Definiteness(enum.Enum):
 def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[InertiaIndex, Definiteness]:
     """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the
     zero band and marginality rules of :func:`inertia` and :func:`psd_verdict`."""
-    band = tol.eig_zero_band * max(1.0, np.abs(eig).max() if eig.size else 0.0)
-    idx = InertiaIndex(
-        positive=int(np.sum(eig > band)),
-        zero=int(np.sum(np.abs(eig) <= band)),
-        negative=int(np.sum(eig < -band)),
-    )
+    band = tol.eig_zero_band * max(1.0, float(np.abs(eig).max()) if eig.size else 0.0)
+    positive = int(np.count_nonzero(eig > band))
+    negative = int(np.count_nonzero(eig < -band))
+    idx = InertiaIndex(positive=positive, zero=eig.size - positive - negative, negative=negative)
     if idx.negative > 0:
         return idx, Definiteness.INDEFINITE
     if idx.zero > 0:

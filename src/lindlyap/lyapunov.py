@@ -2,17 +2,20 @@
 matrices used by the stationary-state criteria.
 
 The primary solver follows Bartels and Stewart (CACM 15(9), 1972): one Schur
-factorization A = U T U^dag both certifies stability (the spectral abscissa
-is read off the diagonal of T) and reduces the equation to the triangular
-Sylvester system T X + X T^dag = -U^dag Q U, solved by LAPACK ``trsyl``, with
-P = U X U^dag.  Cost is O(n^3) time and O(n^2) memory.  An independent
-quadrature solver evaluates the integral representation
-P = int_0^inf exp(A t) Q exp(A^dag t) dt by composite Simpson quadrature and
-is kept deliberately separate so the two routes can cross-check each other:
-it never touches the Schur form or ``trsyl``.  Its integrand is advanced by
-congruence with the one-step propagator, and the congruence sum over the
-nodes is doubled in O(log steps) matrix products rather than stepped node by
-node.
+factorization A = U T U^dag (a :class:`~lindlyap.model.SchurForm`) both
+certifies stability (the spectral abscissa is read off T) and reduces the
+equation to the triangular Sylvester system T X + X T^dag = -U^dag Q U,
+solved by LAPACK ``trsyl``, with P = U X U^dag.  Cost is O(n^3) time and
+O(n^2) memory.  A generator may be given as its Schur form, so a model's
+cached form (or one shared with a stability gate) is not factorized again;
+a real form meeting a complex source is converted by ``rsf2csf``, not
+refactorized.  An independent quadrature solver evaluates the integral
+representation P = int_0^inf exp(A t) Q exp(A^dag t) dt by composite Simpson
+quadrature and is kept deliberately separate so the two routes can
+cross-check each other: apart from its stability gate it never touches the
+Schur form or ``trsyl``.  Its integrand is advanced by congruence with the
+one-step propagator, and the congruence sum over the nodes is doubled in
+O(log steps) matrix products rather than stepped node by node.
 """
 
 from __future__ import annotations
@@ -20,13 +23,20 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs, schur
+from scipy.linalg import expm, get_lapack_funcs, rsf2csf
 
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part
-from .model import GaussianDynamics, _require_finite, require_stable, unstable_drift_error
+from .model import (
+    GaussianDynamics,
+    SchurForm,
+    _require_finite,
+    require_stable,
+    schur_form,
+    unstable_drift_error,
+)
 
 __all__ = [
     "LyapunovProblem",
@@ -42,12 +52,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LyapunovProblem:
-    """Data of A P + P A^dag + Q = 0: a stable, finite generator and a Hermitian source."""
+    """Data of A P + P A^dag + Q = 0: a stable, finite generator and a Hermitian source.
+
+    The generator may be given as a SchurForm; generator is then its matrix
+    and form the record, which the solve reads instead of factorizing.
+    """
 
     generator: np.ndarray
     source: np.ndarray
+    form: SchurForm | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.generator, SchurForm):
+            object.__setattr__(self, "form", self.generator)
+            object.__setattr__(self, "generator", self.generator.matrix)
         a = np.asarray(self.generator)
         q = np.asarray(self.source)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -60,8 +78,9 @@ class LyapunovProblem:
 
 
 def steady_state_problem(dyn: GaussianDynamics) -> LyapunovProblem:
-    """The covariance steady-state equation of a model: generator = drift, source = diffusion."""
-    return LyapunovProblem(dyn.drift_matrix, dyn.diffusion)
+    """The covariance steady-state equation of a model: generator = drift (with its cached
+    Schur form), source = diffusion."""
+    return LyapunovProblem(dyn.drift_schur, dyn.diffusion)
 
 
 def _as_problem(problem, source=None) -> LyapunovProblem:
@@ -73,26 +92,27 @@ def _as_problem(problem, source=None) -> LyapunovProblem:
 def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Solve A P + P A^dag + Q = 0 by the Bartels-Stewart method.
 
-    Accepts a LyapunovProblem or a (generator, source) pair.  The source must
-    be Hermitian and the generator asymptotically stable, which is decided on
-    the same Schur form that the solve uses.  The factorization is real when
-    both inputs are real and complex otherwise (real ``trsyl`` cannot take a
-    complex right-hand side).  The unique solution is returned Hermitian (real
-    when the inputs are real), after an explicit residual check.
+    Accepts a LyapunovProblem or a (generator, source) pair, where the
+    generator may be given as its SchurForm.  The source must be Hermitian
+    and the generator asymptotically stable, which is decided on the same
+    Schur form that the solve uses: the given one, or one factorization of
+    the generator.  The form is real for a real generator; a complex source
+    needs a complex form (real ``trsyl`` cannot take a complex right-hand
+    side), to which a real form is converted by ``rsf2csf``.  The unique
+    solution is returned Hermitian (real when the inputs are real), after an
+    explicit residual check.
     """
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
-    real = np.isrealobj(a) and np.isrealobj(q)
+    form = prob.form or schur_form(a)
+    if form.abscissa >= -tol.stability_margin:
+        raise unstable_drift_error("Lyapunov solve", form.abscissa)
 
-    # double precision whatever the input precision
-    t, u = schur(np.asarray(a, dtype=float if real else complex), output="real" if real else "complex")
-    # LAPACK standardizes each 2x2 block of a real Schur form to equal diagonal
-    # entries, the real part of the block's eigenvalue pair
-    abscissa = float(np.diag(t).real.max())
-    if abscissa >= -tol.stability_margin:
-        raise unstable_drift_error("Lyapunov solve", abscissa)
-
+    t, u = form.t, form.u
+    real = np.isrealobj(t) and np.isrealobj(q)
+    if np.isrealobj(t) and not real:
+        t, u = rsf2csf(t, u, check_finite=False)
     c = -(u.conj().T @ q @ u)
     (trsyl,) = get_lapack_funcs(("trsyl",), (t, c))
     x, scale, info = trsyl(t, t, c, tranb="T" if real else "C")
@@ -155,7 +175,7 @@ def solve_integral(
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
-    abscissa = require_stable(a, "Lyapunov solve", tol).spectral_abscissa
+    abscissa = require_stable(prob.form or a, "Lyapunov solve", tol).spectral_abscissa
     if horizon is None:
         horizon = 40.0 / abs(abscissa)
     half = (int(steps) + 1) // 2

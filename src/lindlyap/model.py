@@ -7,6 +7,11 @@ L_m = lam_m . (J x) + mu_m (complex coupling vector lam_m, complex scalar
 mu_m).  Such a model closes on the first two moments: the mean obeys
 xbar' = Gamma xbar + drive and the covariance matrix obeys
 V' = Gamma V + V Gamma^T + D.
+
+A drift matrix is factorized once, into a Schur form Gamma = U T U^dag
+(:func:`schur_form`).  Its spectrum is read off T, so the same record
+certifies stability and feeds the Bartels-Stewart solve of
+:mod:`lindlyap.lyapunov`; a model caches the record of its drift.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import schur
 
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, symplectic_form
 
@@ -24,9 +30,11 @@ __all__ = [
     "LindbladVector",
     "ModelSpec",
     "GaussianDynamics",
+    "SchurForm",
     "StabilityReport",
     "LindbladRealization",
     "build_dynamics",
+    "schur_form",
     "stability_check",
     "require_stable",
     "unstable_drift_error",
@@ -125,8 +133,8 @@ class GaussianDynamics:
     contribution to the mean flow, and drive = hamiltonian linear part minus
     mean_shift is the constant term of the mean equation.
 
-    The arrays are read-only copies, so the cached drift spectrum cannot go
-    stale.  Every entry must be finite.
+    The arrays are read-only copies, so the cached Schur form of the drift
+    cannot go stale.  Every entry must be finite.
     """
 
     hessian: np.ndarray
@@ -148,9 +156,9 @@ class GaussianDynamics:
         return self.drift_matrix.shape[0] // 2
 
     @cached_property
-    def drift_spectrum(self) -> np.ndarray:
-        """Read-only eigenvalues of drift_matrix, sorted by (real part, imaginary part)."""
-        return _sorted_spectrum(self.drift_matrix)
+    def drift_schur(self) -> SchurForm:
+        """Schur form of drift_matrix, factorized on first use and shared by every later reader."""
+        return schur_form(self.drift_matrix)
 
 
 def build_dynamics(
@@ -161,19 +169,20 @@ def build_dynamics(
     """Assemble the moment dynamics of a model.
 
     drift_matrix = J H - Im(noise_gram) J and diffusion = 2 Re(noise_gram),
-    with J the symplectic form.  Models with no jump operators are allowed
-    (closed dynamics, zero diffusion).
+    with J the symplectic form.  With the couplings stacked as the rows of C
+    and the offsets in mu, noise_gram = C^T conj(C) and the mean shift is
+    Im(conj(mu) C), one product each.  Models with no jump operators are
+    allowed (closed dynamics, zero diffusion).
     """
     n = hamiltonian.n
-    dim = 2 * n
-    gram = np.zeros((dim, dim), dtype=complex)
-    shift = np.zeros(dim)
+    lindblad = tuple(lindblad)
     for v in lindblad:
         if v.n != n:
             raise ValueError(f"coupling vector has {v.n} modes, Hamiltonian has {n}")
-        gram += np.outer(v.coupling, v.coupling.conj())
-        shift += (np.conj(v.offset) * v.coupling).imag
-    gram = check_hermitian(gram, tol, what="noise Gram matrix")
+    couplings = np.array([v.coupling for v in lindblad], dtype=complex).reshape(len(lindblad), 2 * n)
+    offsets = np.array([v.offset for v in lindblad], dtype=complex)
+    shift = (offsets.conj() @ couplings).imag
+    gram = check_hermitian(couplings.T @ couplings.conj(), tol, what="noise Gram matrix")
     j = symplectic_form(n)
     drift_matrix = j @ hamiltonian.hessian - gram.imag @ j
     diffusion = 2.0 * gram.real
@@ -188,6 +197,50 @@ def build_dynamics(
 
 
 @dataclass(frozen=True)
+class SchurForm:
+    """Schur factorization matrix = u t u^dag, with the spectrum read off t.
+
+    For a real matrix t is quasi-upper-triangular and u orthogonal; for a
+    complex one t is upper triangular and u unitary.  spectrum is sorted by
+    (real part, imaginary part) and abscissa is its largest real part.  The
+    arrays are read-only.
+    """
+
+    matrix: np.ndarray
+    t: np.ndarray
+    u: np.ndarray
+    spectrum: np.ndarray
+    abscissa: float
+
+
+def schur_form(matrix: np.ndarray) -> SchurForm:
+    """Factorize a finite square matrix once, by ``scipy.linalg.schur`` in double precision.
+
+    The form is real for a real matrix and complex otherwise.  The eigenvalues
+    are the diagonal of t, except that each standardized 2 x 2 block
+    [[a, b], [c, a]] of a real form holds the pair a +- i sqrt(-b c).  As
+    with ``numpy.linalg.eigvals``, the spectrum of a real matrix is real
+    when it has no such pair.
+    """
+    real = np.isrealobj(matrix)
+    a = np.array(matrix, dtype=float if real else complex)
+    _require_finite(("drift matrix", a))
+    t, u = schur(a, output="real" if real else "complex", check_finite=False)
+    eig = np.diag(t)
+    k = np.flatnonzero(np.diag(t, -1))  # the first row of each 2 x 2 block; a complex t has none
+    if k.size:
+        # b c < 0 in a standardized block; |b|^(1/2) |c|^(1/2) neither goes negative nor overflows
+        im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+        eig = eig.astype(complex)
+        eig[k] += 1j * im
+        eig[k + 1] -= 1j * im
+    spectrum = eig[np.lexsort((eig.imag, eig.real))]
+    for arr in (a, t, u, spectrum):
+        arr.flags.writeable = False
+    return SchurForm(matrix=a, t=t, u=u, spectrum=spectrum, abscissa=float(spectrum[-1].real))
+
+
+@dataclass(frozen=True)
 class StabilityReport:
     """Spectral stability of a drift matrix."""
 
@@ -196,37 +249,32 @@ class StabilityReport:
     spectrum: np.ndarray  # read-only, sorted by (real part, imaginary part)
 
 
-def _sorted_spectrum(gamma: np.ndarray) -> np.ndarray:
-    eig = np.linalg.eigvals(gamma)
-    spectrum = eig[np.lexsort((eig.imag, eig.real))]
-    spectrum.flags.writeable = False
-    return spectrum
-
-
 def stability_check(
-    target: GaussianDynamics | np.ndarray, tol: Tolerances = DEFAULT_TOL
+    target: GaussianDynamics | SchurForm | np.ndarray, tol: Tolerances = DEFAULT_TOL
 ) -> StabilityReport:
     """Decide asymptotic stability of a drift matrix (or of a model's drift).
 
-    Stable means every eigenvalue real part lies below -stability_margin.  A
-    model's spectrum is computed once and cached on it; a bare matrix is
-    decomposed on every call, and must be finite.
+    Stable means every eigenvalue real part lies below -stability_margin.  The
+    spectrum is read off the drift's Schur form: a model's form is computed
+    once and cached on it, a SchurForm is read as given, and a bare matrix,
+    which must be finite, is factorized on every call.
     """
     if isinstance(target, GaussianDynamics):
-        spectrum = target.drift_spectrum
+        form = target.drift_schur
+    elif isinstance(target, SchurForm):
+        form = target
     else:
-        gamma = np.asarray(target)
-        _require_finite(("drift matrix", gamma))
-        spectrum = _sorted_spectrum(gamma)
-    abscissa = float(spectrum[-1].real)
+        form = schur_form(target)
     return StabilityReport(
-        is_stable=bool(abscissa < -tol.stability_margin),
-        spectral_abscissa=abscissa,
-        spectrum=spectrum,
+        is_stable=bool(form.abscissa < -tol.stability_margin),
+        spectral_abscissa=form.abscissa,
+        spectrum=form.spectrum,
     )
 
 
-def require_stable(target: GaussianDynamics | np.ndarray, what: str, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
+def require_stable(
+    target: GaussianDynamics | SchurForm | np.ndarray, what: str, tol: Tolerances = DEFAULT_TOL
+) -> StabilityReport:
     """Stability report of a drift matrix; raises ValueError naming ``what`` if it is not stable."""
     report = stability_check(target, tol)
     if not report.is_stable:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import lyapunov
 from .core import DEFAULT_TOL, Tolerances, symplectic_form
-from .model import GaussianDynamics, stability_check
+from .model import GaussianDynamics, schur_form, stability_check
 
 __all__ = [
     "CovarianceTransform",
@@ -103,14 +103,16 @@ def invariance_check(
     g_inv = _rel_dev(gamma_t, gamma) <= rel_tol
     d_inv = _rel_dev(diffusion_t, diffusion) <= rel_tol
     implied = g_inv and d_inv
-    if implied and stability_check(gamma, tol).is_stable:
-        cm = lyapunov.solve(gamma, diffusion, tol=tol)
-        dev = _rel_dev(np.asarray(w) @ cm @ np.asarray(w).T, cm)
-        if dev > max(rel_tol, 1e3 * tol.residual_tol):
-            raise RuntimeError(
-                f"invariant pair produced a non-invariant stationary covariance "
-                f"(relative deviation {dev:.3e}); this should be impossible"
-            )
+    if implied:
+        form = schur_form(gamma)  # one factorization serves the stability check and the solve
+        if stability_check(form, tol).is_stable:
+            cm = lyapunov.solve(lyapunov.LyapunovProblem(form, diffusion), tol=tol)
+            dev = _rel_dev(np.asarray(w) @ cm @ np.asarray(w).T, cm)
+            if dev > max(rel_tol, 1e3 * tol.residual_tol):
+                raise RuntimeError(
+                    f"invariant pair produced a non-invariant stationary covariance "
+                    f"(relative deviation {dev:.3e}); this should be impossible"
+                )
     return InvarianceReport(gamma_invariant=g_inv, diffusion_invariant=d_inv, cm_invariant=implied)
 
 
@@ -178,8 +180,8 @@ def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> flo
     dev = np.abs(d + alpha * (gamma + gamma.T)).max()
     if dev > tol.residual_tol * max(1.0, np.abs(d).max()):
         return None
-    if stability_check(gamma, tol).is_stable:
-        cm = lyapunov.solve(gamma, d, tol=tol)
+    if stability_check(dyn, tol).is_stable:
+        cm = lyapunov.steady_covariance(dyn, tol)
         dev = np.abs(cm - alpha * np.eye(gamma.shape[0])).max()
         if dev > 1e3 * tol.residual_tol * max(1.0, alpha):
             raise RuntimeError(

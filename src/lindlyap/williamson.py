@@ -16,7 +16,7 @@ from scipy.linalg import schur
 
 from . import lyapunov
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, symplectic_form
-from .model import LindbladRealization, realize_lindblad, require_stable
+from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
 
 __all__ = [
     "EngineeringError",
@@ -138,24 +138,32 @@ class EngineeredReservoir:
     diffusion: np.ndarray
     realization: LindbladRealization
     residual: float  # stationary-equation residual of target under the pair
+    steady_cm: np.ndarray  # the pair's stationary covariance, solved to check it meets target
 
 
 def _finish_engineering(
     target: np.ndarray, gamma: np.ndarray, d: np.ndarray, tol: Tolerances
 ) -> EngineeredReservoir:
+    # one factorization of the drift serves the stability gate and the solve
     try:
-        require_stable(gamma, "engineered reservoir", tol)
+        form = schur_form(gamma)
+        require_stable(form, "engineered reservoir", tol)
         realization = realize_lindblad(gamma, d, tol)
     except ValueError as exc:
         raise EngineeringError(f"engineering infeasible: {exc}") from exc
-    cm = lyapunov.solve(gamma, d, tol=tol)
+    problem = lyapunov.LyapunovProblem(form, d)
+    cm = lyapunov.solve(problem, tol=tol)
     scale = max(1.0, np.abs(target).max())
     dev = np.abs(cm - target).max()
     if dev > 1e3 * tol.residual_tol * scale:
         raise EngineeringError(f"engineered pair misses the target by {dev:.3e}")
-    res = lyapunov.residual(lyapunov.LyapunovProblem(gamma, d), target)
     return EngineeredReservoir(
-        target=target, drift_matrix=gamma, diffusion=d, realization=realization, residual=res
+        target=target,
+        drift_matrix=gamma,
+        diffusion=d,
+        realization=realization,
+        residual=lyapunov.residual(problem, target),
+        steady_cm=cm,
     )
 
 

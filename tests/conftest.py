@@ -1,4 +1,8 @@
+import sys
+
 import numpy as np
+import pytest
+import scipy.linalg
 from hypothesis import settings
 from scipy.optimize import brentq
 
@@ -16,6 +20,26 @@ from lindlyap import (
 settings.register_profile("ci", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, database=None)
 settings.load_profile("ci")
+
+
+@pytest.fixture
+def drift_factorizations(monkeypatch):
+    """Names of the eigensolvers run from here on: ``numpy.linalg.eigvals`` anywhere, and
+    ``scipy.linalg.schur`` where a lindlyap module calls it (each one factorizes a matrix)."""
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting(np.linalg.eigvals))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lindlyap") and getattr(module, "schur", None) is scipy.linalg.schur:
+            monkeypatch.setattr(module, "schur", counting(scipy.linalg.schur))
+    return calls
 
 
 def random_stable_model(rng, n=None, max_tries=60):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -277,3 +278,37 @@ class TestThresholdFormulas:
 def test_non_finite_parameter_refused(cid, key, params, value):
     with pytest.raises(ValueError, match=f"^parameter '{key}' of {cid} must be finite"):
         catalog_build(cid, {**params, key: value})
+
+
+@pytest.mark.parametrize(
+    "cid, key, params",
+    [
+        ("TwoOscThermal", "zeta1", dict(omega=0.5, kappa=1.0, zeta2=0.7, nbar=0.3)),
+        ("TwoOscRWA", "nbar2", dict(varpi=1.0, Omega=0.4, zeta=0.8, nbar1=0.2)),
+        ("OPO", "kappa", dict(epsilon=0.1)),
+        ("CascadedOPO", "kappa", dict(epsilon1=0.1, epsilon2=0.0)),
+        ("OPOThermal", "zeta", dict(epsilon=0.05, kappa=1.0, nbar=0.3)),
+        ("OPOThermal", "nbar", dict(epsilon=0.05, kappa=1.0, zeta=1.7)),
+        ("TMTSS", "nbar", dict(r=0.8)),
+        ("TwoOscThermal", "nbar", dict(omega=0.5, kappa=1.0, zeta=0.7)),  # an alias
+    ],
+)
+def test_negative_rate_or_occupation_refused(cid, key, params):
+    message = f"parameter '{key}' of {cid} is a rate or occupation and must be >= 0, got -0.7"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        catalog_build(cid, {**params, key: -0.7})
+    catalog_build(cid, {**params, key: 0.0})  # the boundary is inside the domain
+
+
+@pytest.mark.parametrize(
+    "cid, params",
+    [
+        ("OPOThermal", dict(epsilon=-0.05, kappa=-1.0, zeta=1.7, nbar=0.3)),  # kappa is a coupling
+        ("TwoOscThermal", dict(omega=-0.5, kappa=-1.0, zeta=0.7, nbar=0.3)),
+        ("TwoOscRWA", dict(varpi=-1.0, Omega=-0.4, zeta=0.8, nbar=0.2)),
+        ("CascadedOPO", dict(epsilon1=-0.1, epsilon2=-0.2, kappa=1.0)),
+        ("TMTSS", dict(r=-0.8, nbar=0.3)),
+    ],
+)
+def test_signed_parameters_stay_free(cid, params):
+    catalog_build(cid, params)

@@ -345,6 +345,52 @@ class TestEngineer:
         assert rc == 1 and "symmetric" in err
 
 
+class TestEngineerSolvesOnce:
+    ARGS = ("engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=0.25")
+
+    @pytest.mark.parametrize("method", ["gibbs", "covariant"])
+    def test_reported_deviation_is_that_of_a_fresh_solve(self, capsys, monkeypatch, method):
+        """The deviation is read off the engineering step's own solve, and it is bit for bit
+        the deviation of a fresh solve of the printed pair."""
+        rc, out, _ = run(capsys, *self.ARGS, "--method", method, "--json")
+        assert rc == 0
+        data = json.loads(out)
+        cm = lindlyap.solve(np.array(data["drift_matrix"]), np.array(data["diffusion"]))
+        dev = float(np.abs(cm - np.array(data["target"])).max())
+        assert data["verification"]["steady_cm_max_dev"] == dev
+
+        solves = []
+        solve = lindlyap.lyapunov.solve
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lindlyap.lyapunov, "solve", counted)
+        rc, text, _ = run(capsys, *self.ARGS, "--method", method)
+        assert rc == 0 and len(solves) == 1
+        assert f"steady-state deviation from target: {lindlyap.cli._fmt(dev)}" in text.splitlines()
+
+
+class TestCatalogDomain:
+    def test_negative_rate_exits_one(self, capsys, tmp_path):
+        model = catalog_doc(tmp_path, "OPO", epsilon=0.1, kappa=-1.0)
+        rc, out, err = run(capsys, "steady", model)
+        assert rc == 1 and out == ""
+        assert err == "error: parameter 'kappa' of OPO is a rate or occupation and must be >= 0, got -1.0\n"
+
+    def test_engineer_names_the_occupation(self, capsys):
+        rc, _, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=-0.7")
+        assert rc == 1 and "parameter 'nbar' of TMTSS is a rate or occupation" in err
+
+    def test_sweep_cells_outside_the_domain_are_nan(self, capsys, tmp_path):
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, _ = run(capsys, "sweep", model, "--param", "nbar", "--range=-0.2:0.2:3", "--quantity", "purity")
+        assert rc == 0
+        cells = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
+        assert cells[0] == "nan" and all(np.isfinite(float(c)) for c in cells[1:])
+
+
 class TestEvolve:
     def test_terminal_state_matches_solver(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)

@@ -13,7 +13,7 @@ from lindlyap import (
     reorder,
     symplectic_form,
 )
-from lindlyap.core import check_hermitian, hermitian_part
+from lindlyap.core import check_hermitian, classify_spectrum, hermitian_part
 
 
 class TestSymplecticForm:
@@ -152,6 +152,42 @@ class TestPsdVerdict:
         m = np.diag([1.0, 1e-12])
         assert psd_verdict(m) is Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
         assert psd_verdict(m, Tolerances(eig_zero_band=1e-14)) is Definiteness.POSITIVE_DEFINITE
+
+
+def three_sum_classification(eig, tol):
+    """The counting rule classify_spectrum once used: one reduction per sign class."""
+    band = tol.eig_zero_band * max(1.0, np.abs(eig).max() if eig.size else 0.0)
+    idx = InertiaIndex(
+        positive=int(np.sum(eig > band)),
+        zero=int(np.sum(np.abs(eig) <= band)),
+        negative=int(np.sum(eig < -band)),
+    )
+    if idx.negative > 0:
+        return idx, Definiteness.INDEFINITE
+    if idx.zero > 0:
+        return idx, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
+    return idx, Definiteness.POSITIVE_DEFINITE
+
+
+class TestClassifySpectrum:
+    @pytest.mark.parametrize("zero_band", [1e-9, 0.25, 0.0])
+    def test_matches_the_three_sum_rule(self, zero_band):
+        """Random spectra in any order, with entries at +-band and one ulp to either side of each."""
+        tol = Tolerances(eig_zero_band=zero_band)
+        rng = np.random.default_rng(int(1e3 * zero_band) + 17)
+        for _ in range(300):
+            top = float(rng.choice([0.5, 1.0, 7.0, 1e6]))
+            band = tol.eig_zero_band * max(1.0, top)
+            edges = [band, -band]
+            edges += [np.nextafter(e, d) for e in (band, -band) for d in (np.inf, -np.inf)]
+            pool = np.array([top, -top, 0.0, *edges, *rng.uniform(-top, top, 4)])
+            eig = rng.choice(pool, size=int(rng.integers(1, 12)))
+            eig[0] = rng.choice([top, -top])  # fixes max |eig|, so the band is the one above
+            rng.shuffle(eig)
+            assert classify_spectrum(eig, tol) == three_sum_classification(eig, tol)
+
+    def test_empty_spectrum(self):
+        assert classify_spectrum(np.array([])) == three_sum_classification(np.array([]), Tolerances())
 
 
 class TestTolerances:

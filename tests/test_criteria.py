@@ -368,20 +368,16 @@ class TestOneSpectrumPerVerdict:
 
 
 class TestCachedDriftSpectrum:
-    def test_one_drift_eigensolve_per_model(self, monkeypatch):
+    def test_one_drift_eigensolve_per_model(self, drift_factorizations):
+        """The stability check, every environment verdict, the steady state and the mean share
+        one factorization of the drift."""
         dyn = opo_thermal(1.5)
-        calls = []
-        eigvals = np.linalg.eigvals
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return eigvals(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
         assert stability_check(dyn).is_stable
         for kind in TestOneSpectrumPerVerdict.KINDS:
             environment_criterion(dyn, kind)
-        assert len(calls) == 1
+        steady_covariance(dyn)
+        mean_fixed_point(dyn)
+        assert drift_factorizations == ["schur"]
 
     @pytest.mark.parametrize(
         "refuse, what",

@@ -25,6 +25,7 @@ from lindlyap import (
     symplectic_form,
     thermal_bath,
 )
+from lindlyap.model import schur_form
 
 
 def random_stable_pair(rng, n, complex_gen=False):
@@ -415,3 +416,52 @@ class TestNonFiniteGenerator:
     def test_problem_refused(self):
         with pytest.raises(ValueError, match="^generator is not finite"):
             LyapunovProblem(np.array([[np.nan]]), np.eye(1))
+
+
+class TestSolveOnSchurForm:
+    @pytest.mark.parametrize(
+        "dyn",
+        [
+            catalog_build("OPOThermal", dict(epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)).build(),
+            catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build(),
+            damped_chain(6, 3),
+            damped_chain(12, 4),
+        ],
+        ids=["OPOThermal", "CascadedOPO", "chain6", "chain12"],
+    )
+    def test_steady_covariance_is_the_bare_solve_bit_for_bit(self, dyn):
+        assert np.array_equal(steady_covariance(dyn), solve(dyn.drift_matrix, dyn.diffusion))
+
+    def test_given_form_is_not_factorized_again(self, drift_factorizations):
+        a, q = random_stable_pair(np.random.default_rng(21), 6)
+        drift_factorizations.clear()  # the draw's own eigensolve
+        form = schur_form(a)
+        p = solve(form, q)
+        assert drift_factorizations == ["schur"]
+        assert np.array_equal(p, solve(a, q))
+
+    def test_complex_source_converts_the_real_form(self, drift_factorizations):
+        rng = np.random.default_rng(22)
+        a, _ = random_stable_pair(rng, 5)
+        b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        q = b @ b.conj().T
+        drift_factorizations.clear()
+        form = schur_form(a)
+        p = solve(LyapunovProblem(form, q))
+        assert drift_factorizations == ["schur"]
+        ref = kronecker_solve(a, q)
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(p, p.conj().T)
+
+    def test_problem_holds_the_matrix_and_the_form(self):
+        a, q = random_stable_pair(np.random.default_rng(23), 4)
+        form = schur_form(a)
+        prob = LyapunovProblem(form, q)
+        assert prob.generator is form.matrix and prob.form is form
+        assert LyapunovProblem(a, q).form is None
+        assert residual(prob, solve(prob)) < 1e-12 * np.abs(q).max()
+
+    def test_unstable_form_refused(self):
+        form = schur_form(np.array([[0.1, 1.0], [0.0, -1.0]]))
+        with pytest.raises(ValueError, match="^Lyapunov solve needs an asymptotically stable"):
+            solve(form, np.eye(2))

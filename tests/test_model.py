@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from lindlyap import (
     GaussianDynamics,
@@ -14,6 +17,7 @@ from lindlyap import (
     symplectic_form,
     thermal_bath,
 )
+from lindlyap.model import SchurForm, schur_form
 
 
 def two_mode_thermal(omega1, omega2, kappa, zeta1, zeta2, nbar1, nbar2):
@@ -252,3 +256,146 @@ class TestFiniteDrift:
     def test_realize_lindblad_names_the_drift(self):
         with pytest.raises(ValueError, match="^drift matrix is not finite"):
             realize_lindblad(self.NAN_DRIFT, np.eye(2))
+
+
+def outer_loop_gram(n, lindblad):
+    """(noise Gram matrix, mean shift) summed one jump operator at a time, as build_dynamics once did."""
+    gram = np.zeros((2 * n, 2 * n), dtype=complex)
+    shift = np.zeros(2 * n)
+    for v in lindblad:
+        gram += np.outer(v.coupling, v.coupling.conj())
+        shift += (np.conj(v.offset) * v.coupling).imag
+    return gram, shift
+
+
+class TestGramAssembly:
+    @pytest.mark.parametrize("n, count", [(1, 1), (1, 3), (2, 4), (3, 7), (5, 2)])
+    def test_matches_the_outer_product_loop(self, n, count):
+        rng = np.random.default_rng(10 * n + count)
+        h = rng.normal(size=(2 * n, 2 * n))
+        vectors = [
+            LindbladVector(
+                rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n),
+                complex(rng.normal(), rng.normal()),
+            )
+            for _ in range(count)
+        ]
+        dyn = build_dynamics(QuadraticHamiltonian(h + h.T, rng.normal(size=2 * n)), vectors)
+        gram, shift = outer_loop_gram(n, vectors)
+        gram = 0.5 * (gram + gram.conj().T)
+        assert np.abs(dyn.noise_gram - gram).max() <= 1e-15 * np.abs(gram).max()
+        assert np.abs(dyn.mean_shift - shift).max() <= 1e-15 * np.abs(shift).max()
+        j = symplectic_form(n)
+        drift = j @ dyn.hessian - gram.imag @ j
+        assert np.abs(dyn.drift_matrix - drift).max() <= 1e-15 * np.abs(drift).max()
+        assert np.abs(dyn.diffusion - 2.0 * gram.real).max() <= 1e-15 * np.abs(gram).max()
+        assert np.array_equal(dyn.noise_gram, dyn.noise_gram.conj().T)
+
+    def test_no_jump_operators_give_zero_matrices(self):
+        dyn = build_dynamics(QuadraticHamiltonian(np.eye(4)), [])
+        for arr, shape in [(dyn.noise_gram, (4, 4)), (dyn.diffusion, (4, 4)), (dyn.mean_shift, (4,))]:
+            assert arr.shape == shape and not arr.any()
+        assert np.array_equal(dyn.drift_matrix, symplectic_form(2))
+
+    def test_complex_offsets_shift_the_mean(self):
+        lam = np.array([0.5j, -0.5])
+        vectors = [LindbladVector(lam, 0.3 - 0.4j), LindbladVector(2.0 * lam, 1.5j)]
+        dyn = build_dynamics(QuadraticHamiltonian(np.eye(2)), vectors)
+        # Im(conj(mu) lambda) summed: (0.3 + 0.4i) lam + (-1.5i) 2 lam
+        assert np.allclose(dyn.mean_shift, ((0.3 + 0.4j) * lam - 3j * lam).imag, rtol=0, atol=1e-16)
+        assert np.allclose(dyn.drive, -dyn.mean_shift, rtol=0, atol=1e-16)
+
+    def test_mode_mismatch_names_both_counts(self):
+        vectors = [LindbladVector(np.ones(4)), LindbladVector(np.ones(2))]
+        with pytest.raises(ValueError, match="^coupling vector has 1 modes, Hamiltonian has 2$"):
+            build_dynamics(QuadraticHamiltonian(np.eye(4)), vectors)
+
+
+EIGENVALUES = (-2.5, -1.0, -0.5, -0.125, 0.0, 0.25, 1.0, 3.0)  # drawn with repeats
+FREQUENCIES = (0.5, 1.0, 2.0)
+
+
+def rotation_block(a, w):
+    return np.array([[a, w], [-w, a]])
+
+
+@st.composite
+def real_drifts(draw):
+    """A real 2n x 2n matrix, n <= 8, whose eigenvalues are exact up to rounding of O(eps |matrix|).
+
+    "normal": Q B Q^T with Q orthogonal and B block diagonal, its 1 x 1
+    entries and 2 x 2 rotation blocks drawn with repeats; a normal matrix's
+    eigenvalues stay well conditioned even when repeated.  "jordan": B plus a
+    random coupling above its diagonal blocks, left quasi-triangular, so that
+    repeated eigenvalues form Jordan chains and neither eigensolver rounds
+    them apart.  "dense": a Gaussian matrix, generally non-normal.
+    """
+    dim = 2 * draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("normal", "jordan", "dense")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from((1e-6, 1.0, 1e3)))
+    if kind == "dense":
+        return scale * rng.normal(size=(dim, dim))
+    b = np.zeros((dim, dim))
+    k = 0
+    while k < dim:
+        a = draw(st.sampled_from(EIGENVALUES))
+        if k + 1 < dim and draw(st.booleans()):
+            b[k : k + 2, k : k + 2] = rotation_block(a, draw(st.sampled_from(FREQUENCIES)))
+            k += 2
+        else:
+            b[k, k] = a
+            k += 1
+    if kind == "normal":
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        return scale * (q @ b @ q.T)
+    coupling = np.triu(rng.normal(size=(dim, dim)), 1)
+    coupling[np.abs(b) > 0] = 0.0  # keep each rotation block standardized, [[a, w], [-w, a]]
+    return scale * (b + coupling)
+
+
+def multiset_distance(x, y):
+    """Largest distance between matched entries of two spectra, paired to minimise the total."""
+    cost = np.abs(x[:, None] - y[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+class TestSchurForm:
+    @settings(max_examples=200, deadline=None)
+    @given(real_drifts())
+    def test_spectrum_matches_eigvals(self, gamma):
+        form = schur_form(gamma)
+        want = np.linalg.eigvals(gamma)
+        assert multiset_distance(form.spectrum, want) <= 1e-13 * max(1.0, np.linalg.norm(gamma, 2))
+        assert np.iscomplexobj(form.spectrum) == np.iscomplexobj(want)
+        order = np.lexsort((form.spectrum.imag, form.spectrum.real))
+        assert np.array_equal(order, np.arange(gamma.shape[0]))
+        assert form.abscissa == form.spectrum.real.max()
+        assert np.abs(form.u @ form.t @ form.u.T - gamma).max() <= 1e-13 * max(1.0, np.abs(gamma).max())
+
+    def test_complex_matrix_gets_a_complex_form(self):
+        gamma = np.array([[-1.0 + 1.0j, 2.0], [0.0, -3.0]])
+        form = schur_form(gamma)
+        assert np.iscomplexobj(form.t) and np.allclose(np.tril(form.t, -1), 0.0)
+        assert np.allclose(form.spectrum, [-3.0, -1.0 + 1.0j], rtol=0, atol=1e-15)
+
+    def test_record_is_read_only(self):
+        drift = np.array([[-1.0, 2.0], [0.5, -3.0]])
+        form = schur_form(drift)
+        drift[0, 0] = 7.0
+        assert form.matrix[0, 0] == -1.0
+        for arr in (form.matrix, form.t, form.u, form.spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_model_caches_one_form(self):
+        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
+        assert isinstance(dyn.drift_schur, SchurForm)
+        assert dyn.drift_schur is dyn.drift_schur
+        assert stability_check(dyn).spectrum is dyn.drift_schur.spectrum
+        assert stability_check(dyn.drift_schur).spectrum is dyn.drift_schur.spectrum
+
+    def test_non_finite_matrix_refused(self):
+        with pytest.raises(ValueError, match="^drift matrix is not finite"):
+            schur_form(np.array([[-1.0, np.inf], [0.0, -1.0]]))

@@ -15,6 +15,7 @@ from lindlyap import (
     rotation_from_unitary,
     solve,
     squeeze_transform,
+    stability_check,
     steady_covariance,
     symplectic_form,
     symplectic_rotation,
@@ -107,6 +108,12 @@ class TestInvariance:
         rep = invariance_check(dyn.drift_matrix, dyn.diffusion, w)
         assert rep.cm_invariant
 
+    def test_invariant_pair_factorized_once(self, drift_factorizations):
+        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
+        rep = invariance_check(dyn.drift_matrix, dyn.diffusion, np.diag([1.0, 1.0, -1.0, -1.0]))
+        assert rep.cm_invariant
+        assert drift_factorizations == ["schur"]
+
     def test_broken_symmetry_detected(self):
         dyn = catalog_build(
             "OPOThermal", dict(epsilon=0.05, kappa=0.8, zeta=1.5, nbar=0.3)
@@ -171,6 +178,12 @@ class TestGibbsCondition:
         dyn = raw_pair_dynamics(gamma, delta * np.eye(4))
         alpha = gibbs_condition(dyn)
         assert alpha == pytest.approx(delta / 1.2, abs=1e-12)
+
+    def test_reads_the_models_cached_form(self, drift_factorizations):
+        dyn = build_dynamics(QuadraticHamiltonian(np.zeros((2, 2))), thermal_bath(1, 0, 0.7, 0.4))
+        assert stability_check(dyn).is_stable
+        assert gibbs_condition(dyn) == pytest.approx(1.8, abs=1e-12)
+        assert drift_factorizations == ["schur"]
 
     def test_squeezed_reservoir_is_not_isotropic(self):
         res = engineer_gibbs_target(squeeze_transform(0.4), 2.0)

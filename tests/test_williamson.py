@@ -175,3 +175,25 @@ class TestCovariantEngineering:
         lam = solve(g0 - 0.2 * np.eye(2), d0)  # deliberately inconsistent base
         with pytest.raises(EngineeringError):
             engineer_covariant_target(lam, g0, d0, np.eye(2))
+
+
+ENGINEERED = {
+    "gibbs": lambda: engineer_gibbs_target(squeeze_transform(0.4), 1.5),
+    "covariant": lambda: engineer_covariant_target(
+        np.diag([1.5, 2.0, 1.5, 2.0]), -0.5 * np.eye(4), np.diag([1.5, 2.0, 1.5, 2.0]), squeeze_transform(0.3)
+    ),
+}
+
+
+class TestEngineeredPairSolvedOnce:
+    @pytest.mark.parametrize("method", ENGINEERED)
+    def test_one_drift_factorization(self, drift_factorizations, method):
+        """The stability gate and the solve of an engineered pair share one Schur form."""
+        ENGINEERED[method]()
+        assert drift_factorizations == ["schur"]
+
+    @pytest.mark.parametrize("method", ENGINEERED)
+    def test_reservoir_carries_its_solved_covariance(self, method):
+        res = ENGINEERED[method]()
+        assert np.array_equal(res.steady_cm, solve(res.drift_matrix, res.diffusion))
+        assert np.abs(res.steady_cm - res.target).max() < 1e-12
