@@ -53,6 +53,7 @@ from .model import (
     QuadraticHamiltonian,
     SchurForm,
     StabilityReport,
+    UnstableDriftError,
     build_dynamics,
     mean_fixed_point,
     realize_lindblad,

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances
+from .core import DEFAULT_TOL, Tolerances, read_number
 from .model import LindbladVector, ModelSpec, QuadraticHamiltonian
 from .williamson import engineer_gibbs_target
 
@@ -151,7 +151,7 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
         for name in resolve_param(cid, key):
             if name in resolved:
                 raise ValueError(f"parameter {name!r} of {cid.value} given more than once")
-            resolved[name] = float(value)
+            resolved[name] = read_number(value, f"parameter {key!r} of {cid.value}")
             if not math.isfinite(resolved[name]):
                 raise ValueError(f"parameter {key!r} of {cid.value} must be finite, got {value!r}")
             if resolved[name] < 0 and name in NONNEGATIVE_PARAMS[cid]:

@@ -21,6 +21,10 @@ digits; CSV output is deterministic for fixed inputs.
 
 Exit codes: 0 success, 1 invalid input, 2 stability refusal (the requested
 computation needs an asymptotically stable model), 3 engineering failure.
+A refusal is an exception that `main` maps to its code, printing one
+"error: " line on stderr: an UnstableDriftError exits 2, an EngineeringError
+3, and any other ValueError 1; its message names the document field or flag
+at fault.
 """
 
 from __future__ import annotations
@@ -37,18 +41,21 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import criteria as criteria_mod
 from . import evolution, lyapunov, williamson
-from .core import Tolerances, check_hermitian, symplectic_form
-from .model import GaussianDynamics, LindbladVector, ModelSpec, QuadraticHamiltonian, stability_check
+from .core import Tolerances, check_hermitian, read_matrix, read_number, symplectic_form
+from .model import (
+    LindbladVector,
+    ModelSpec,
+    QuadraticHamiltonian,
+    UnstableDriftError,
+    require_stable,
+    stability_check,
+)
 from .williamson import EngineeringError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_STABILITY = 2
 EXIT_ENGINEERING = 3
-
-
-class InputError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,19 +110,27 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _real_matrix(data, what: str) -> np.ndarray:
+def _load_cm(path: str, what: str, tol: Tolerances) -> np.ndarray:
+    """The symmetric 2n x 2n matrix of a --cm or --target document, given bare or as {"cm": ...}."""
+    doc = _load_json(path)
+    data = doc["cm"] if isinstance(doc, dict) and "cm" in doc else doc
+    return check_hermitian(read_matrix(data, what), tol, what=what)
+
+
+def _vector(value, what: str, dim: int) -> np.ndarray:
+    """A model document's real vector of length dim; a refusal names the field ``what``."""
     try:
-        m = np.array(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what} must be a numeric matrix: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InputError(f"{what} must be square, got shape {m.shape}")
-    return m
+        v = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a numeric vector: {exc}") from exc
+    if v.shape != (dim,):
+        raise ValueError(f"{what} must have length {dim}, got shape {v.shape}")
+    return v
 
 
 def _parse_tolerances(doc) -> Tolerances | None:
@@ -123,79 +138,68 @@ def _parse_tolerances(doc) -> Tolerances | None:
         return None
     block = doc["tolerances"]
     if not isinstance(block, dict):
-        raise InputError('"tolerances" must be an object')
+        raise ValueError('"tolerances" must be an object')
     unknown = set(block) - {f.name for f in dataclasses.fields(Tolerances)}
     if unknown:
-        raise InputError(f"unknown tolerance keys: {sorted(unknown)}")
-    return Tolerances(**{key: float(value) for key, value in block.items()})
+        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+    return Tolerances(**block)
 
 
 def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
     """Returns (spec, tolerances override, catalog info dict)."""
     if not isinstance(doc, dict):
-        raise InputError("model document must be a JSON object")
+        raise ValueError("model document must be a JSON object")
     info: dict = {}
     tols = _parse_tolerances(doc)
 
     if "catalog" in doc:
         if "hessian" in doc:
-            raise InputError('give either "catalog" or an explicit "hessian", not both')
+            raise ValueError('give either "catalog" or an explicit "hessian", not both')
         extra = set(doc) - {"catalog", "params", "tolerances"}
         if extra:
-            raise InputError(f"unknown keys in catalog document: {sorted(extra)}")
+            raise ValueError(f"unknown keys in catalog document: {sorted(extra)}")
         params = doc.get("params", {})
         if not isinstance(params, dict):
-            raise InputError('"params" must be an object')
-        try:
-            cid = catalog_mod.CatalogId(doc["catalog"])
-            spec = catalog_mod.catalog_build(cid, params)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+            raise ValueError('"params" must be an object')
+        cid = catalog_mod.CatalogId(doc["catalog"])
         info = {"catalog": cid, "params": params}
-        return spec, tols, info
+        return catalog_mod.catalog_build(cid, params), tols, info
 
     if "hessian" not in doc:
-        raise InputError('model document needs either "catalog" or "hessian"')
+        raise ValueError('model document needs either "catalog" or "hessian"')
     extra = set(doc) - {"n", "hessian", "xi", "h0", "lindblad", "tolerances"}
     if extra:
-        raise InputError(f"unknown keys in model document: {sorted(extra)}")
-    h = _real_matrix(doc["hessian"], '"hessian"')
-    if h.shape[0] % 2:
-        raise InputError(f'"hessian" must be 2n x 2n, got shape {h.shape}')
+        raise ValueError(f"unknown keys in model document: {sorted(extra)}")
+    h = read_matrix(doc["hessian"], '"hessian"')
     n = h.shape[0] // 2
-    if "n" in doc and int(doc["n"]) != n:
-        raise InputError(f'"n" = {doc["n"]} contradicts hessian shape {h.shape}')
-    xi = None
-    if "xi" in doc:
-        xi = np.array(doc["xi"], dtype=float)
-        if xi.shape != (2 * n,):
-            raise InputError(f'"xi" must have length {2 * n}, got shape {xi.shape}')
-    try:
-        ham = QuadraticHamiltonian(h, xi, float(doc.get("h0", 0.0)))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    # a mode count that is not a whole number never equals n, so it is refused here too
+    if "n" in doc and read_number(doc["n"], '"n"') != n:
+        raise ValueError(f'"n" = {doc["n"]} contradicts hessian shape {h.shape}')
+    xi = _vector(doc["xi"], '"xi"', 2 * n) if "xi" in doc else None
+    ham = QuadraticHamiltonian(h, xi, read_number(doc.get("h0", 0.0), '"h0"'))
 
     vectors = []
     entries = doc.get("lindblad", [])
     if not isinstance(entries, list):
-        raise InputError('"lindblad" must be a list')
+        raise ValueError('"lindblad" must be a list')
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise InputError(f"lindblad[{k}] must be an object")
+            raise ValueError(f"lindblad[{k}] must be an object")
         extra = set(entry) - {"lambda_re", "lambda_im", "mu_re", "mu_im"}
         if extra:
-            raise InputError(f"unknown keys in lindblad[{k}]: {sorted(extra)}")
+            raise ValueError(f"unknown keys in lindblad[{k}]: {sorted(extra)}")
         if "lambda_re" not in entry and "lambda_im" not in entry:
-            raise InputError(f"lindblad[{k}] needs lambda_re and/or lambda_im")
-        re = np.array(entry.get("lambda_re", np.zeros(2 * n)), dtype=float)
-        im = np.array(entry.get("lambda_im", np.zeros(2 * n)), dtype=float)
-        if re.shape != (2 * n,) or im.shape != (2 * n,):
-            raise InputError(f"lindblad[{k}] coupling must have length {2 * n}")
-        mu = complex(float(entry.get("mu_re", 0.0)), float(entry.get("mu_im", 0.0)))
+            raise ValueError(f"lindblad[{k}] needs lambda_re and/or lambda_im")
+        re = _vector(entry.get("lambda_re", np.zeros(2 * n)), f"lindblad[{k}].lambda_re", 2 * n)
+        im = _vector(entry.get("lambda_im", np.zeros(2 * n)), f"lindblad[{k}].lambda_im", 2 * n)
+        mu = complex(
+            read_number(entry.get("mu_re", 0.0), f"lindblad[{k}].mu_re"),
+            read_number(entry.get("mu_im", 0.0), f"lindblad[{k}].mu_im"),
+        )
         try:
             vectors.append(LindbladVector(re + 1j * im, mu))
         except ValueError as exc:
-            raise InputError(f"lindblad[{k}]: {exc}") from exc
+            raise ValueError(f"lindblad[{k}]: {exc}") from exc
     return ModelSpec(ham, vectors), tols, info
 
 
@@ -206,35 +210,25 @@ def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
     return tol
 
 
-def _require_stable(dyn: GaussianDynamics, tol: Tolerances) -> float:
-    report = stability_check(dyn, tol)
-    if not report.is_stable:
-        kind = "marginally stable" if abs(report.spectral_abscissa) <= tol.stability_margin else "unstable"
-        sys.stderr.write(
-            f"error: model is {kind} (spectral abscissa {_fmt(report.spectral_abscissa)}); "
-            "this computation needs an asymptotically stable drift matrix\n"
-        )
-        raise SystemExit(EXIT_STABILITY)
-    return report.spectral_abscissa
+def _marginal(abscissa: float, margin: float) -> bool:
+    """Whether a drift that is not asymptotically stable is marginally stable, not unstable."""
+    return abs(abscissa) <= margin
 
 
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
     if n < 2:
-        raise InputError("separability and steerability need at least two modes")
+        raise ValueError("separability and steerability need at least two modes")
     if arg is None:
         flipped = frozenset({n - 1})
     else:
         try:
             indices = {int(tok) for tok in arg.split(",") if tok.strip()}
         except ValueError as exc:
-            raise InputError(f"--partition must be comma-separated mode numbers: {exc}") from exc
+            raise ValueError(f"--partition must be comma-separated mode numbers: {exc}") from exc
         if any(k < 1 or k > n for k in indices):
-            raise InputError(f"--partition modes must lie in 1..{n}")
+            raise ValueError(f"--partition modes must lie in 1..{n}")
         flipped = frozenset(k - 1 for k in indices)
-    try:
-        return criteria_mod.Partition(n, flipped)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return criteria_mod.Partition(n, flipped)
 
 
 # ---------------------------------------------------------------- steady
@@ -244,7 +238,7 @@ def cmd_steady(args) -> int:
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
     dyn = spec.build(tol)
-    abscissa = _require_stable(dyn, tol)
+    abscissa = require_stable(dyn, "steady", tol).spectral_abscissa
     cm = lyapunov.steady_covariance(dyn, tol)
     res = lyapunov.residual(lyapunov.steady_state_problem(dyn), cm)
     if args.json:
@@ -287,7 +281,7 @@ def cmd_stability(args) -> int:
             "drift spectrum:",
         ]
         lines += ["  " + _fmt_complex(z) for z in report.spectrum]
-        if not report.is_stable and abs(report.spectral_abscissa) <= tol.stability_margin:
+        if not report.is_stable and _marginal(report.spectral_abscissa, tol.stability_margin):
             lines.append("note: marginally stable, no unique steady state")
         _emit("\n".join(lines), args.output)
     return EXIT_OK if report.is_stable else EXIT_STABILITY
@@ -364,7 +358,7 @@ def cmd_criteria(args) -> int:
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
     dyn = spec.build(tol)
-    _require_stable(dyn, tol)
+    require_stable(dyn, "criteria", tol)  # before the partition is parsed: an unstable model exits 2
     names = _KIND_CHOICES[args.kind]
     if args.kind == "all" and dyn.n < 2:
         names = tuple(k for k in names if not _KINDS[k][0])
@@ -392,17 +386,17 @@ def _fields(arg: str, flag: str, form: str, types) -> list:
     """The colon-separated fields of an option value, each converted by its type."""
     parts = arg.split(":")
     if len(parts) != len(types):
-        raise InputError(f"{flag} must be {form}, got {arg!r}")
+        raise ValueError(f"{flag} must be {form}, got {arg!r}")
     try:
         return [t(part) for t, part in zip(types, parts)]
     except ValueError as exc:
-        raise InputError(f"{flag} must be {form}: {exc}") from exc
+        raise ValueError(f"{flag} must be {form}: {exc}") from exc
 
 
 def _sweep_range(arg: str, flag: str) -> np.ndarray:
     lo, hi, count = _fields(arg, flag, "A:B:STEPS", (float, float, int))
     if count < 1:
-        raise InputError(f"{flag} needs at least one step")
+        raise ValueError(f"{flag} needs at least one step")
     return np.linspace(lo, hi, count)
 
 
@@ -471,16 +465,16 @@ def _threshold(cid, params: dict, names, level: str, kind, bracket, tol: Toleran
 def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str, ...]]:
     kind_name, level, param = _fields(spec_str, "--threshold", "KIND:LEVEL:PARAM", (str, str, str))
     if kind_name not in _KINDS or kind_name == "uncertainty":
-        raise InputError(f"--threshold kind must be one of {tuple(_KINDS)[1:]}, got {kind_name!r}")
+        raise ValueError(f"--threshold kind must be one of {tuple(_KINDS)[1:]}, got {kind_name!r}")
     if level not in ("state", "env"):
-        raise InputError(f"--threshold level must be state or env, got {level!r}")
+        raise ValueError(f"--threshold level must be state or env, got {level!r}")
     return kind_name, level, param, catalog_mod.resolve_param(cid, param)
 
 
 def cmd_sweep(args) -> int:
     spec, doc_tols, info = _parse_model(_load_json(args.model))
     if not info:
-        raise InputError("sweep needs a catalog model (named parameters to vary)")
+        raise ValueError("sweep needs a catalog model (named parameters to vary)")
     tol = _resolve_tol(args, doc_tols)
     cid = info["catalog"]
     base_params = catalog_mod.resolve_params(cid, info["params"])
@@ -490,16 +484,16 @@ def cmd_sweep(args) -> int:
     grid2, names2 = [None], ()
     if args.param2 is not None:
         if args.range2 is None:
-            raise InputError("--param2 needs --range2")
+            raise ValueError("--param2 needs --range2")
         grid2 = _sweep_range(args.range2, "--range2")
         names2 = catalog_mod.resolve_param(cid, args.param2)
     elif args.range2 is not None:
-        raise InputError("--range2 needs --param2")
+        raise ValueError("--range2 needs --param2")
 
     quantities = args.quantity or ["abscissa"]
     for q in quantities:
         if q not in _QUANTITIES:
-            raise InputError(
+            raise ValueError(
                 f"unknown quantity {q!r}; expected abscissa, purity, min_symplectic_eig, "
                 "or <state|env>_<kind>_min_eig"
             )
@@ -542,43 +536,33 @@ def _parse_kv_params(arg: str) -> dict:
         if not item.strip():
             continue
         if "=" not in item:
-            raise InputError(f"--params entries must be key=value, got {item!r}")
+            raise ValueError(f"--params entries must be key=value, got {item!r}")
         key, _, val = item.partition("=")
         try:
             out[key.strip()] = float(val)
         except ValueError as exc:
-            raise InputError(f"--params value for {key.strip()!r} is not a number") from exc
+            raise ValueError(f"--params value for {key.strip()!r} is not a number") from exc
     if not out:
-        raise InputError("--params is empty")
+        raise ValueError("--params is empty")
     return out
 
 
-def _load_target_cm(args) -> np.ndarray:
+def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
     if args.target and args.catalog:
-        raise InputError("give either --target or --catalog, not both")
+        raise ValueError("give either --target or --catalog, not both")
     if args.target:
-        doc = _load_json(args.target)
-        data = doc["cm"] if isinstance(doc, dict) and "cm" in doc else doc
-        return _real_matrix(data, "target covariance matrix")
+        return _load_cm(args.target, "target covariance matrix", tol)
     if args.catalog:
         if args.params is None:
-            raise InputError("--catalog needs --params")
-        try:
-            cid = catalog_mod.CatalogId(args.catalog)
-            return np.asarray(
-                catalog_mod.catalog_analytic(cid, "target_cm", _parse_kv_params(args.params))
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    raise InputError("engineer needs --target FILE or --catalog ID --params ...")
+            raise ValueError("--catalog needs --params")
+        cid = catalog_mod.CatalogId(args.catalog)
+        return np.asarray(catalog_mod.catalog_analytic(cid, "target_cm", _parse_kv_params(args.params)))
+    raise ValueError("engineer needs --target FILE or --catalog ID --params ...")
 
 
 def cmd_engineer(args) -> int:
     tol = _resolve_tol(args, None)
-    target = _load_target_cm(args)
-    if target.shape[0] % 2:
-        raise InputError(f"target must be 2n x 2n, got shape {target.shape}")
-    target = check_hermitian(target, tol, what="target")
+    target = _load_target_cm(args, tol)
 
     try:
         decomp = williamson.williamson_decompose(target, tol)
@@ -592,7 +576,7 @@ def cmd_engineer(args) -> int:
 
     if args.method == "gibbs":
         spread = mu.max() - mu.min()
-        if spread > 1e-9 * max(1.0, mu.max()):
+        if spread > tol.eig_zero_band * max(1.0, mu.max()):
             raise EngineeringError(
                 "gibbs method needs equal symplectic eigenvalues "
                 f"(got spread {_fmt(spread)}); use --method covariant"
@@ -648,9 +632,9 @@ def cmd_engineer(args) -> int:
 
 def cmd_evolve(args) -> int:
     if args.stride < 1:
-        raise InputError(f"--stride must be at least 1, got {args.stride}")
+        raise ValueError(f"--stride must be at least 1, got {args.stride}")
     if args.v0_scale < 0:
-        raise InputError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
+        raise ValueError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
     dyn = spec.build(tol)
@@ -658,7 +642,7 @@ def cmd_evolve(args) -> int:
     if t_end is None:
         report = stability_check(dyn, tol)
         if not report.is_stable:
-            raise InputError("--t-end is required for a model that is not asymptotically stable")
+            raise ValueError("--t-end is required for a model that is not asymptotically stable")
         t_end = 40.0 / abs(report.spectral_abscissa)
 
     dim = 2 * dyn.n
@@ -667,7 +651,7 @@ def cmd_evolve(args) -> int:
     try:
         traj = evolution.evolve(dyn, x0, v0, t_end, dt=args.dt, record_every=args.stride)
     except RuntimeError as exc:  # the moments of a model that is not stable diverged
-        raise InputError(str(exc)) from exc
+        raise ValueError(str(exc)) from exc
 
     if args.json:
         payload = {
@@ -693,24 +677,19 @@ def cmd_evolve(args) -> int:
 def cmd_williamson(args) -> int:
     tol = _resolve_tol(args, None)
     if args.cm and args.model:
-        raise InputError("give either a model document or --cm, not both")
+        raise ValueError("give either a model document or --cm, not both")
     if args.cm:
-        doc = _load_json(args.cm)
-        data = doc["cm"] if isinstance(doc, dict) and "cm" in doc else doc
-        cm = _real_matrix(data, "covariance matrix")
+        cm = _load_cm(args.cm, "covariance matrix", tol)
     elif args.model:
         spec, doc_tols, _ = _parse_model(_load_json(args.model))
         tol = _resolve_tol(args, doc_tols)
         dyn = spec.build(tol)
-        _require_stable(dyn, tol)
+        require_stable(dyn, "williamson", tol)
         cm = lyapunov.steady_covariance(dyn, tol)
     else:
-        raise InputError("williamson needs a model document or --cm FILE")
+        raise ValueError("williamson needs a model document or --cm FILE")
 
-    try:
-        decomp = williamson.williamson_decompose(cm, tol)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    decomp = williamson.williamson_decompose(cm, tol)
     n = cm.shape[0] // 2
     j = symplectic_form(n)
     j_dev = float(np.abs(decomp.s @ j @ decomp.s.T - j).max())
@@ -825,14 +804,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+    except UnstableDriftError as exc:
+        kind = "marginally stable" if _marginal(exc.abscissa, exc.margin) else "unstable"
+        sys.stderr.write(
+            f"error: model is {kind} (spectral abscissa {_fmt(exc.abscissa)}); "
+            "this computation needs an asymptotically stable drift matrix\n"
+        )
+        return EXIT_STABILITY
     except EngineeringError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ENGINEERING
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -1,5 +1,7 @@
 """Shared linear-algebra primitives: phase-space conventions, inertia counts,
-definiteness verdicts, and tolerance handling.
+definiteness verdicts, tolerance handling, and the readers that turn outside
+input into a number or a 2n x 2n matrix, refusing it with a ValueError that
+names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.  Helpers are provided to convert to and
@@ -27,7 +29,30 @@ __all__ = [
     "inertia",
     "psd_verdict",
     "classify_spectrum",
+    "read_number",
+    "read_matrix",
 ]
+
+
+def read_number(value, what: str) -> float:
+    """``float(value)``: the same values are accepted, and a refusal is a ValueError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a number, got {value!r}") from exc
+
+
+def read_matrix(value, what: str) -> np.ndarray:
+    """``value`` as a real 2n x 2n float array; a refusal is a ValueError naming ``what``."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a numeric matrix: {exc}") from exc
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {m.shape}")
+    if m.shape[0] % 2:
+        raise ValueError(f"{what} must be 2n x 2n, got shape {m.shape}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -49,9 +74,10 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = read_number(getattr(self, f.name), f"tolerance {f.name}")
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
+            object.__setattr__(self, f.name, value)
 
     def scaled(self, factor: float) -> "Tolerances":
         """A copy with every tolerance multiplied by ``factor``."""

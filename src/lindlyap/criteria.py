@@ -28,6 +28,7 @@ from .core import (
     Tolerances,
     check_hermitian,
     classify_spectrum,
+    read_matrix,
     symplectic_form,
 )
 from .lyapunov import shifted_source, shifted_source_symmetric
@@ -129,16 +130,6 @@ class Steerability:
 CriterionKind = Uncertainty | Classicality | Separability | Steerability
 
 
-def _partial_form(n: int, flip: frozenset[int]) -> np.ndarray:
-    # (J + T J T) / 2 with T flipping the momenta of `flip`
-    t = np.ones(2 * n)
-    for k in flip:
-        t[n + k] = -1.0
-    tmat = np.diag(t)
-    j = symplectic_form(n)
-    return 0.5 * (j + tmat @ j @ tmat)
-
-
 @functools.lru_cache(maxsize=64)
 def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     """Hermitian test matrix of a criterion on n modes.
@@ -158,8 +149,11 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
             t = part.time_reversal()
             xi = 1j * (t @ symplectic_form(n) @ t)
         else:
+            # (J + T J T) / 2 with T flipping the momenta of the part that is not steered
             steered = part.part_one if kind.steered_part == 1 else part.part_two
-            xi = 1j * _partial_form(n, frozenset(range(n)) - frozenset(steered))
+            t = Partition(n, frozenset(range(n)) - frozenset(steered)).time_reversal()
+            j = symplectic_form(n)
+            xi = 1j * (0.5 * (j + t @ j @ t))
     else:
         raise TypeError(f"unknown criterion kind {kind!r}")
     xi.flags.writeable = False
@@ -216,10 +210,7 @@ def state_criterion(
     cm: np.ndarray, kind: CriterionKind, tol: Tolerances = DEFAULT_TOL
 ) -> CriterionResult:
     """Evaluate a criterion on a covariance matrix: tested matrix is cm + Xi."""
-    v = np.asarray(cm, dtype=float)
-    if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2:
-        raise ValueError(f"covariance matrix must be 2n x 2n, got shape {v.shape}")
-    v = check_hermitian(v, tol, what="covariance matrix")
+    v = check_hermitian(read_matrix(cm, "covariance matrix"), tol, what="covariance matrix")
     n = v.shape[0] // 2
     # exactly Hermitian, with no second check: v is, and Xi's entries are 0, +-1 or +-1/2 times i
     tested = v + xi_matrix(kind, n)

@@ -32,10 +32,10 @@ from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part
 from .model import (
     GaussianDynamics,
     SchurForm,
+    UnstableDriftError,
     _require_finite,
     require_stable,
     schur_form,
-    unstable_drift_error,
 )
 
 __all__ = [
@@ -107,7 +107,7 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = check_hermitian(prob.source, tol, what="source")
     form = prob.form or schur_form(a)
     if form.abscissa >= -tol.stability_margin:
-        raise unstable_drift_error("Lyapunov solve", form.abscissa)
+        raise UnstableDriftError("Lyapunov solve", form.abscissa, tol.stability_margin)
 
     t, u = form.t, form.u
     real = np.isrealobj(t) and np.isrealobj(q)

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import schur
 
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -37,7 +37,7 @@ __all__ = [
     "schur_form",
     "stability_check",
     "require_stable",
-    "unstable_drift_error",
+    "UnstableDriftError",
     "mean_fixed_point",
     "realize_lindblad",
 ]
@@ -49,6 +49,9 @@ def _require_finite(*named) -> None:
         # cmath on a plain number is some thirty times cheaper than a numpy round trip
         if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)):
             raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
+
+
+_HESSIAN_TOL = Tolerances(residual_tol=1e-12)
 
 
 @dataclass(frozen=True)
@@ -64,15 +67,13 @@ class QuadraticHamiltonian:
     offset: float = 0.0
 
     def __post_init__(self):
-        h = np.atleast_2d(np.asarray(self.hessian, dtype=float))
-        if h.shape[0] != h.shape[1] or h.shape[0] % 2:
-            raise ValueError(f"hessian must be 2n x 2n, got shape {h.shape}")
+        h = read_matrix(self.hessian, "hessian")
         lin = self.linear
         lin = np.zeros(h.shape[0]) if lin is None else np.asarray(lin, dtype=float)
         if lin.shape != (h.shape[0],):
             raise ValueError(f"linear term must have length {h.shape[0]}, got {lin.shape}")
         _require_finite(("hessian", h), ("linear term xi", lin), ("offset h0", self.offset))
-        h = check_hermitian(h, Tolerances(residual_tol=1e-12), what="hessian")
+        h = check_hermitian(h, _HESSIAN_TOL, what="hessian")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "linear", lin)
 
@@ -272,21 +273,29 @@ def stability_check(
     )
 
 
+class UnstableDriftError(ValueError):
+    """Refusal of ``what``, which needs an asymptotically stable drift matrix.
+
+    abscissa is the drift's spectral abscissa and margin the stability margin
+    it failed to clear (abscissa >= -margin).
+    """
+
+    def __init__(self, what: str, abscissa: float, margin: float):
+        super().__init__(
+            f"{what} needs an asymptotically stable drift matrix (spectral abscissa {abscissa:.6e})"
+        )
+        self.abscissa = abscissa
+        self.margin = margin
+
+
 def require_stable(
     target: GaussianDynamics | SchurForm | np.ndarray, what: str, tol: Tolerances = DEFAULT_TOL
 ) -> StabilityReport:
-    """Stability report of a drift matrix; raises ValueError naming ``what`` if it is not stable."""
+    """Stability report of a drift matrix; raises UnstableDriftError naming ``what`` if it is not stable."""
     report = stability_check(target, tol)
     if not report.is_stable:
-        raise unstable_drift_error(what, report.spectral_abscissa)
+        raise UnstableDriftError(what, report.spectral_abscissa, tol.stability_margin)
     return report
-
-
-def unstable_drift_error(what: str, abscissa: float) -> ValueError:
-    """The refusal raised when ``what`` meets a drift matrix with spectral abscissa ``abscissa``."""
-    return ValueError(
-        f"{what} needs an asymptotically stable drift matrix (spectral abscissa {abscissa:.6e})"
-    )
 
 
 def mean_fixed_point(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -324,10 +333,8 @@ def realize_lindblad(
     a dissipator of the assumed form.  Coupling vectors are read off from its
     eigendecomposition (one per eigenvalue above the zero band).
     """
-    gamma = np.asarray(drift_matrix, dtype=float)
+    gamma = read_matrix(drift_matrix, "drift matrix")
     d = np.asarray(diffusion, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
-        raise ValueError(f"drift matrix must be 2n x 2n, got shape {gamma.shape}")
     if d.shape != gamma.shape:
         raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
     _require_finite(("drift matrix", gamma))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form
 from .model import GaussianDynamics, schur_form, stability_check
 
 __all__ = [
@@ -48,9 +48,7 @@ class CovarianceTransform:
     is_symplectic: bool = field(init=False)
 
     def __post_init__(self):
-        w = np.asarray(self.matrix, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2:
-            raise ValueError(f"transform must be 2n x 2n, got shape {w.shape}")
+        w = read_matrix(self.matrix, "transform")
         if abs(np.linalg.det(w)) < 1e-12:
             raise ValueError("transform must be invertible")
         n = w.shape[0] // 2
@@ -131,9 +129,7 @@ def match_template(m: np.ndarray, template: StructureTemplate, rel_tol: float = 
 
     Deviations are measured in Frobenius norm relative to max(1, ||m||_F).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
+    m = read_matrix(m, "matrix")
     n = m.shape[0] // 2
     scale = max(1.0, np.linalg.norm(m))
     a, b = m[:n, :n], m[:n, n:]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import schur
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form
 from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
 
 __all__ = [
@@ -86,10 +86,7 @@ def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Willia
     eigenvalues; the congruence is assembled from the Schur basis and both
     defining identities are verified before returning.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {m.shape}")
-    m = check_hermitian(m, tol)
+    m = check_hermitian(read_matrix(m, "matrix"), tol)
     n = m.shape[0] // 2
     j = symplectic_form(n)
 
@@ -182,7 +179,7 @@ def engineer_gibbs_target(
     s = np.asarray(transform, dtype=float)
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
-    if alpha < 1.0 - DEFAULT_TOL.eig_zero_band:
+    if alpha < 1.0 - tol.eig_zero_band:
         raise EngineeringError(f"alpha must be >= 1 for a physical target, got {alpha}")
     dim = s.shape[0]
     if base_drift is None:

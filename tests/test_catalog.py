@@ -280,6 +280,26 @@ def test_non_finite_parameter_refused(cid, key, params, value):
         catalog_build(cid, {**params, key: value})
 
 
+@pytest.mark.parametrize("value", [None, "abc", [0.5]])
+@pytest.mark.parametrize(
+    "cid, key, params",
+    [
+        ("OPOThermal", "epsilon", dict(kappa=0.8, zeta=1.5, nbar=0.3)),
+        ("TwoOscThermal", "nbar", dict(omega=0.5, kappa=1.0, zeta=0.7)),  # an alias
+    ],
+)
+def test_non_number_parameter_refused(cid, key, params, value):
+    message = f"parameter '{key}' of {cid} must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        catalog_build(cid, {**params, key: value})
+
+
+def test_parameter_read_as_float_reads_it():
+    params = dict(epsilon=0.05, kappa=0.8, zeta=1.5, nbar=0.3)
+    as_text = catalog_build("OPOThermal", {**params, "epsilon": "0.05"}).build()
+    assert np.array_equal(as_text.drift_matrix, catalog_build("OPOThermal", params).build().drift_matrix)
+
+
 @pytest.mark.parametrize(
     "cid, key, params",
     [

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -345,6 +346,26 @@ class TestEngineer:
         assert rc == 1 and "symmetric" in err
 
 
+class TestEngineerTolerance:
+    """--tol sets the band of engineer's symplectic-spectrum tests, the gibbs alpha check included."""
+
+    def test_gibbs_target_inside_the_band(self, capsys, tmp_path):
+        s = squeeze_transform(0.3)
+        target = write_doc(tmp_path, "t.json", {"cm": ((1 - 1e-7) * (s @ s.T)).tolist()})
+        rc, _, err = run(capsys, "engineer", "--target", target)
+        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999972 < 1\n"
+        rc, out, err = run(capsys, "engineer", "--target", target, "--method", "gibbs", "--tol", "1e-6")
+        assert (rc, err) == (0, "") and "steady-state deviation from target: " in out
+
+    def test_equal_spectrum_test_follows_the_band(self, capsys, tmp_path):
+        target = write_doc(tmp_path, "t.json", {"cm": np.diag([2.0, 2.0 + 2e-8, 2.0, 2.0 + 2e-8]).tolist()})
+        rc, _, err = run(capsys, "engineer", "--target", target)
+        assert rc == 3 and "gibbs method needs equal symplectic eigenvalues" in err
+        rc, out, err = run(capsys, "engineer", "--target", target, "--tol", "1e-6", "--json")
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["verification"]["steady_cm_max_dev"] < 1e-7
+
+
 class TestEngineerSolvesOnce:
     ARGS = ("engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=0.25")
 
@@ -649,3 +670,169 @@ class TestEvolveFlags:
         model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
         rc, out, _ = run(capsys, "evolve", model, "--t-end", "0.01", "--dt", "0.001", "--stride", "1")
         assert rc == 0 and len(out.strip().splitlines()) == 12  # header and t = 0 .. 0.01
+
+
+def spoiled(doc, path, value):
+    """A deep copy of ``doc`` with the entry at ``path`` (a tuple of keys and indices) set to ``value``."""
+    doc = copy.deepcopy(doc)
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+DOC = "DOC"  # stands for the path of the row's document in an argv
+FULL_DOC = {  # the explicit OPO document with every optional field present
+    **OPO_DOC,
+    "xi": [0.0, 0.0],
+    "h0": 0.0,
+    "lindblad": [{**OPO_DOC["lindblad"][0], "mu_re": 0.0, "mu_im": 0.0}],
+}
+FULL_CATALOG_DOC = {
+    "catalog": "OPOThermal",
+    "params": {"epsilon": 0.05, "kappa": 0.8, "zeta": 1.5, "nbar": 0.3},
+    "tolerances": {"residual_tol": 1e-8},
+}
+UNSTABLE = {"catalog": "OPO", "params": {"epsilon": 1.2, "kappa": 1.0}}
+MARGINAL = {"catalog": "OPO", "params": {"epsilon": 1.0, "kappa": 1.0}}
+UNSTABLE_PAIR = {"catalog": "CascadedOPO", "params": {"epsilon1": 1.3, "epsilon2": -0.2, "kappa": 1.0}}
+UNSTABLE_LINE = (
+    "model is unstable (spectral abscissa 0.099999999999999867); "
+    "this computation needs an asymptotically stable drift matrix"
+)
+MARGINAL_LINE = (
+    "model is marginally stable (spectral abscissa -1.1102230246251565e-16); "
+    "this computation needs an asymptotically stable drift matrix"
+)
+NOT_SYMMETRIC = "is not Hermitian (symmetric if real): ||m - m^dag||_inf = 5.000e-01 exceeds 1.0e-08 * 2.000e+00"
+
+
+def field(base, path, value, line):
+    """A table row: ``steady`` on ``base`` with one field spoiled exits 1 with ``line``."""
+    name = ".".join(str(key) for key in path)
+    return pytest.param(["steady", DOC], spoiled(base, path, value), 1, line, id=f"{name}={value!r}")
+
+
+def matrix_doc(argv, doc, line):
+    """A table row: a --cm or --target document that exits 1 with ``line``."""
+    return pytest.param(argv, doc, 1, line, id=f"{argv[0]}:{json.dumps(doc)}")
+
+
+def matrix_rows(argv, what):
+    return [
+        matrix_doc(argv, {"cm": None}, f"{what} must be square, got shape ()"),
+        matrix_doc(argv, {"cm": "abc"}, f"{what} must be a numeric matrix: could not convert string to float: 'abc'"),
+        matrix_doc(argv, {"cm": [[2.0, "abc"], ["abc", 2.0]]},
+                   f"{what} must be a numeric matrix: could not convert string to float: 'abc'"),
+        matrix_doc(argv, {"cm": [[2.0, 0.0, 0.0]]}, f"{what} must be square, got shape (1, 3)"),
+        matrix_doc(argv, [[2.0, 0.0, 0.0]], f"{what} must be square, got shape (1, 3)"),
+        matrix_doc(argv, {"cm": [[2.0]]}, f"{what} must be 2n x 2n, got shape (1, 1)"),
+        matrix_doc(argv, {"cm": [[2.0, None], [None, 2.0]]}, f"{what} is not finite: it has a NaN or infinite entry"),
+        matrix_doc(argv, {"cm": [[2.0, 0.5], [0.0, 2.0]]}, f"{what} {NOT_SYMMETRIC}"),
+    ]
+
+
+def number_rows(base, path, what):
+    return [
+        field(base, path, None, f"{what} must be a number, got None"),
+        field(base, path, "abc", f"{what} must be a number, got 'abc'"),
+        field(base, path, [0.5], f"{what} must be a number, got [0.5]"),
+    ]
+
+
+REFUSALS = [
+    # every field of a catalog document: null, a non-numeric string, a wrong shape
+    field(FULL_CATALOG_DOC, ("catalog",), None, "None is not a valid CatalogId"),
+    field(FULL_CATALOG_DOC, ("catalog",), "abc", "'abc' is not a valid CatalogId"),
+    field(FULL_CATALOG_DOC, ("catalog",), ["OPO"], "['OPO'] is not a valid CatalogId"),
+    field(FULL_CATALOG_DOC, ("params",), None, '"params" must be an object'),
+    field(FULL_CATALOG_DOC, ("params",), "abc", '"params" must be an object'),
+    field(FULL_CATALOG_DOC, ("params",), [0.5], '"params" must be an object'),
+    *number_rows(FULL_CATALOG_DOC, ("params", "epsilon"), "parameter 'epsilon' of OPOThermal"),
+    field(FULL_CATALOG_DOC, ("tolerances",), None, '"tolerances" must be an object'),
+    field(FULL_CATALOG_DOC, ("tolerances",), "abc", '"tolerances" must be an object'),
+    field(FULL_CATALOG_DOC, ("tolerances",), [0.5], '"tolerances" must be an object'),
+    *number_rows(FULL_CATALOG_DOC, ("tolerances", "residual_tol"), "tolerance residual_tol"),
+    # every field of an explicit document
+    *number_rows(FULL_DOC, ("n",), '"n"'),
+    field(FULL_DOC, ("n",), 1.5, '"n" = 1.5 contradicts hessian shape (2, 2)'),
+    field(FULL_DOC, ("hessian",), None, '"hessian" must be square, got shape ()'),
+    field(FULL_DOC, ("hessian",), "abc", "\"hessian\" must be a numeric matrix: could not convert string to float: 'abc'"),
+    field(FULL_DOC, ("hessian",), [[0.0, 0.15, 0.0]], '"hessian" must be square, got shape (1, 3)'),
+    field(FULL_DOC, ("hessian",), [[1.0]], '"hessian" must be 2n x 2n, got shape (1, 1)'),
+    field(FULL_DOC, ("hessian",), [[0.0, None], [None, 0.0]], "hessian is not finite: it has a NaN or infinite entry"),
+    field(FULL_DOC, ("xi",), None, '"xi" must have length 2, got shape ()'),
+    field(FULL_DOC, ("xi",), "abc", "\"xi\" must be a numeric vector: could not convert string to float: 'abc'"),
+    field(FULL_DOC, ("xi",), ["abc", 0.0], "\"xi\" must be a numeric vector: could not convert string to float: 'abc'"),
+    field(FULL_DOC, ("xi",), [0.0, 0.0, 0.0], '"xi" must have length 2, got shape (3,)'),
+    field(FULL_DOC, ("xi",), [None, 0.0], "linear term xi is not finite: it has a NaN or infinite entry"),
+    *number_rows(FULL_DOC, ("h0",), '"h0"'),
+    field(FULL_DOC, ("lindblad",), None, '"lindblad" must be a list'),
+    field(FULL_DOC, ("lindblad",), "abc", '"lindblad" must be a list'),
+    field(FULL_DOC, ("lindblad",), {"lambda_re": [1.0, 0.0]}, '"lindblad" must be a list'),
+    field(FULL_DOC, ("lindblad", 0), None, "lindblad[0] must be an object"),
+    field(FULL_DOC, ("lindblad", 0), "abc", "lindblad[0] must be an object"),
+    field(FULL_DOC, ("lindblad", 0), [1.0, 0.0], "lindblad[0] must be an object"),
+    *[
+        row
+        for key in ("lambda_re", "lambda_im")
+        for row in (
+            field(FULL_DOC, ("lindblad", 0, key), None, f"lindblad[0].{key} must have length 2, got shape ()"),
+            field(FULL_DOC, ("lindblad", 0, key), "abc",
+                  f"lindblad[0].{key} must be a numeric vector: could not convert string to float: 'abc'"),
+            field(FULL_DOC, ("lindblad", 0, key), [[0.7, 0.0]], f"lindblad[0].{key} must have length 2, got shape (1, 2)"),
+        )
+    ],
+    field(FULL_DOC, ("lindblad", 0, "lambda_re"), [None, 0.0],
+          "lindblad[0]: coupling lambda is not finite: it has a NaN or infinite entry"),
+    *number_rows(FULL_DOC, ("lindblad", 0, "mu_re"), "lindblad[0].mu_re"),
+    *number_rows(FULL_DOC, ("lindblad", 0, "mu_im"), "lindblad[0].mu_im"),
+    # the --cm and --target documents share one loader
+    *matrix_rows(["williamson", "--cm", DOC], "covariance matrix"),
+    *matrix_rows(["engineer", "--target", DOC], "target covariance matrix"),
+    # exit 2: the computation needs an asymptotically stable model; `stability` reports on stdout
+    *[
+        pytest.param([command, DOC], doc, 2, line, id=f"{command}:{name}")
+        for command in ("steady", "criteria", "williamson", "stability")
+        for doc, name, line in ((UNSTABLE, "unstable", UNSTABLE_LINE), (MARGINAL, "marginal", MARGINAL_LINE))
+    ],
+    pytest.param(
+        ["criteria", DOC, "--partition", "5"], UNSTABLE_PAIR, 2,
+        "model is unstable (spectral abscissa 0.15000000000000013); "
+        "this computation needs an asymptotically stable drift matrix",
+        id="criteria:unstable-before-partition",
+    ),
+    pytest.param(["evolve", DOC], UNSTABLE, 1, "--t-end is required for a model that is not asymptotically stable",
+            id="evolve:unstable-default-horizon"),
+    # exit 3: the reservoir cannot be engineered
+    pytest.param(
+        ["engineer", "--target", DOC], {"cm": np.diag([3.0, 1.0, 3.0, 1.0]).tolist()}, 3,
+        "gibbs method needs equal symplectic eigenvalues (got spread 1.9999999999999996); use --method covariant",
+        id="engineer:gibbs-mixed-spectrum",
+    ),
+    *[
+        pytest.param(
+            ["engineer", "--target", DOC, "--method", method], {"cm": (0.5 * np.eye(2)).tolist()}, 3,
+            "target is not physical: smallest symplectic eigenvalue 0.50000000000000011 < 1",
+            id=f"engineer:{method}-unphysical",
+        )
+        for method in ("gibbs", "covariant")
+    ],
+]
+
+
+@pytest.mark.parametrize("argv, doc, code, line", REFUSALS)
+def test_refusal_table(capsys, tmp_path, argv, doc, code, line):
+    """Each refusal exits with its code and one exact stderr line; only `stability` prints a report."""
+    path = write_doc(tmp_path, "doc.json", doc)
+    rc, out, err = run(capsys, *(path if arg == DOC else arg for arg in argv))
+    assert (rc, err) == (code, "" if argv[0] == "stability" else f"error: {line}\n")
+    assert (out != "") == (argv[0] == "stability")
+
+
+@pytest.mark.parametrize("doc", [FULL_DOC, FULL_CATALOG_DOC], ids=["explicit", "catalog"])
+def test_refusal_table_documents_are_valid_unspoiled(capsys, tmp_path, doc):
+    rc, _, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", doc))
+    assert (rc, err) == (0, "")

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from lindlyap import (
     reorder,
     symplectic_form,
 )
-from lindlyap.core import check_hermitian, classify_spectrum, hermitian_part
+from lindlyap.core import check_hermitian, classify_spectrum, hermitian_part, read_matrix, read_number
 
 
 class TestSymplecticForm:
@@ -211,6 +212,54 @@ class TestToleranceValidation:
 
     def test_zero_accepted(self):
         assert Tolerances(eig_zero_band=0.0).eig_zero_band == 0.0
+
+    @pytest.mark.parametrize("value", [None, "abc", [1e-6]])
+    def test_rejects_a_non_number_by_name(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"tolerance residual_tol must be a number, got {value!r}")):
+            Tolerances(residual_tol=value)
+
+    def test_stores_the_number_read(self):
+        tol = Tolerances(residual_tol="1e-6", eig_zero_band=np.float32(0.5))
+        assert type(tol.residual_tol) is float and tol.residual_tol == 1e-6
+        assert type(tol.eig_zero_band) is float and tol.eig_zero_band == 0.5
+
+
+class TestReaders:
+    @pytest.mark.parametrize("value", [2, 1.5, "2.5", " -3e2 ", "1_000", "nan", "-inf", True, np.float32(0.25), np.int64(7)])
+    def test_number_accepts_what_float_accepts(self, value):
+        got = read_number(value, "x")
+        assert type(got) is float
+        assert got == float(value) or (np.isnan(got) and np.isnan(float(value)))
+
+    @pytest.mark.parametrize("value", [None, "abc", "", [1.0], {"re": 1.0}, 1j, 10**400])
+    def test_number_refuses_what_float_refuses(self, value):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            float(value)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'the field must be a number, got {value!r}')}$"):
+            read_number(value, "the field")
+
+    def test_matrix_is_a_float_array(self):
+        m = read_matrix([[1, 2], ["3", 4.5]], "m")
+        assert m.dtype == float and np.array_equal(m, [[1.0, 2.0], [3.0, 4.5]])
+        given = np.eye(4)
+        assert read_matrix(given, "m") is given  # no copy of an array that already fits
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "the field must be a numeric matrix: could not convert string to float: 'abc'"),
+            ({"a": 1}, "the field must be a numeric matrix: float() argument must be a string or a real number, not 'dict'"),
+            ([[10**400, 0], [0, 1]], "the field must be a numeric matrix: int too large to convert to float"),
+            (None, "the field must be square, got shape ()"),
+            ([1.0, 2.0], "the field must be square, got shape (2,)"),
+            ([[1.0, 2.0]], "the field must be square, got shape (1, 2)"),
+            (np.zeros((2, 2, 2)), "the field must be square, got shape (2, 2, 2)"),
+            (np.eye(3), "the field must be 2n x 2n, got shape (3, 3)"),
+        ],
+    )
+    def test_matrix_refusals_name_the_field(self, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_matrix(value, "the field")
 
 
 class TestSharedSymplecticForm:

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -21,6 +23,7 @@ from lindlyap import (
     catalog_build,
     environment_criterion,
     inertia,
+    local_rotation,
     mean_fixed_point,
     psd_verdict,
     stability_check,
@@ -28,9 +31,10 @@ from lindlyap import (
     steady_covariance,
     steerability_both_parts,
     symplectic_form,
+    transform_triple,
     xi_matrix,
 )
-from lindlyap.core import check_hermitian
+from lindlyap.core import DEFAULT_TOL, check_hermitian
 
 HALF = Partition(2, frozenset({1}))
 
@@ -499,3 +503,67 @@ def test_state_tested_matrix_is_exactly_hermitian(case):
     for kind in kinds:
         tested = hv + xi_matrix(kind, n)
         assert np.array_equal(tested, tested.conj().T)
+
+
+def momentum_flip_form(n, flip):
+    """(J + T J T) / 2 and T J T, with T flipping the momenta of the modes in ``flip``."""
+    t = np.ones(2 * n)
+    for k in flip:
+        t[n + k] = -1.0
+    tmat = np.diag(t)
+    j = symplectic_form(n)
+    return 0.5 * (j + tmat @ j @ tmat), tmat @ j @ tmat
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_xi_matrix_bits_for_every_partition(n):
+    """Separability and both steering test matrices, for every bipartition of n <= 4 modes,
+    equal bit for bit the ones built from an in-test momentum flip."""
+    for size in range(1, n):
+        for flipped in itertools.combinations(range(n), size):
+            part = Partition(n, frozenset(flipped))
+            assert xi_matrix(Separability(part), n).tobytes() == (1j * momentum_flip_form(n, flipped)[1]).tobytes()
+            for steered_part, steered in ((1, part.part_one), (2, part.part_two)):
+                want = 1j * momentum_flip_form(n, frozenset(range(n)) - frozenset(steered))[0]
+                assert xi_matrix(Steerability(part, steered_part), n).tobytes() == want.tobytes()
+
+
+@st.composite
+def locally_rotated_models(draw):
+    """A stable model (a random one on 2 or 3 modes, or an OPOThermal, whose drift is symmetric),
+    a bipartition of its modes, and one rotation angle per mode."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        dyn = random_stable_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        n = 2
+        epsilon, kappa = draw(st.floats(-0.5, 0.5)), draw(st.floats(-1.0, 1.0))
+        zeta = abs(epsilon) + abs(kappa) + draw(st.floats(0.1, 2.0))
+        dyn = opo_thermal(zeta, epsilon=epsilon, kappa=kappa, nbar=draw(st.floats(0.0, 1.0)))
+    flipped = draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    angles = draw(hnp.arrays(float, n, elements=st.floats(-np.pi, np.pi)))
+    return dyn, Partition(n, flipped), angles
+
+
+@settings(max_examples=150, deadline=None)
+@given(locally_rotated_models())
+def test_local_rotation_leaves_separability_and_steering_verdicts(case):
+    """A local rotation W moves V + Xi and the shifted diffusion by an orthogonal congruence, since
+    W J W^T = J and T W T is again a local rotation (Simon, PRL 84, 2726 (2000); Wiseman, Jones and
+    Doherty, PRL 98, 140402 (2007)), so the spectra, and away from the band edge the verdicts, stay."""
+    dyn, part, angles = case
+    cm = steady_covariance(dyn)
+    gamma, diffusion, cm_rotated = transform_triple(dyn.drift_matrix, dyn.diffusion, local_rotation(angles), cm)
+    # separability and steering read the drift and the diffusion only
+    rotated = dataclasses.replace(dyn, drift_matrix=gamma, diffusion=diffusion)
+    for kind in (Separability(part), Steerability(part, 1), Steerability(part, 2)):
+        pairs = [
+            (state_criterion(cm, kind), state_criterion(cm_rotated, kind)),
+            (environment_criterion(dyn, kind), environment_criterion(rotated, kind)),
+        ]
+        for before, after in pairs:
+            scale = np.abs(before.spectrum).max()
+            assert np.abs(after.spectrum - before.spectrum).max() <= 1e-9 * scale
+            band = DEFAULT_TOL.eig_zero_band * max(1.0, scale)
+            if abs(abs(before.spectrum[0]) - band) > 1e-3 * max(1.0, scale):
+                assert (after.verdict, after.conclusiveness) == (before.verdict, before.conclusiveness)

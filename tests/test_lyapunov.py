@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lindlyap.model
 from conftest import random_stable_model
 from lindlyap import (
     LyapunovProblem,
     QuadraticHamiltonian,
     Tolerances,
+    UnstableDriftError,
     build_dynamics,
     catalog_build,
     residual,
@@ -85,6 +87,21 @@ class TestSolve:
         dyn = catalog_build("OPO", dict(epsilon=1.2, kappa=1.0)).build()
         with pytest.raises(ValueError, match="stable"):
             steady_covariance(dyn)
+
+    def test_refusals_are_typed_and_only_the_quadrature_calls_stability_check(self, monkeypatch):
+        """The solve's gate stays inline on its Schur form; solve_integral gates by require_stable."""
+        calls = []
+        check = lindlyap.model.stability_check
+        monkeypatch.setattr(lindlyap.model, "stability_check", lambda *a, **k: calls.append(a) or check(*a, **k))
+        a = np.array([[0.1, 1.0], [0.0, -1.0]])
+        tol = Tolerances(stability_margin=1e-3)
+        for route, count in ((solve, 0), (solve_integral, 1)):
+            with pytest.raises(UnstableDriftError) as info:
+                route(a, np.eye(2), tol=tol)
+            assert (info.value.abscissa, info.value.margin) == (pytest.approx(0.1, abs=1e-15), 1e-3)
+            assert str(info.value) == "Lyapunov solve needs an asymptotically stable drift matrix (spectral abscissa 1.000000e-01)"
+            assert len(calls) == count
+            calls.clear()
 
     def test_hermiticity_of_solution(self):
         rng = np.random.default_rng(17)

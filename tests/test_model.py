@@ -9,6 +9,7 @@ from lindlyap import (
     LindbladVector,
     QuadraticHamiltonian,
     Tolerances,
+    UnstableDriftError,
     build_dynamics,
     catalog_build,
     mean_fixed_point,
@@ -17,7 +18,7 @@ from lindlyap import (
     symplectic_form,
     thermal_bath,
 )
-from lindlyap.model import SchurForm, schur_form
+from lindlyap.model import SchurForm, require_stable, schur_form
 
 
 def two_mode_thermal(omega1, omega2, kappa, zeta1, zeta2, nbar1, nbar2):
@@ -147,6 +148,24 @@ class TestStability:
         assert stability_check(dyn).is_stable
         assert not stability_check(dyn, Tolerances(stability_margin=0.4)).is_stable
         assert stability_check(dyn, Tolerances(stability_margin=0.3)).is_stable
+
+
+class TestUnstableDriftError:
+    @pytest.mark.parametrize("epsilon, abscissa", [(1.2, 0.1), (1.0, 0.0)])
+    def test_carries_the_abscissa_and_margin(self, epsilon, abscissa):
+        dyn = catalog_build("OPO", dict(epsilon=epsilon, kappa=1.0)).build()
+        tol = Tolerances(stability_margin=1e-6)
+        with pytest.raises(UnstableDriftError) as info:
+            require_stable(dyn, "mean fixed point", tol)
+        exc = info.value
+        assert isinstance(exc, ValueError)
+        assert exc.abscissa == stability_check(dyn).spectral_abscissa == pytest.approx(abscissa, abs=1e-12)
+        assert exc.margin == 1e-6
+        assert str(exc) == f"mean fixed point needs an asymptotically stable drift matrix (spectral abscissa {exc.abscissa:.6e})"
+
+    def test_stable_model_gets_its_report(self):
+        dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()
+        assert require_stable(dyn, "anything") == stability_check(dyn)
 
 
 class TestMeanFixedPoint:

@@ -3,6 +3,7 @@ import pytest
 
 from lindlyap import (
     EngineeringError,
+    Tolerances,
     catalog_analytic,
     engineer_covariant_target,
     engineer_gibbs_target,
@@ -125,6 +126,17 @@ class TestGibbsEngineering:
     def test_non_symplectic_transform_rejected(self):
         with pytest.raises(EngineeringError, match="symplectic"):
             engineer_gibbs_target(2.0 * np.eye(2), 2.0)
+
+    def test_alpha_is_judged_by_the_callers_band(self):
+        s, alpha = squeeze_transform(0.3), 1 - 1e-7
+        with pytest.raises(EngineeringError, match="^alpha must be >= 1 for a physical target"):
+            engineer_gibbs_target(s, alpha)
+        res = engineer_gibbs_target(s, alpha, tol=Tolerances(eig_zero_band=1e-6, residual_tol=1e-6))
+        assert np.abs(res.steady_cm - alpha * (s @ s.T)).max() < 1e-12
+        # with residual_tol left at 1e-8 the alpha check passes too, and the realization, which
+        # drops the implied Gram matrix's eigenvalue of about -5e-8 inside the band, is refused
+        with pytest.raises(EngineeringError, match="^engineering infeasible: realization failed"):
+            engineer_gibbs_target(s, alpha, tol=Tolerances(eig_zero_band=1e-6))
 
 
 class TestCovariantEngineering:
