@@ -39,7 +39,6 @@ from .lyapunov import (
     LyapunovProblem,
     residual,
     shifted_source,
-    shifted_source_symmetric,
     solve,
     solve_integral,
     steady_covariance,

@@ -38,6 +38,7 @@ from .williamson import engineer_gibbs_target
 
 __all__ = [
     "CatalogId",
+    "catalog_id",
     "PARAM_NAMES",
     "NONNEGATIVE_PARAMS",
     "resolve_param",
@@ -56,6 +57,14 @@ class CatalogId(enum.Enum):
     CASCADED_OPO = "CascadedOPO"
     OPO_THERMAL = "OPOThermal"
     TMTSS = "TMTSS"
+
+
+def catalog_id(value, what: str = "catalog id") -> CatalogId:
+    """``value`` as a CatalogId; an unknown id is a ValueError naming ``what`` and the valid ids."""
+    try:
+        return CatalogId(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be one of {[c.value for c in CatalogId]}, got {value!r}") from None
 
 
 PARAM_NAMES: dict[CatalogId, tuple[str, ...]] = {
@@ -122,7 +131,10 @@ def thermal_bath(n: int, mode: int, rate: float, occupation: float) -> list[Lind
 
 def squeeze_transform(r: float) -> np.ndarray:
     """Two-mode squeezing symplectic: cosh/sinh mixing of the quadrature pairs."""
-    c, s = math.cosh(r), math.sinh(r)
+    try:
+        c, s = math.cosh(r), math.sinh(r)
+    except OverflowError:
+        raise ValueError(f"squeezing {r!r} overflows double precision") from None
     qq = np.array([[c, s], [s, c]])
     pp = np.array([[c, -s], [-s, c]])
     z = np.zeros((2, 2))
@@ -166,8 +178,8 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
 
 
 def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_TOL) -> ModelSpec:
-    """Instantiate a catalog model from its named parameters."""
-    cid = CatalogId(cid) if not isinstance(cid, CatalogId) else cid
+    """Instantiate a catalog model from its named parameters (a failed TMTSS recipe names r)."""
+    cid = catalog_id(cid)
     p = resolve_params(cid, params)
     z2 = np.zeros((2, 2))
 
@@ -210,10 +222,13 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
         return ModelSpec(ham, vecs)
 
     if cid is CatalogId.TMTSS:
-        reservoir = engineer_gibbs_target(
-            squeeze_transform(p["r"] / 2.0), 2.0 * p["nbar"] + 1.0, tol=tol
-        )
-        return reservoir.realization.spec
+        try:  # squeezing beyond what double precision resolves is bad input, not an engineering request
+            with np.errstate(over="raise", invalid="raise"):
+                transform = squeeze_transform(p["r"] / 2.0)
+                return engineer_gibbs_target(transform, 2.0 * p["nbar"] + 1.0, tol=tol).realization.spec
+        except (ValueError, ArithmeticError) as exc:
+            raise ValueError(f"TMTSS parameters r = {p['r']!r}, nbar = {p['nbar']!r} lie outside the "
+                             f"range its engineering recipe realizes: {exc}") from exc
 
     raise ValueError(f"unknown catalog id {cid!r}")
 
@@ -309,7 +324,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
         stability_edge (zeta units).
     TMTSS : target_cm, separability_flip, steerability_flip (r units).
     """
-    cid = CatalogId(cid) if not isinstance(cid, CatalogId) else cid
+    cid = catalog_id(cid)
     p = resolve_params(cid, params)
 
     if cid is CatalogId.TWO_OSC_THERMAL:

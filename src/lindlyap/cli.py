@@ -161,7 +161,7 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
         params = doc.get("params", {})
         if not isinstance(params, dict):
             raise ValueError('"params" must be an object')
-        cid = catalog_mod.CatalogId(doc["catalog"])
+        cid = catalog_mod.catalog_id(doc["catalog"], '"catalog"')
         info = {"catalog": cid, "params": params}
         return catalog_mod.catalog_build(cid, params), tols, info
 
@@ -555,7 +555,7 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
     if args.catalog:
         if args.params is None:
             raise ValueError("--catalog needs --params")
-        cid = catalog_mod.CatalogId(args.catalog)
+        cid = catalog_mod.catalog_id(args.catalog, "--catalog")
         return np.asarray(catalog_mod.catalog_analytic(cid, "target_cm", _parse_kv_params(args.params)))
     raise ValueError("engineer needs --target FILE or --catalog ID --params ...")
 

@@ -31,7 +31,7 @@ from .core import (
     read_matrix,
     symplectic_form,
 )
-from .lyapunov import shifted_source, shifted_source_symmetric
+from .lyapunov import shifted_source
 from .model import GaussianDynamics, require_stable
 
 __all__ = [
@@ -232,8 +232,8 @@ def environment_criterion(
 ) -> CriterionResult:
     """Evaluate a criterion directly on the model, without solving for the state.
 
-    The tested matrix is the diffusion matrix shifted by the criterion's Xi.
-    For a symmetric drift matrix the symmetric shift applies and the test is
+    The tested matrix is the diffusion matrix shifted by the criterion's Xi,
+    D - Xi Gamma^T - Gamma Xi.  For a symmetric drift matrix the test is
     two-sided; otherwise positivity is sufficient for the state-level property
     but a violation proves nothing.  The uncertainty kind reduces to twice the
     conjugate noise Gram matrix, which is PSD for every model, so its verdict
@@ -244,8 +244,8 @@ def environment_criterion(
     gamma = dyn.drift_matrix
     xi = xi_matrix(kind, n)
 
+    tested = shifted_source(dyn.diffusion, gamma, xi, tol)
     if isinstance(kind, Uncertainty):
-        tested = shifted_source(dyn.diffusion, gamma, xi, tol)
         gram_twice = 2.0 * dyn.noise_gram.conj()
         dev = np.abs(tested - gram_twice).max()
         scale = max(1.0, np.abs(gram_twice).max())
@@ -256,10 +256,8 @@ def environment_criterion(
             )
         concl = Conclusiveness.IFF
     elif np.abs(gamma - gamma.T).max() <= tol.residual_tol * max(1.0, np.abs(gamma).max()):
-        tested = shifted_source_symmetric(dyn.diffusion, gamma, xi, tol)
         concl = Conclusiveness.IFF
     else:
-        tested = shifted_source(dyn.diffusion, gamma, xi, tol)
         concl = Conclusiveness.SUFFICIENT_ONLY
     verdict, spectrum, idx = _verdict_of(check_hermitian(tested, tol, what="tested matrix"), tol)
     if isinstance(kind, Uncertainty):

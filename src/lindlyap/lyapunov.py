@@ -46,7 +46,6 @@ __all__ = [
     "residual",
     "steady_covariance",
     "shifted_source",
-    "shifted_source_symmetric",
 ]
 
 
@@ -226,16 +225,3 @@ def shifted_source(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> n
     a = np.asarray(generator)
     xi = check_hermitian(np.asarray(shift), tol, what="shift")
     return q - xi @ a.conj().T - a @ xi
-
-
-def shifted_source_symmetric(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Symmetric-generator variant of the shifted source: Q - Xi A - A Xi.
-
-    Only defined for self-adjoint generators, where it coincides with a
-    congruence-transformed source and its positivity becomes a two-sided test.
-    """
-    a = np.asarray(generator)
-    check_hermitian(a, tol, what="generator (the symmetric-shift form needs a self-adjoint one)")
-    q = np.asarray(source)
-    xi = check_hermitian(np.asarray(shift), tol, what="shift")
-    return q - xi @ a - a @ xi

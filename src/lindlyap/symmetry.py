@@ -18,7 +18,8 @@ import numpy as np
 
 from . import lyapunov
 from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form
-from .model import GaussianDynamics, schur_form, stability_check
+from .model import GaussianDynamics, _require_finite, schur_form, stability_check
+from .williamson import STRUCTURE_TOL, is_symplectic
 
 __all__ = [
     "CovarianceTransform",
@@ -41,7 +42,8 @@ def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CovarianceTransform:
-    """An invertible frame change, with its orthogonality/symplecticity flags."""
+    """An invertible frame change (by numerical rank, so at any scale), with its
+    orthogonality and symplecticity (:func:`~lindlyap.williamson.is_symplectic`) flags."""
 
     matrix: np.ndarray
     is_orthogonal: bool = field(init=False)
@@ -49,13 +51,12 @@ class CovarianceTransform:
 
     def __post_init__(self):
         w = read_matrix(self.matrix, "transform")
-        if abs(np.linalg.det(w)) < 1e-12:
+        _require_finite(("transform", w))
+        if np.linalg.matrix_rank(w) < len(w):
             raise ValueError("transform must be invertible")
-        n = w.shape[0] // 2
-        j = symplectic_form(n)
         object.__setattr__(self, "matrix", w)
-        object.__setattr__(self, "is_orthogonal", _rel_dev(w @ w.T, np.eye(2 * n)) < 1e-9)
-        object.__setattr__(self, "is_symplectic", _rel_dev(w @ j @ w.T, j) < 1e-9)
+        object.__setattr__(self, "is_orthogonal", _rel_dev(w @ w.T, np.eye(len(w))) < STRUCTURE_TOL)
+        object.__setattr__(self, "is_symplectic", is_symplectic(w))
 
 
 def transform_triple(
@@ -88,25 +89,24 @@ def invariance_check(
     gamma: np.ndarray,
     diffusion: np.ndarray,
     w: np.ndarray,
-    rel_tol: float = 1e-9,
     tol: Tolerances = DEFAULT_TOL,
 ) -> InvarianceReport:
-    """Check whether W leaves the pair (Gamma, D) fixed.
+    """Check whether W leaves the pair (Gamma, D) fixed, within STRUCTURE_TOL relative.
 
     When both hold and Gamma is stable, the implied invariance W V W^T = V of
     the stationary covariance is verified on the actual solution as an
     internal consistency check.
     """
     gamma_t, diffusion_t, _ = transform_triple(gamma, diffusion, w)
-    g_inv = _rel_dev(gamma_t, gamma) <= rel_tol
-    d_inv = _rel_dev(diffusion_t, diffusion) <= rel_tol
+    g_inv = _rel_dev(gamma_t, gamma) <= STRUCTURE_TOL
+    d_inv = _rel_dev(diffusion_t, diffusion) <= STRUCTURE_TOL
     implied = g_inv and d_inv
     if implied:
         form = schur_form(gamma)  # one factorization serves the stability check and the solve
         if stability_check(form, tol).is_stable:
             cm = lyapunov.solve(lyapunov.LyapunovProblem(form, diffusion), tol=tol)
             dev = _rel_dev(np.asarray(w) @ cm @ np.asarray(w).T, cm)
-            if dev > max(rel_tol, 1e3 * tol.residual_tol):
+            if dev > max(STRUCTURE_TOL, 1e3 * tol.residual_tol):
                 raise RuntimeError(
                     f"invariant pair produced a non-invariant stationary covariance "
                     f"(relative deviation {dev:.3e}); this should be impossible"
@@ -124,10 +124,10 @@ class StructureTemplate(enum.Enum):
     J_INVARIANT = "j_invariant"  # J M J^T = M
 
 
-def match_template(m: np.ndarray, template: StructureTemplate, rel_tol: float = 1e-9) -> bool:
+def match_template(m: np.ndarray, template: StructureTemplate) -> bool:
     """Decide whether a 2n x 2n matrix fits a structural template.
 
-    Deviations are measured in Frobenius norm relative to max(1, ||m||_F).
+    Deviations are measured in Frobenius norm, within STRUCTURE_TOL of max(1, ||m||_F).
     """
     m = read_matrix(m, "matrix")
     n = m.shape[0] // 2
@@ -156,7 +156,7 @@ def match_template(m: np.ndarray, template: StructureTemplate, rel_tol: float = 
         dev = np.linalg.norm(j @ m @ j.T - m)
     else:
         raise ValueError(f"unknown template {template!r}")
-    return bool(dev <= rel_tol * scale)
+    return bool(dev <= STRUCTURE_TOL * scale)
 
 
 def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> float | None:
@@ -187,10 +187,10 @@ def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> flo
     return float(alpha)
 
 
-def symplectic_rotation(y: np.ndarray, z: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+def symplectic_rotation(y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Build the orthogonal symplectic matrix [[Y, Z], [-Z, Y]].
 
-    Requires Y Y^T + Z Z^T = I and Y Z^T symmetric, i.e. Y + i Z unitary.
+    Requires Y Y^T + Z Z^T = I and Y Z^T symmetric, i.e. Y + i Z unitary, within STRUCTURE_TOL.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -201,7 +201,7 @@ def symplectic_rotation(y: np.ndarray, z: np.ndarray, rel_tol: float = 1e-9) -> 
         np.abs(y @ y.T + z @ z.T - np.eye(n)).max(),
         np.abs(y @ z.T - z @ y.T).max(),
     )
-    if dev > rel_tol * max(1.0, np.abs(y).max(), np.abs(z).max()):
+    if dev > STRUCTURE_TOL * max(1.0, np.abs(y).max(), np.abs(z).max()):
         raise ValueError(f"Y + iZ is not unitary, deviation {dev:.3e}")
     return np.block([[y, z], [-z, y]])
 

@@ -4,7 +4,10 @@ Any positive definite covariance matrix M can be brought to diagonal form by
 a symplectic congruence, S M S^T = Lambda with Lambda = diag(mu, mu); the mu
 are the symplectic eigenvalues.  The same congruence transports stationary
 pairs: from any base pair with a known solution one can manufacture a
-dissipator whose unique steady state is a prescribed target covariance.
+dissipator whose unique steady state is a prescribed target covariance.  For
+the isotropic base pair (-I/2, alpha I) the transport is closed form: the
+drift stays exactly -I/2 and the diffusion is the target alpha S S^T, so no
+inverse of S is formed (Koga & Yamamoto, PRA 85, 022103 (2012)).
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ __all__ = [
     "engineer_covariant_target",
 ]
 
+# relative tolerance of the exact structural identities: symplecticity here, and in `symmetry`
+# orthogonality, invariance and the steady-state templates
+STRUCTURE_TOL = 1e-9
+
 
 class EngineeringError(ValueError):
     """A requested reservoir cannot be built from the given data."""
@@ -47,14 +54,14 @@ def symplectic_spectrum(m: np.ndarray) -> np.ndarray:
     return mu[::-1].copy()
 
 
-def is_symplectic(w: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    """Whether W J W^T = J within a relative Frobenius tolerance."""
+def is_symplectic(w: np.ndarray) -> bool:
+    """Whether W J W^T = J within STRUCTURE_TOL of max(1, ||W||_F^2), in Frobenius norm."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2:
         return False
     j = symplectic_form(w.shape[0] // 2)
     dev = np.linalg.norm(w @ j @ w.T - j)
-    return bool(dev <= rel_tol * max(1.0, np.linalg.norm(w) ** 2))
+    return bool(dev <= STRUCTURE_TOL * max(1.0, np.linalg.norm(w) ** 2))
 
 
 @dataclass(frozen=True)
@@ -165,34 +172,25 @@ def _finish_engineering(
 
 
 def engineer_gibbs_target(
-    transform: np.ndarray,
-    alpha: float,
-    base_drift: np.ndarray | None = None,
-    tol: Tolerances = DEFAULT_TOL,
+    transform: np.ndarray, alpha: float, tol: Tolerances = DEFAULT_TOL
 ) -> EngineeredReservoir:
     """Reservoir whose steady state is alpha S S^T for a symplectic S.
 
-    Starts from an isotropic base pair (steady state alpha I, base drift
-    -I/2 by default) and transports it with the congruence.  alpha must be
-    >= 1 for the target to be a physical covariance matrix.
+    Transports the isotropic base pair (-I/2, alpha I), whose steady state is
+    alpha I, by the congruence S.  The drift goes to S (-I/2) S^-1 = -I/2,
+    since a similarity map leaves a scalar matrix unchanged, and the
+    diffusion to alpha S S^T, which is also the target; so the pair is
+    (-I/2, alpha S S^T) exactly and S is not inverted.  alpha must be >= 1,
+    within the zero band of ``tol``, for the target to be a physical
+    covariance matrix.
     """
     s = np.asarray(transform, dtype=float)
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
     if alpha < 1.0 - tol.eig_zero_band:
         raise EngineeringError(f"alpha must be >= 1 for a physical target, got {alpha}")
-    dim = s.shape[0]
-    if base_drift is None:
-        base_drift = -0.5 * np.eye(dim)
-    g0 = np.asarray(base_drift, dtype=float)
-    d0 = -alpha * (g0 + g0.T)
-    if np.linalg.eigvalsh(0.5 * (d0 + d0.T)).min() < -tol.eig_zero_band * max(1.0, np.abs(d0).max()):
-        raise EngineeringError("base drift must have a negative semidefinite symmetric part")
-
-    gamma = s @ g0 @ np.linalg.inv(s)
-    d = s @ d0 @ s.T
-    target = alpha * (s @ s.T)
-    return _finish_engineering(target, gamma, 0.5 * (d + d.T), tol)
+    target = alpha * (s @ s.T)  # exactly symmetric: numpy forms S S^T by a symmetric rank-k update
+    return _finish_engineering(target, np.diag(np.full(len(s), -0.5)), target, tol)
 
 
 def engineer_covariant_target(

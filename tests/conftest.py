@@ -62,6 +62,13 @@ def random_stable_model(rng, n=None, max_tries=60):
     raise RuntimeError("no asymptotically stable draw within the retry budget")
 
 
+def haar_unitary(rng, n):
+    """Haar-random n x n unitary: QR of a complex Gaussian matrix, phases fixed by R's diagonal."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_physical_cm(rng, n):
     """Random covariance matrix with symplectic eigenvalues >= 1."""
     a = rng.normal(size=(2 * n, 2 * n))

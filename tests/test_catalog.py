@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindlyap import (
     CatalogId,
@@ -12,6 +14,7 @@ from lindlyap import (
     Separability,
     catalog_analytic,
     catalog_build,
+    engineer_gibbs_target,
     environment_criterion,
     solve,
     squeeze_transform,
@@ -19,7 +22,7 @@ from lindlyap import (
     steady_covariance,
     thermal_bath,
 )
-from lindlyap.catalog import PARAM_NAMES
+from lindlyap.catalog import PARAM_NAMES, catalog_id
 
 from conftest import locate_flip
 
@@ -156,6 +159,20 @@ class TestSteadyStateFormulas:
         target = catalog_analytic("TMTSS", "target_cm", params)
         assert np.allclose(target, 2.0 * squeeze_transform(0.7), atol=1e-12)
         assert np.abs(target - steady_of("TMTSS", **params)).max() < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-40.0, 40.0), st.floats(0.0, 2.0))
+    def test_tmtss_steady_state_is_the_target(self, r, nbar):
+        """The recipe's pair is (-I/2, target) in closed form, so its steady state is the target to
+        rounding at any squeezing.  The catalog model carries that pair in coupling vectors: their
+        Gram matrix rounds at about eps * |target| and drops eigenvalues inside the zero band, which
+        moves the O(1) drift, so the model's steady state is held to 1e-7 (1.8e-8 is the largest
+        deviation on a 1001 x 41 grid of r in [0, 40] and nbar in [0, 2])."""
+        target = catalog_analytic("TMTSS", "target_cm", dict(r=r, nbar=nbar))
+        scale = np.abs(target).max()
+        pair = engineer_gibbs_target(squeeze_transform(r / 2.0), 2.0 * nbar + 1.0)
+        assert np.abs(pair.steady_cm - target).max() <= 1e-12 * scale
+        assert np.abs(steady_of("TMTSS", r=r, nbar=nbar) - target).max() <= 1e-7 * scale
 
 
 class TestDriftSpectra:
@@ -332,3 +349,26 @@ def test_negative_rate_or_occupation_refused(cid, key, params):
 )
 def test_signed_parameters_stay_free(cid, params):
     catalog_build(cid, params)
+
+
+@pytest.mark.parametrize(
+    "r, reason",
+    [
+        (700.0, "overflow encountered in dot"),
+        (2000.0, "squeezing 1000.0 overflows double precision"),
+        (-2000.0, "squeezing -1000.0 overflows double precision"),
+    ],
+)
+def test_tmtss_squeezing_beyond_the_recipe_refused_naming_r(r, reason):
+    message = f"TMTSS parameters r = {r!r}, nbar = 0.2 lie outside the range its engineering recipe realizes: {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        catalog_build("TMTSS", dict(r=r, nbar=0.2))
+    assert type(info.value) is ValueError  # bad input, not an engineering request
+
+
+@pytest.mark.parametrize("value", ["abc", None, ["OPO"], "opo"])
+def test_unknown_catalog_id_lists_the_valid_ones(value):
+    valid = "['TwoOscThermal', 'TwoOscRWA', 'OPO', 'CascadedOPO', 'OPOThermal', 'TMTSS']"
+    with pytest.raises(ValueError, match=f"^{re.escape(f'catalog id must be one of {valid}, got {value!r}')}$"):
+        catalog_build(value, dict(epsilon=0.1, kappa=1.0))
+    assert catalog_id("OPO") is catalog_id(CatalogId.OPO) is CatalogId.OPO

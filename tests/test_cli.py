@@ -404,6 +404,16 @@ class TestCatalogDomain:
         rc, _, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=-0.7")
         assert rc == 1 and "parameter 'nbar' of TMTSS is a rate or occupation" in err
 
+    @pytest.mark.parametrize("r", [30, 60])
+    def test_strongly_squeezed_tmtss_steady_state(self, capsys, tmp_path, r):
+        """The Gibbs pair is closed form, so strong squeezing neither misses the target nor
+        inverts a near-singular transform."""
+        rc, out, err = run(capsys, "steady", catalog_doc(tmp_path, "TMTSS", r=r, nbar=0.2), "--json")
+        assert (rc, err) == (0, "")
+        want = catalog_analytic("TMTSS", "target_cm", dict(r=r, nbar=0.2))
+        got = np.array(json.loads(out)["steady_cm"])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_sweep_cells_outside_the_domain_are_nan(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
         rc, out, _ = run(capsys, "sweep", model, "--param", "nbar", "--range=-0.2:0.2:3", "--quantity", "purity")
@@ -706,6 +716,7 @@ MARGINAL_LINE = (
     "model is marginally stable (spectral abscissa -1.1102230246251565e-16); "
     "this computation needs an asymptotically stable drift matrix"
 )
+CATALOG_IDS = "['TwoOscThermal', 'TwoOscRWA', 'OPO', 'CascadedOPO', 'OPOThermal', 'TMTSS']"
 NOT_SYMMETRIC = "is not Hermitian (symmetric if real): ||m - m^dag||_inf = 5.000e-01 exceeds 1.0e-08 * 2.000e+00"
 
 
@@ -744,9 +755,21 @@ def number_rows(base, path, what):
 
 REFUSALS = [
     # every field of a catalog document: null, a non-numeric string, a wrong shape
-    field(FULL_CATALOG_DOC, ("catalog",), None, "None is not a valid CatalogId"),
-    field(FULL_CATALOG_DOC, ("catalog",), "abc", "'abc' is not a valid CatalogId"),
-    field(FULL_CATALOG_DOC, ("catalog",), ["OPO"], "['OPO'] is not a valid CatalogId"),
+    field(FULL_CATALOG_DOC, ("catalog",), None, f'"catalog" must be one of {CATALOG_IDS}, got None'),
+    field(FULL_CATALOG_DOC, ("catalog",), "abc", f'"catalog" must be one of {CATALOG_IDS}, got \'abc\''),
+    field(FULL_CATALOG_DOC, ("catalog",), ["OPO"], f'"catalog" must be one of {CATALOG_IDS}, got [\'OPO\']'),
+    pytest.param(["engineer", "--catalog", "abc", "--params", "r=0.8,nbar=0.2"], {}, 1,
+                 f"--catalog must be one of {CATALOG_IDS}, got 'abc'", id="engineer:--catalog=abc"),
+    # a TMTSS document is built by engineering; squeezing beyond what the recipe realizes is bad input
+    *[
+        pytest.param(["steady", DOC], {"catalog": "TMTSS", "params": {"r": r, "nbar": 0.2}}, 1,
+                     f"TMTSS parameters r = {r!r}, nbar = 0.2 lie outside the range its engineering recipe "
+                     f"realizes: {reason}", id=f"steady:TMTSS-r={r}")
+        for r, reason in (
+            (700.0, "overflow encountered in dot"),
+            (2000.0, "squeezing 1000.0 overflows double precision"),
+        )
+    ],
     field(FULL_CATALOG_DOC, ("params",), None, '"params" must be an object'),
     field(FULL_CATALOG_DOC, ("params",), "abc", '"params" must be an object'),
     field(FULL_CATALOG_DOC, ("params",), [0.5], '"params" must be an object'),

@@ -466,9 +466,8 @@ class TestHermitianChecksPerVerdict:
         calls = count_hermitian_checks(monkeypatch)
         res = environment_criterion(dyn, kind)
         assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
-        # the shift, the generator of a symmetric shift, and the shifted source
-        expected = 3 if symmetric and not isinstance(kind, Uncertainty) else 2
-        assert len(calls) == expected and calls[-1] == "tested matrix"
+        # the shift and the shifted source, on either route: one shifted source serves both
+        assert calls == ["shift", "tested matrix"]
 
     def test_nan_covariance_refused(self):
         # every comparison with NaN is False, so a `dev > bound` test would let this through

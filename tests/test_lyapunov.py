@@ -18,7 +18,6 @@ from lindlyap import (
     catalog_build,
     residual,
     shifted_source,
-    shifted_source_symmetric,
     solve,
     solve_integral,
     steady_covariance,
@@ -321,17 +320,6 @@ class TestShiftedSources:
         assert np.allclose(p, [[0.5, 0.35], [0.35, 0.25]], atol=1e-12)
         assert np.linalg.eigvalsh(p).min() > 0
         assert np.linalg.eigvalsh(q).min() < 0
-
-    def test_symmetric_variant_requires_symmetric_generator(self):
-        a = np.array([[-1.0, 0.7], [0.0, -2.0]])
-        with pytest.raises(ValueError, match="self-adjoint"):
-            shifted_source_symmetric(np.eye(2), a, np.eye(2))
-
-    def test_symmetric_variant_value(self):
-        a = np.diag([-1.0, -3.0])
-        xi = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = shifted_source_symmetric(np.zeros((2, 2)), a, xi)
-        assert np.allclose(out, [[0.0, 4.0], [4.0, 0.0]], atol=1e-14)
 
     def test_shift_must_be_hermitian(self):
         with pytest.raises(ValueError):

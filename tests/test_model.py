@@ -20,6 +20,8 @@ from lindlyap import (
 )
 from lindlyap.model import SchurForm, require_stable, schur_form
 
+from conftest import random_stable_model
+
 
 def two_mode_thermal(omega1, omega2, kappa, zeta1, zeta2, nbar1, nbar2):
     hq = np.array([[omega1 + kappa / 2, -kappa / 2], [-kappa / 2, omega2 + kappa / 2]])
@@ -224,6 +226,18 @@ class TestRealizeLindblad:
             assert np.allclose(rebuilt.drift_matrix, dyn.drift_matrix, atol=1e-9)
             assert np.allclose(rebuilt.diffusion, dyn.diffusion, atol=1e-9)
             assert np.allclose(real.hamiltonian.hessian, h, atol=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_realization_rebuilds_a_random_stable_pair(self, n, seed):
+        """realize_lindblad composed with build_dynamics is the identity on a model's pair."""
+        dyn = random_stable_model(np.random.default_rng(seed), n)
+        real = realize_lindblad(dyn.drift_matrix, dyn.diffusion)
+        rebuilt = build_dynamics(real.hamiltonian, real.vectors)
+        scale = max(np.abs(dyn.drift_matrix).max(), np.abs(dyn.diffusion).max())
+        assert np.abs(rebuilt.drift_matrix - dyn.drift_matrix).max() <= 1e-12 * scale
+        assert np.abs(rebuilt.diffusion - dyn.diffusion).max() <= 1e-12 * scale
+        assert np.abs(real.hamiltonian.hessian - dyn.hessian).max() <= 1e-12 * scale
 
     def test_unrealizable_pair_rejected(self):
         """Pure damping with no diffusion violates the noise positivity constraint."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_stable_model
+from conftest import haar_unitary, random_stable_model
 from lindlyap import (
     CovarianceTransform,
     GaussianDynamics,
@@ -10,6 +10,7 @@ from lindlyap import (
     engineer_gibbs_target,
     gibbs_condition,
     invariance_check,
+    is_symplectic,
     local_rotation,
     match_template,
     rotation_from_unitary,
@@ -38,12 +39,6 @@ def raw_pair_dynamics(gamma, diffusion):
         mean_shift=np.zeros(dim),
         drive=np.zeros(dim),
     )
-
-
-def haar_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 class TestTransformTriple:
@@ -76,6 +71,36 @@ class TestCovarianceTransform:
     def test_rejects_singular(self):
         with pytest.raises(ValueError, match="invertible"):
             CovarianceTransform(np.zeros((2, 2)))
+        rank_three = np.eye(4)
+        rank_three[1] = 2.0 * rank_three[0]
+        with pytest.raises(ValueError, match="^transform must be invertible$"):
+            CovarianceTransform(rank_three)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="^transform is not finite"):
+            CovarianceTransform(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("c", np.logspace(-12, 12, 13))
+    def test_invertibility_does_not_depend_on_scale(self, c):
+        w = c * (np.eye(4) + 0.3 * squeeze_transform(0.5))
+        assert np.array_equal(CovarianceTransform(w).matrix, w)
+
+    @pytest.mark.parametrize(
+        "w, symplectic",
+        [
+            (rotation_from_unitary(haar_unitary(np.random.default_rng(3), 2)), True),
+            (local_rotation([0.4, -1.2]), True),
+            (squeeze_transform(0.5), True),
+            (squeeze_transform(10.0), True),
+            (squeeze_transform(10.0) @ local_rotation([0.7, 0.1]), True),
+            (np.diag([1.0, 1.0, -1.0, -1.0]), False),
+            (2.0 * np.eye(4), False),
+            (3e-4 * np.eye(4), False),
+        ],
+        ids=["unitary", "local", "squeeze0.5", "squeeze10", "squeeze10-rotated", "flip", "2I", "3e-4I"],
+    )
+    def test_symplectic_flag_is_is_symplectic(self, w, symplectic):
+        assert CovarianceTransform(w).is_symplectic == is_symplectic(w) == symplectic
 
 
 class TestInvariance:

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import haar_unitary
 
 from lindlyap import (
     EngineeringError,
@@ -8,6 +12,8 @@ from lindlyap import (
     engineer_covariant_target,
     engineer_gibbs_target,
     is_symplectic,
+    local_rotation,
+    rotation_from_unitary,
     solve,
     squeeze_transform,
     steady_covariance,
@@ -109,11 +115,20 @@ class TestGibbsEngineering:
         assert np.allclose(dyn.diffusion, res.diffusion, atol=1e-9)
         assert np.abs(steady_covariance(dyn) - res.target).max() < 1e-8
 
-    def test_custom_base_drift(self):
-        g0 = np.diag([-0.5, -0.5, -0.8, -0.8])
-        res = engineer_gibbs_target(squeeze_transform(0.3), 2.0, base_drift=g0)
-        v = solve(res.drift_matrix, res.diffusion)
-        assert np.abs(v - res.target).max() < 1e-8
+    def test_pair_is_closed_form(self):
+        """A similarity leaves the scalar drift -I/2 unchanged; the diffusion is the target."""
+        s, alpha = squeeze_transform(0.45), 1.7
+        res = engineer_gibbs_target(s, alpha)
+        assert np.array_equal(res.drift_matrix, -0.5 * np.eye(4))
+        assert np.array_equal(res.diffusion, alpha * (s @ s.T))
+        assert np.array_equal(res.target, res.diffusion)
+
+    @pytest.mark.parametrize("r", [10.0, 30.0, 150.0])
+    def test_strong_squeezing_meets_the_target(self, r):
+        """The transport never inverts S, so its conditioning e^(2r) does not enter the pair."""
+        res = engineer_gibbs_target(squeeze_transform(r), 1.4)
+        scale = np.abs(res.target).max()
+        assert np.abs(res.steady_cm - res.target).max() <= 1e-13 * scale
 
     def test_vacuum_target_edge(self):
         res = engineer_gibbs_target(np.eye(2), 1.0)
@@ -133,10 +148,28 @@ class TestGibbsEngineering:
             engineer_gibbs_target(s, alpha)
         res = engineer_gibbs_target(s, alpha, tol=Tolerances(eig_zero_band=1e-6, residual_tol=1e-6))
         assert np.abs(res.steady_cm - alpha * (s @ s.T)).max() < 1e-12
-        # with residual_tol left at 1e-8 the alpha check passes too, and the realization, which
-        # drops the implied Gram matrix's eigenvalue of about -5e-8 inside the band, is refused
-        with pytest.raises(EngineeringError, match="^engineering infeasible: realization failed"):
-            engineer_gibbs_target(s, alpha, tol=Tolerances(eig_zero_band=1e-6))
+        # with residual_tol left at 1e-8 the realization drops the implied Gram matrix's
+        # eigenvalue of about -5e-8 inside the band, allows for what it carried, and accepts
+        res = engineer_gibbs_target(s, alpha, tol=Tolerances(eig_zero_band=1e-6))
+        assert np.abs(res.steady_cm - alpha * (s @ s.T)).max() < 1e-12
+
+
+two_mode_symplectic_factors = st.one_of(
+    st.floats(-4.0, 4.0).map(squeeze_transform),
+    st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2).map(local_rotation),
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: rotation_from_unitary(haar_unitary(np.random.default_rng(seed), 2))
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(two_mode_symplectic_factors, min_size=1, max_size=4), st.floats(1.0, 10.0))
+def test_gibbs_drift_is_exactly_minus_half(factors, alpha):
+    s = np.linalg.multi_dot([np.eye(4), *factors])
+    res = engineer_gibbs_target(s, alpha)
+    assert np.array_equal(res.drift_matrix, -0.5 * np.eye(4))
+    assert np.abs(res.steady_cm - res.target).max() <= 1e-12 * np.abs(res.target).max()
 
 
 class TestCovariantEngineering:
