@@ -79,14 +79,6 @@ class Tolerances:
                 raise ValueError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
             object.__setattr__(self, f.name, value)
 
-    def scaled(self, factor: float) -> "Tolerances":
-        """A copy with every tolerance multiplied by ``factor``."""
-        return Tolerances(
-            eig_zero_band=self.eig_zero_band * factor,
-            stability_margin=self.stability_margin * factor,
-            residual_tol=self.residual_tol * factor,
-        )
-
 
 DEFAULT_TOL = Tolerances()
 

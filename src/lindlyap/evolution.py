@@ -3,9 +3,10 @@
 The moment equations xbar' = Gamma xbar + drive and V' = Gamma V + V Gamma^T + D
 are linear with constant coefficients, so their flow over a time t is the
 affine map x -> Phi x + c, V -> Phi V Phi^T + W with Phi = exp(Gamma t).  Phi,
-c and W come from a matrix exponential of a Van Loan block (Van Loan, IEEE
-TAC 23(3), 1978) whose generator is Gamma with `drive` appended as an extra
-column, taken over a short time and squared up to t.  One such map covers a
+c and W come from the exact finite-horizon flow of :mod:`lindlyap.lyapunov`,
+one matrix exponential of a Van Loan block (Van Loan, IEEE TAC 23(3), 1978)
+taken over a short time and squared up to t, whose generator is Gamma with
+`drive` appended as an extra column.  One such map covers a
 whole recording stride, so the grid step only chooses the recorded times, not
 the accuracy.  The recorded states are filled by doubling: the map over m
 strides takes the block of states [0, m) to the block [m, 2m) in one batched
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from . import lyapunov
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -45,30 +46,15 @@ class Trajectory:
 
 
 def _flow(dyn: GaussianDynamics, t: float):
-    """(Phi, c, W): the exact moment flow over a time t."""
+    """The exact moment flow over a time t, as the pair (E, W) of the generator Gamma with
+    `drive` appended as a column (so E holds Phi and c) and the diffusion padded to match."""
     dim = dyn.drift_matrix.shape[0]
-    gen = np.zeros((dim + 1, dim + 1))  # G: Gamma with `drive` appended as a column
+    gen = np.zeros((dim + 1, dim + 1))
     gen[:dim, :dim] = dyn.drift_matrix
     gen[:dim, dim] = dyn.drive
-    source = np.zeros_like(gen)  # Q: D padded to the shape of G
+    source = np.zeros_like(gen)
     source[:dim, :dim] = dyn.diffusion
-    # exp(s [[-G, Q], [0, G^T]]) = [[*, F], [0, exp(G s)^T]], and exp(G s) F is W over a time s.
-    # The block also holds exp(-G s), whose growth swamps W unless ||G s|| is small, so the
-    # map is built over s = t / 2^m with ||Gamma s||_1 < 1 and squared m times.
-    m = max(0, int(np.frexp(t * np.linalg.norm(dyn.drift_matrix, 1))[1]))
-    block = expm(t / 2**m * np.block([[-gen, source], [np.zeros_like(gen), gen.T]]))
-    flow = block[dim + 1 :, dim + 1 :].T
-    phi, c = flow[:dim, :dim], flow[:dim, dim]
-    w = flow[:dim, :] @ block[: dim + 1, dim + 1 :][:, :dim]
-    flow = phi, c, w
-    for _ in range(m):
-        flow = _square(*flow)
-    return flow
-
-
-def _square(phi, c, w):
-    """The flow over 2s from the flow (Phi, c, W) over s."""
-    return phi @ phi, phi @ c + c, phi @ w @ phi.T + w
+    return lyapunov._flow(gen, source, t)
 
 
 def evolve(
@@ -124,7 +110,8 @@ def evolve(
 
     def advance(flow, src, dst, size):
         """States [dst, dst + size) as the flow of states [src, src + size)."""
-        phi, c, w = flow
+        e, w = flow
+        phi, c, w = e[:dim, :dim], e[:dim, dim], w[:dim, :dim]
         xs = means[src : src + size] @ phi.T + c
         vs = phi @ cms[src : src + size] @ phi.T + w
         vs = 0.5 * (vs + vs.transpose(0, 2, 1))
@@ -146,7 +133,7 @@ def evolve(
                 advance(flow, done - m, done, size)
                 done += size
                 if doubling and done <= full:
-                    wide = _square(*flow)
+                    wide = lyapunov._square(*flow)
                     doubling = all(np.isfinite(a).all() for a in wide)
                     if doubling:
                         flow, m = wide, 2 * m

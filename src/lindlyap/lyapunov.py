@@ -9,19 +9,20 @@ solved by LAPACK ``trsyl``, with P = U X U^dag.  Cost is O(n^3) time and
 O(n^2) memory.  A generator may be given as its Schur form, so a model's
 cached form (or one shared with a stability gate) is not factorized again;
 a real form meeting a complex source is converted by ``rsf2csf``, not
-refactorized.  An independent quadrature solver evaluates the integral
-representation P = int_0^inf exp(A t) Q exp(A^dag t) dt by composite Simpson
-quadrature and is kept deliberately separate so the two routes can
-cross-check each other: apart from its stability gate it never touches the
-Schur form or ``trsyl``.  Its integrand is advanced by congruence with the
-one-step propagator, and the congruence sum over the nodes is doubled in
-O(log steps) matrix products rather than stepped node by node.
+refactorized.  An independent solver evaluates the integral representation
+P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
+finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
+matrix exponential of a Van Loan block (Van Loan, IEEE TAC 23(3), 1978)
+taken over a short time and squared up to T.  It is kept deliberately
+separate so the two routes can cross-check each other: apart from its
+stability gate it never touches the Schur form or ``trsyl``.  The same
+exact flow (E, W) = (exp(A t), W(t)) propagates the moments in
+:mod:`lindlyap.evolution`.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -130,64 +131,55 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return p
 
 
-def _congruence_sum(p: np.ndarray, q: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_{k < count} p^k q (p^k)^dag, p^count) by binary doubling of the sum."""
-    dtype = np.result_type(p, q)
-    total = np.zeros(q.shape, dtype)
-    offset = np.eye(len(p), dtype=dtype)  # p^j, with j the number of terms in `total`
-    block, power = q, p  # the sum of the first m terms, and p^m, for m = 1, 2, 4, ...
-    while True:
-        if count & 1:
-            total = total + offset @ block @ offset.conj().T
-            offset = offset @ power
-        count >>= 1
-        if not count:
-            return total, offset
-        block = block + power @ block @ power.conj().T
-        power = power @ power
+def _flow(a: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(E, W) over a time t: E = exp(A t) and W = int_0^t exp(A s) Q exp(A^dag s) ds.
+
+    exp(s [[-A, Q], [0, A^dag]]) = [[*, F], [0, exp(A s)^dag]], and exp(A s) F is W over a time
+    s (Van Loan, IEEE TAC 23(3), 1978).  The block also holds exp(-A s), whose growth swamps W
+    unless ||A s|| is small, so the pair is built over s = t / 2^m with ||A s||_1 < 1 and
+    squared m times.
+    """
+    m = max(0, int(np.frexp(t * np.linalg.norm(a, 1))[1]))
+    block = expm(t / 2**m * np.block([[-a, q], [np.zeros_like(a), a.conj().T]]))
+    dim = len(a)
+    e = block[dim:, dim:].conj().T
+    flow = e, e @ block[:dim, dim:]
+    for _ in range(m):
+        flow = _square(*flow)
+    return flow
+
+
+def _square(e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (E, W) over 2s from the pair over s."""
+    return e @ e, e @ w @ e.conj().T + w
 
 
 def solve_integral(
     problem,
     source=None,
     horizon: float | None = None,
-    steps: int = 2400,
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
-    """Quadrature solution of the same equation via its integral representation.
+    """Solution of the same equation via its integral representation, cut at a finite horizon.
 
-    Integrates exp(A t) Q exp(A^dag t) over [0, horizon] with composite Simpson
-    weights on `steps` intervals (rounded up to even).  The propagator P over
-    one step is computed once and the integrand is advanced by congruence,
-    node k being P^k Q (P^k)^dag: the even nodes sum to E by binary doubling
-    of the congruence over P^2, the odd ones to P E P^dag, so a single matrix
-    exponential and O(log steps) products are needed.  The default horizon
-    40 / |spectral abscissa| makes the discarded tail negligible; a warning is
-    issued if the integrand has not decayed at the endpoint.  horizon must be
-    finite and positive, steps an integer >= 1.  Independent of :func:`solve`
-    by construction.
+    Returns W = int_0^horizon exp(A t) Q exp(A^dag t) dt, evaluated exactly (to rounding) from
+    one matrix exponential of a Van Loan block and its squarings, with no quadrature rule.
+    The default horizon 40 / |spectral abscissa| makes the discarded tail
+    exp(A T) P exp(A^dag T) negligible; a warning is issued if the integrand
+    ||exp(A T) Q exp(A^dag T)|| has not decayed at the horizon.  horizon must be finite and
+    positive.  Independent of :func:`solve` by construction.
     """
     if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon}")
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
     abscissa = require_stable(prob.form or a, "Lyapunov solve", tol).spectral_abscissa
     if horizon is None:
         horizon = 40.0 / abs(abscissa)
-    half = (int(steps) + 1) // 2
+    e, w = _flow(a, q, horizon)
 
-    h = horizon / (2 * half)
-    step_prop = expm(a * h)
-    # Simpson weights 1, 4, 2, ..., 2, 4, 1: twice the even nodes below t = horizon,
-    # four times the odd ones, less the doubled node at t = 0, plus the node at t = horizon
-    even, last_prop = _congruence_sum(step_prop @ step_prop, q, half)
-    node = last_prop @ q @ last_prop.conj().T
-    acc = 4.0 * (step_prop @ even @ step_prop.conj().T) + 2.0 * even - q + node
-
-    tail = np.abs(node).max()
+    tail = np.abs(e @ q @ e.conj().T).max()
     scale = np.abs(q).max() or 1.0
     if tail > tol.residual_tol * scale:
         warnings.warn(
@@ -196,7 +188,7 @@ def solve_integral(
             RuntimeWarning,
             stacklevel=2,
         )
-    p = hermitian_part(acc * (h / 3.0))
+    p = hermitian_part(w)
     if np.isrealobj(a) and np.isrealobj(prob.source):
         return p.real
     return p

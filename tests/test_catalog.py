@@ -354,7 +354,7 @@ def test_signed_parameters_stay_free(cid, params):
 @pytest.mark.parametrize(
     "r, reason",
     [
-        (700.0, "overflow encountered in dot"),
+        (720.0, "overflow encountered in matmul"),
         (2000.0, "squeezing 1000.0 overflows double precision"),
         (-2000.0, "squeezing -1000.0 overflows double precision"),
     ],

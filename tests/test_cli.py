@@ -404,7 +404,7 @@ class TestCatalogDomain:
         rc, _, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=-0.7")
         assert rc == 1 and "parameter 'nbar' of TMTSS is a rate or occupation" in err
 
-    @pytest.mark.parametrize("r", [30, 60])
+    @pytest.mark.parametrize("r", [30, 60, 700])
     def test_strongly_squeezed_tmtss_steady_state(self, capsys, tmp_path, r):
         """The Gibbs pair is closed form, so strong squeezing neither misses the target nor
         inverts a near-singular transform."""
@@ -766,7 +766,7 @@ REFUSALS = [
                      f"TMTSS parameters r = {r!r}, nbar = 0.2 lie outside the range its engineering recipe "
                      f"realizes: {reason}", id=f"steady:TMTSS-r={r}")
         for r, reason in (
-            (700.0, "overflow encountered in dot"),
+            (720.0, "overflow encountered in matmul"),
             (2000.0, "squeezing 1000.0 overflows double precision"),
         )
     ],

@@ -192,12 +192,6 @@ class TestClassifySpectrum:
 
 
 class TestTolerances:
-    def test_scaled(self):
-        t = Tolerances().scaled(10.0)
-        assert t.eig_zero_band == pytest.approx(1e-8)
-        assert t.stability_margin == pytest.approx(1e-9)
-        assert t.residual_tol == pytest.approx(1e-7)
-
     def test_frozen(self):
         with pytest.raises(Exception):
             Tolerances().residual_tol = 1.0

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lindlyap.lyapunov
 import lindlyap.model
 from conftest import random_stable_model
 from lindlyap import (
@@ -26,6 +29,7 @@ from lindlyap import (
     symplectic_form,
     thermal_bath,
 )
+from lindlyap.lyapunov import _flow, _square
 from lindlyap.model import schur_form
 
 
@@ -33,10 +37,19 @@ def random_stable_pair(rng, n, complex_gen=False):
     a = rng.normal(size=(n, n))
     if complex_gen:
         a = a + 1j * rng.normal(size=(n, n))
-    # shift well into the left half-plane so quadrature horizons stay short
+    # shift well into the left half-plane so integral-route horizons stay short
     a = a - (np.linalg.eigvals(a).real.max() + 2.0) * np.eye(n)
     b = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_gen else 0.0)
     q = b @ b.conj().T
+    return a, q
+
+
+def route_pair(rng, n, route):
+    """A stable pair on one of the three `ROUTES`: complex entries where the route puts them."""
+    a, q = random_stable_pair(rng, n, complex_gen=route == "complex generator")
+    if route == "complex source":
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        q = b @ b.conj().T
     return a, q
 
 
@@ -238,34 +251,24 @@ class TestSolveIntegral:
     def test_exponential_closed_form(self):
         # integrand 2 exp(-2t) integrates to exactly 1
         p = solve_integral(-np.eye(2), 2.0 * np.eye(2))
-        assert np.allclose(p, np.eye(2), atol=1e-6)
+        assert np.abs(p - np.eye(2)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_agrees_with_algebraic_solve(self, n):
         rng = np.random.default_rng(n)
         a, q = random_stable_pair(rng, n)
-        assert np.abs(solve_integral(a, q, steps=4800) - solve(a, q)).max() < 1e-6
-
-    def test_fourth_order_convergence(self):
-        """Halving the quadrature step shrinks the error by about 2^4."""
-        rng = np.random.default_rng(4)
-        a, q = random_stable_pair(rng, 4)
         p = solve(a, q)
-        err = [np.abs(solve_integral(a, q, steps=s) - p).max() for s in (1200, 2400)]
-        assert err[1] < err[0] / 8.0
+        assert np.abs(solve_integral(a, q) - p).max() <= 1e-12 * np.abs(p).max()
 
     def test_complex_source(self):
         rng = np.random.default_rng(41)
         a, q = random_stable_pair(rng, 3, complex_gen=True)
-        assert np.abs(solve_integral(a, q) - solve(a, q)).max() < 1e-6
+        p = solve(a, q)
+        assert np.abs(solve_integral(a, q) - p).max() <= 1e-12 * np.abs(p).max()
 
     def test_short_horizon_warns(self):
         with pytest.warns(RuntimeWarning, match="horizon"):
             solve_integral(-0.01 * np.eye(2), np.eye(2), horizon=1.0)
-
-    def test_odd_steps_rounded_up(self):
-        p = solve_integral(-np.eye(2), 2.0 * np.eye(2), steps=1201)
-        assert np.allclose(p, np.eye(2), atol=1e-6)
 
 
 class TestShiftedSources:
@@ -355,43 +358,96 @@ class TestResidualGate:
         assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def stepped_simpson(a, q, horizon, steps):
-    """The integral route as one congruence and one weighted sum per Simpson node."""
-    steps += steps % 2
-    h = horizon / steps
-    step_prop = scipy.linalg.expm(a * h)
-    node = q.astype(complex)
-    acc = node.copy()
-    for k in range(1, steps):
-        node = step_prop @ node @ step_prop.conj().T
-        acc += (4.0 if k % 2 else 2.0) * node
-    acc += step_prop @ node @ step_prop.conj().T
-    p = 0.5 * (acc + acc.conj().T) * (h / 3.0)
-    return p.real if np.isrealobj(a) and np.isrealobj(q) else p
+def mp_finite_horizon(a, q, horizon):
+    """P - exp(A T) P exp(A^T T) to 50 digits, P from the vectorized equation, for real A and Q."""
+    with mpmath.workdps(50):
+        n = len(a)
+        g = mpmath.matrix(a.tolist())
+        kron = mpmath.zeros(n * n, n * n)
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    kron[i * n + j, k * n + j] += g[i, k]
+                    kron[i * n + j, i * n + k] += g[j, k]
+        vec = mpmath.lu_solve(kron, mpmath.matrix([-float(x) for x in q.ravel()]))
+        p = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                p[i, j] = vec[i * n + j]
+        e = mpmath.expm(g * horizon)
+        w = p - e * p * e.T
+        return np.array([[float(w[i, j]) for j in range(n)] for i in range(n)])
 
 
 class TestSolveIntegralDoubling:
-    @pytest.mark.parametrize("steps", [1, 2, 3, 4, 64, 2400])
+    """The integral route is exact: one short-time Van Loan block, doubled up to the horizon."""
+
+    @pytest.mark.filterwarnings("ignore:integrand norm:RuntimeWarning")  # short horizons
+    @pytest.mark.parametrize("squarings", [0, 1, 2, 3, 6, 12])
     @pytest.mark.parametrize("n, complex_gen", [(1, False), (2, False), (4, False), (3, True)])
-    def test_matches_stepped_simpson(self, n, complex_gen, steps):
+    def test_doubled_block_matches_closed_form(self, monkeypatch, n, complex_gen, squarings):
+        """A horizon of 0.75 * 2^m / ||A||_1 is reached by exactly m squarings of the short-time
+        pair, and the result is P - E P E^dag with P and E from scipy, whatever m is."""
         rng = np.random.default_rng(10 * n + complex_gen)
         a, q = random_stable_pair(rng, n, complex_gen)
-        horizon = 40.0 / abs(stability_check(a).spectral_abscissa)
-        ref = stepped_simpson(a, q, horizon, steps)
-        p = solve_integral(a, q, horizon=horizon, steps=steps)
-        assert p.dtype == ref.dtype
-        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+        horizon = 0.75 * 2.0**squarings / np.linalg.norm(a, 1)
+        calls = []
+
+        def counted(e, w):
+            calls.append(len(e))
+            return _square(e, w)
+
+        monkeypatch.setattr(lindlyap.lyapunov, "_square", counted)
+        w = solve_integral(a, q, horizon=horizon)
+        assert len(calls) == squarings
+        p = scipy.linalg.solve_continuous_lyapunov(a, -q)
+        e = scipy.linalg.expm(a * horizon)
+        decayed = e @ p @ e.conj().T
+        assert w.dtype == (complex if complex_gen else float)
+        assert np.abs(w - (p - decayed)).max() <= 1e-12 * (np.abs(p).max() + np.abs(decayed).max())
+
+    @pytest.mark.filterwarnings("ignore:integrand norm:RuntimeWarning")  # short horizons
+    @settings(max_examples=200, deadline=None)
+    @given(stable_pairs(), st.floats(0.01, 50.0))
+    def test_finite_horizon_identity(self, pair, horizon):
+        """The integral over [0, T] is P - E P E^dag with P the solve and E = exp(A T), within
+        1e-12 of the size of those two terms (the reference cancels when |P| >> |W(T)|)."""
+        a, q = pair
+        p = solve(a, q)
+        e = scipy.linalg.expm(a * horizon)
+        decayed = e @ p @ e.conj().T
+        w = solve_integral(a, q, horizon=horizon)
+        # below the smallest normal float a difference is underflow noise, not error
+        scale = max(np.abs(p).max() + np.abs(decayed).max(), np.finfo(float).tiny)
+        assert np.abs(w - (p - decayed)).max() <= 1e-12 * scale
+        assert np.isrealobj(w) == (np.isrealobj(a) and np.isrealobj(q))
 
     def test_non_normal_generator(self):
+        """For A = -I/2 + N (N the 4 x 4 shift) and Q = I, P_ij = sum_k C(2k - i - j, k - i), and
+        the tail beyond T = 80 is below 1e-23."""
         a = -0.5 * np.eye(4) + np.diag(np.ones(3), 1)
-        q = np.eye(4)
-        ref = stepped_simpson(a, q, 80.0, 2400)
-        assert np.abs(solve_integral(a, q, horizon=80.0) - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = np.array(
+            [[sum(math.comb(2 * k - i - j, k - i) for k in range(max(i, j), 4)) for j in range(4)] for i in range(4)],
+            dtype=float,
+        )
+        assert ref[0].tolist() == [29, 14, 5, 1]
+        p = solve_integral(a, np.eye(4), horizon=80.0)
+        assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_strongly_non_normal_drift_over_a_long_horizon(self):
+        """The 6 x 6 drift on which one long evolve stride loses digits: the finite-horizon
+        integral to T = 400 against a 50-digit value."""
+        a = -0.1 * np.eye(6)
+        a[0, 1], a[0, 3], a[2, 0], a[3, 4] = -1.0, 1.0, 1.5, 1.0
+        q = np.full((6, 6), 6.0)
+        ref = mp_finite_horizon(a, q, 400)
+        w = solve_integral(a, q, horizon=400.0)
+        assert np.abs(w - ref).max() <= 1e-11 * np.abs(ref).max()
 
     def test_tail_warning_reads_the_last_node(self):
-        """Over one unit of time the last node is exp(-0.02) of the source."""
+        """Over one unit of time the integrand at the horizon is exp(-0.02) of the source."""
         with pytest.warns(RuntimeWarning, match=r"integrand norm 9\.802e-01 at the horizon"):
-            solve_integral(-0.01 * np.eye(2), np.eye(2), horizon=1.0, steps=7)
+            solve_integral(-0.01 * np.eye(2), np.eye(2), horizon=1.0)
 
 
 class TestSolveIntegralArguments:
@@ -400,14 +456,40 @@ class TestSolveIntegralArguments:
         with pytest.raises(ValueError, match="^horizon must be finite and positive"):
             solve_integral(-np.eye(2), np.eye(2), horizon=horizon)
 
-    @pytest.mark.parametrize("steps", [0, -4, 2.0, 2.5, True, None])
-    def test_steps_integer_and_positive(self, steps):
-        with pytest.raises(ValueError, match="^steps must be an integer >= 1"):
-            solve_integral(-np.eye(2), np.eye(2), steps=steps)
+    @pytest.mark.parametrize("horizon", [40, np.int64(40), np.float64(40.0)])
+    def test_numeric_horizon_types(self, horizon):
+        """Any real number type gives the value of the same float horizon, bit for bit."""
+        a, q = -np.eye(2) + np.diag([0.5], 1), np.array([[2.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(solve_integral(a, q, horizon=horizon), solve_integral(a, q, horizon=40.0))
 
-    def test_numpy_integer_steps(self):
-        p = solve_integral(-np.eye(2), 2.0 * np.eye(2), steps=np.int64(1201))
-        assert np.allclose(p, np.eye(2), atol=1e-6)
+
+class TestFlow:
+    """The private pair (E, W) = (exp(A t), int_0^t exp(A s) Q exp(A^dag s) ds) shared with evolve."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_propagator_is_the_exponential(self, route):
+        a, q = route_pair(np.random.default_rng(7), 4, route)
+        e, _ = _flow(a, q, 3.0)
+        ref = scipy.linalg.expm(3.0 * a)
+        assert np.abs(e - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_pairs_compose_over_consecutive_times(self, route):
+        """The pair over 1 + 2 is E2 E1 and W2 + E2 W1 E2^dag, from blocks of different lengths."""
+        a, q = route_pair(np.random.default_rng(8), 4, route)
+        e1, w1 = _flow(a, q, 1.0)
+        e2, w2 = _flow(a, q, 2.0)
+        e, w = _flow(a, q, 3.0)
+        assert np.abs(e2 @ e1 - e).max() <= 1e-13 * np.abs(e).max()
+        assert np.abs(w2 + e2 @ w1 @ e2.conj().T - w).max() <= 1e-13 * np.abs(w).max()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_gramian_is_hermitian_and_positive(self, route):
+        """W is Hermitian positive semidefinite up to rounding, before solve_integral symmetrizes it."""
+        a, q = route_pair(np.random.default_rng(9), 4, route)
+        _, w = _flow(a, q, 3.0)
+        assert np.abs(w - w.conj().T).max() <= 1e-13 * np.abs(w).max()
+        assert np.linalg.eigvalsh(0.5 * (w + w.conj().T)).min() >= -1e-13 * np.abs(w).max()
 
 
 class TestNonFiniteGenerator:
