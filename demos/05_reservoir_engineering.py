@@ -1,11 +1,13 @@
 """Building dissipators whose unique steady state is a prescribed target.
 
-Two constructions.  The isotropic route drives every quadrature at rate 1/2
-and shapes the noise as alpha * S S^T for a symplectic S, which parks the
-state at exactly that matrix.  The covariant route takes any solved base
-pair and transports it through a frame change, which reaches targets the
-isotropic route cannot, including pure entangled states.  Both return a
-concrete Hamiltonian-plus-jump-operator realization, not just matrices.
+The closed-form route: any physical covariance V is the unique steady state
+of the pair with drift -I/2 and diffusion V, whose noise Gram matrix
+(V - iJ)/2 is PSD exactly when V + iJ is.  So every physical target, mixed
+or pure, entangled or not, is reached exactly by `engineer_target(V)`, and
+`engineer_gibbs_target(S, alpha)` builds the same pair for alpha S S^T.  The
+covariant route transports a solved base pair through a frame change, which
+reaches the same targets from other drifts.  Each returns a concrete
+Hamiltonian-plus-jump-operator realization, not just matrices.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from lindlyap import (
     catalog_build,
     engineer_covariant_target,
     engineer_gibbs_target,
+    engineer_target,
     squeeze_transform,
     state_criterion,
     steady_covariance,
@@ -45,20 +48,24 @@ r_steer = catalog_analytic("TMTSS", "steerability_flip", dict(r=r, nbar=nbar))
 print(f"  separability flips at r = {r_sep:.6f}, steering at r = {r_steer:.6f}")
 print(f"  at r = {r}: separability {sep.verdict.value}, steering {steer.verdict.value}")
 
-# 2. covariant route: the pure two-mode squeezed state of a balanced cascade
+# 2. the pure two-mode squeezed state of a balanced cascade, by both routes
 pure = catalog_analytic("CascadedOPO", "pure_cm", dict(epsilon1=0.3, epsilon2=-0.3, kappa=1.0))
-dec = williamson_decompose(pure)
 print(f"\npure cascade target, symplectic spectrum {symplectic_spectrum(pure).round(12)}")
 
-# base pair: the same cascade with the drives off; vacuum solves it exactly
-base = catalog_build("CascadedOPO", dict(epsilon1=0.0, epsilon2=0.0, kappa=1.0)).build()
-res2 = engineer_covariant_target(np.eye(4), base.drift_matrix, base.diffusion, dec.s)
-built2 = steady_covariance(res2.realization.spec.build())
-print(f"  transported through the normal-form frame of the target itself")
-print(f"  |target - pure_cm|_max = {np.abs(res2.target - pure).max():.3e}")
-print(f"  |steady - target|_max  = {np.abs(built2 - res2.target).max():.3e}")
+res2 = engineer_target(pure)
+print("  closed form: drift -I/2, diffusion the target itself")
+print(f"  jump operators used: {len(res2.realization.vectors)}")
+print(f"  |steady - target|_max = {np.abs(res2.steady_cm - pure).max():.3e}")
 
-sep2 = state_criterion(built2, Separability(HALF))
+# covariant route: the same cascade with the drives off, whose steady state is the vacuum
+dec = williamson_decompose(pure)
+base = catalog_build("CascadedOPO", dict(epsilon1=0.0, epsilon2=0.0, kappa=1.0)).build()
+res3 = engineer_covariant_target(np.eye(4), base.drift_matrix, base.diffusion, dec.s)
+built3 = steady_covariance(res3.realization.spec.build())
+print("  covariant route: the vacuum pair transported through the target's normal-form frame")
+print(f"  |target - pure_cm|_max = {np.abs(res3.target - pure).max():.3e}")
+print(f"  |steady - target|_max  = {np.abs(built3 - res3.target).max():.3e}")
+
+sep2 = state_criterion(res2.steady_cm, Separability(HALF))
 print(f"  engineered state separability: {sep2.verdict.value} (min eig {sep2.spectrum.min():+.4f})")
-print("  a pure entangled target is out of reach for the isotropic route,")
-print("  but transport of a solved base pair lands on it exactly")
+print("  both routes land on the pure entangled target; the closed form does so exactly")

@@ -77,7 +77,9 @@ from .williamson import (
     WilliamsonDecomposition,
     engineer_covariant_target,
     engineer_gibbs_target,
+    engineer_target,
     is_symplectic,
+    physical_spectrum,
     symplectic_spectrum,
     williamson_decompose,
 )

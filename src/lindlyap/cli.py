@@ -16,8 +16,12 @@ or spelled out explicitly
                    "mu_re": 0.0, "mu_im": 0.0}]}
 
 with an optional "tolerances" object ({"eig_zero_band", "stability_margin",
-"residual_tol"}) in either form.  All floats are printed with 17 significant
-digits; CSV output is deterministic for fixed inputs.
+"residual_tol"}) in either form.  `engineer` takes a target covariance V
+instead (--target, or --catalog TMTSS --params r=...,nbar=...) and builds
+the pair (-I/2, V) after refusing an unphysical V; its symplectic_spectrum
+is null where rounding does not resolve it within the zero band.  All floats
+are printed with 17 significant digits; CSV output is deterministic for fixed
+inputs.
 
 Exit codes: 0 success, 1 invalid input, 2 stability refusal (the requested
 computation needs an asymptotically stable model), 3 engineering failure.
@@ -393,8 +397,14 @@ def _fields(arg: str, flag: str, form: str, types) -> list:
         raise ValueError(f"{flag} must be {form}: {exc}") from exc
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"endpoint {text!r} is not finite")
+    return x
+
+
 def _sweep_range(arg: str, flag: str) -> np.ndarray:
-    lo, hi, count = _fields(arg, flag, "A:B:STEPS", (float, float, int))
+    lo, hi, count = _fields(arg, flag, "A:B:STEPS", (_finite, _finite, int))
     if count < 1:
         raise ValueError(f"{flag} needs at least one step")
     return np.linspace(lo, hi, count)
@@ -499,7 +509,7 @@ def cmd_sweep(args) -> int:
             )
     columns = [_QUANTITIES[q] for q in quantities]
     thresholds = [_parse_threshold_spec(s, cid) for s in (args.threshold or [])]
-    bracket = _fields(args.threshold_range, "--threshold-range", "A:B", (float, float))
+    bracket = _fields(args.threshold_range, "--threshold-range", "A:B", (_finite, _finite))
     kinds = _make_kinds(
         [k for _, k in columns if k] + [k for k, _, _, _ in thresholds], args.partition, spec.n
     )
@@ -538,10 +548,13 @@ def _parse_kv_params(arg: str) -> dict:
         if "=" not in item:
             raise ValueError(f"--params entries must be key=value, got {item!r}")
         key, _, val = item.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"--params gives {key!r} more than once")
         try:
-            out[key.strip()] = float(val)
+            out[key] = float(val)
         except ValueError as exc:
-            raise ValueError(f"--params value for {key.strip()!r} is not a number") from exc
+            raise ValueError(f"--params value for {key!r} is not a number") from exc
     if not out:
         raise ValueError("--params is empty")
     return out
@@ -551,6 +564,8 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
     if args.target and args.catalog:
         raise ValueError("give either --target or --catalog, not both")
     if args.target:
+        if args.params is not None:
+            raise ValueError("--params needs --catalog; a --target document takes no parameters")
         return _load_cm(args.target, "target covariance matrix", tol)
     if args.catalog:
         if args.params is None:
@@ -562,34 +577,8 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
 
 def cmd_engineer(args) -> int:
     tol = _resolve_tol(args, None)
-    target = _load_target_cm(args, tol)
-
-    try:
-        decomp = williamson.williamson_decompose(target, tol)
-    except ValueError as exc:
-        raise EngineeringError(f"target is not a valid covariance matrix: {exc}") from exc
-    mu = decomp.mu
-    if mu.min() < 1.0 - tol.eig_zero_band:
-        raise EngineeringError(
-            f"target is not physical: smallest symplectic eigenvalue {_fmt(mu.min())} < 1"
-        )
-
-    if args.method == "gibbs":
-        spread = mu.max() - mu.min()
-        if spread > tol.eig_zero_band * max(1.0, mu.max()):
-            raise EngineeringError(
-                "gibbs method needs equal symplectic eigenvalues "
-                f"(got spread {_fmt(spread)}); use --method covariant"
-            )
-        alpha = float(mu.mean())
-        reservoir = williamson.engineer_gibbs_target(np.linalg.inv(decomp.s), alpha, tol=tol)
-    else:
-        lam = decomp.lambda_matrix
-        dim = lam.shape[0]
-        reservoir = williamson.engineer_covariant_target(
-            lam, -0.5 * np.eye(dim), lam, decomp.s, tol
-        )
-
+    reservoir = williamson.engineer_target(_load_target_cm(args, tol), tol)
+    target = reservoir.target
     target_dev = float(np.abs(reservoir.steady_cm - target).max())
     realization = reservoir.realization
     vectors = [
@@ -598,9 +587,8 @@ def cmd_engineer(args) -> int:
 
     if args.json:
         payload = {
-            "method": args.method,
             "target": target,
-            "symplectic_spectrum": mu[::-1],
+            "symplectic_spectrum": williamson.physical_spectrum(target, tol),
             "drift_matrix": reservoir.drift_matrix,
             "diffusion": reservoir.diffusion,
             "hessian": realization.hamiltonian.hessian,
@@ -612,7 +600,7 @@ def cmd_engineer(args) -> int:
         }
         _emit(json.dumps(_jsonify(payload), indent=2), args.output)
         return EXIT_OK
-    lines = [f"method: {args.method}", "engineered drift matrix:"]
+    lines = ["engineered drift matrix:"]
     lines += _matrix_lines(reservoir.drift_matrix)
     lines.append("engineered diffusion matrix:")
     lines += _matrix_lines(reservoir.diffusion)
@@ -771,12 +759,14 @@ def build_parser() -> _Parser:
     p.add_argument("--partition", default=None, help="partition for separability/steerability")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("engineer", help="build a reservoir that prepares a target state")
+    p = sub.add_parser("engineer", help="build a reservoir that prepares a target state", description=(
+        "Build the reservoir with drift -I/2 and diffusion V, whose unique steady state is the target V. "
+        "A V with a symplectic eigenvalue below 1 beyond the zero band and its rounding error exits 3; "
+        "the JSON symplectic_spectrum is null where that error exceeds the zero band (TMTSS from r = 8)."))
     add_common(p, model=False)
     p.add_argument("--target", default=None, help="JSON file with the target covariance matrix")
     p.add_argument("--catalog", default=None, help="catalog id providing a target (TMTSS)")
-    p.add_argument("--params", default=None, help="comma-separated key=value catalog parameters")
-    p.add_argument("--method", choices=["gibbs", "covariant"], default="gibbs")
+    p.add_argument("--params", default=None, help="key=value,... parameters of --catalog, each key once")
     p.set_defaults(func=cmd_engineer)
 
     p = sub.add_parser("evolve", help="propagate the moment equations exactly, CSV output")

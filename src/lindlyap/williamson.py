@@ -2,12 +2,14 @@
 
 Any positive definite covariance matrix M can be brought to diagonal form by
 a symplectic congruence, S M S^T = Lambda with Lambda = diag(mu, mu); the mu
-are the symplectic eigenvalues.  The same congruence transports stationary
-pairs: from any base pair with a known solution one can manufacture a
-dissipator whose unique steady state is a prescribed target covariance.  For
-the isotropic base pair (-I/2, alpha I) the transport is closed form: the
-drift stays exactly -I/2 and the diffusion is the target alpha S S^T, so no
-inverse of S is formed (Koga & Yamamoto, PRA 85, 022103 (2012)).
+are the symplectic eigenvalues.
+
+Reservoir engineering needs no normal form: a covariance V is the unique
+steady state of the pair (-I/2, V), whose noise Gram matrix (V - iJ)/2 is
+PSD exactly when V obeys the uncertainty relation V + iJ >= 0, so every
+physical target is reached by a dissipator with drift -I/2 (Koga & Yamamoto,
+PRA 85, 022103 (2012)).  Transporting a solved base pair by a symplectic
+congruence, the other route here, reaches the same targets from other drifts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ __all__ = [
     "symplectic_spectrum",
     "williamson_decompose",
     "is_symplectic",
+    "physical_spectrum",
+    "engineer_target",
     "engineer_gibbs_target",
     "engineer_covariant_target",
 ]
@@ -175,18 +179,53 @@ def _finish_engineering(
     )
 
 
+def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """Symplectic eigenvalues nu of a covariance matrix V, descending, refusing an unphysical V.
+
+    Each mode is balanced to equal q and p variance by a symplectic scaling, which leaves nu unchanged
+    and makes an uncorrelated squeezed mode well conditioned.  The nu of the balanced B are the
+    positive eigenvalues of i B^(1/2) J B^(1/2); a relative change eps in B moves each by at most
+    eps cond(B) max(nu), and err is 2n times that.  V is refused when a variance is not positive, B
+    is indefinite beyond the zero band, or min(nu) + err < 1 - eig_zero_band.  None is returned when
+    err exceeds the zero band; once cond(B) ~ 1/eps, rounding hides whether V is physical and V is
+    not refused.
+    """
+    v = check_hermitian(read_matrix(target, "target covariance matrix"), tol, what="target covariance matrix")
+    n, var = len(v) // 2, np.diag(v)
+    if var.min() <= 0:
+        raise EngineeringError(f"target is not physical: it has variance {var.min():.17g} <= 0")
+    d = var[n:] ** 0.25 / var[:n] ** 0.25
+    d = np.concatenate([d, 1.0 / d])
+    b = d[:, None] * v * d
+    lam, u = np.linalg.eigh(b)
+    if lam[0] < -tol.eig_zero_band * lam[-1]:
+        raise EngineeringError("target is not physical: it is not positive semidefinite")
+    if lam[0] <= 0:
+        return None
+    root = (u * np.sqrt(lam)) @ u.T
+    nu = np.linalg.eigvalsh(1j * (root @ symplectic_form(n) @ root))[: n - 1 : -1]  # the n positive, descending
+    err = 2 * n * np.finfo(float).eps * nu[0] * lam[-1] / lam[0]
+    if nu[-1] + err < 1.0 - tol.eig_zero_band:
+        raise EngineeringError(f"target is not physical: smallest symplectic eigenvalue {nu[-1]:.17g} < 1")
+    return nu if err <= tol.eig_zero_band * max(1.0, nu[0]) else None
+
+
+def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EngineeredReservoir:
+    """Reservoir whose unique steady state is the covariance matrix ``target``: exactly the pair
+    (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD iff V is physical (:func:`physical_spectrum`).
+    """
+    v = check_hermitian(read_matrix(target, "target covariance matrix"), tol, what="target covariance matrix")
+    physical_spectrum(v, tol)
+    return _finish_engineering(v, np.diag(np.full(len(v), -0.5)), v, tol)
+
+
 def engineer_gibbs_target(
     transform: np.ndarray, alpha: float, tol: Tolerances = DEFAULT_TOL
 ) -> EngineeredReservoir:
-    """Reservoir whose steady state is alpha S S^T for a symplectic S.
+    """The :func:`engineer_target` pair (-I/2, alpha S S^T) for a symplectic S.
 
-    Transports the isotropic base pair (-I/2, alpha I), whose steady state is
-    alpha I, by the congruence S.  The drift goes to S (-I/2) S^-1 = -I/2,
-    since a similarity map leaves a scalar matrix unchanged, and the
-    diffusion to alpha S S^T, which is also the target; so the pair is
-    (-I/2, alpha S S^T) exactly and S is not inverted.  alpha must be >= 1,
-    within the zero band of ``tol``, for the target to be a physical
-    covariance matrix.
+    It is also the isotropic pair (-I/2, alpha I) transported by S, and S is
+    not inverted.  alpha must be >= 1, within the zero band of ``tol``.
     """
     s = np.asarray(transform, dtype=float)
     if not is_symplectic(s):

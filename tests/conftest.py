@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lindlyap import (
     LindbladVector,
     QuadraticHamiltonian,
     build_dynamics,
+    local_rotation,
+    rotation_from_unitary,
+    squeeze_transform,
     stability_check,
     thermal_bath,
 )
@@ -67,6 +71,21 @@ def haar_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def two_mode_symplectic(max_squeeze, max_factors):
+    """Strategy: a product of 1 to max_factors two-mode symplectic factors, each a two-mode
+    squeeze by at most max_squeeze, a local rotation or a Haar-random passive rotation."""
+    factor = st.one_of(
+        st.floats(-max_squeeze, max_squeeze).map(squeeze_transform),
+        st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2).map(local_rotation),
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: rotation_from_unitary(haar_unitary(np.random.default_rng(seed), 2))
+        ),
+    )
+    return st.lists(factor, min_size=1, max_size=max_factors).map(
+        lambda factors: np.linalg.multi_dot([np.eye(4), *factors])
+    )
 
 
 def random_physical_cm(rng, n):

@@ -291,7 +291,7 @@ class TestSweep:
 
 
 class TestEngineer:
-    def test_tmtss_gibbs(self, capsys, tmp_path):
+    def test_tmtss(self, capsys, tmp_path):
         rc, out, _ = run(
             capsys,
             "engineer",
@@ -303,26 +303,41 @@ class TestEngineer:
         )
         assert rc == 0
         data = json.loads(out)
-        assert data["method"] == "gibbs"
+        assert "method" not in data
         assert np.abs(np.array(data["target"]) - 2.0 * squeeze_transform(0.8)).max() < 1e-12
-        assert np.allclose(np.array(data["drift_matrix"]), -0.5 * np.eye(4), atol=1e-12)
-        assert data["verification"]["steady_cm_max_dev"] < 1e-8
+        assert np.array_equal(np.array(data["drift_matrix"]), -0.5 * np.eye(4))
+        assert data["verification"]["steady_cm_max_dev"] == 0.0
         assert np.allclose(data["symplectic_spectrum"], [2.0, 2.0], atol=1e-9)
 
-    def test_gibbs_refuses_mixed_spectrum(self, capsys, tmp_path):
-        target = write_doc(tmp_path, "target.json", {"cm": np.diag([3.0, 1.0, 3.0, 1.0]).tolist()})
-        rc, _, err = run(capsys, "engineer", "--target", target)
-        assert rc == 3
-        assert "use --method covariant" in err
+    @pytest.mark.parametrize("r", [0.8, 15, 17, 30, 60, 700])
+    def test_tmtss_pair_is_exact(self, capsys, r):
+        """The pair is (-I/2, target) itself, so even strong squeezing meets the target exactly."""
+        rc, out, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", f"r={r},nbar=0.2", "--json")
+        assert (rc, err) == (0, "")
+        data = json.loads(out)
+        target = np.array(data["target"])
+        assert np.array_equal(target, catalog_analytic("TMTSS", "target_cm", dict(r=r, nbar=0.2)))
+        assert np.array_equal(np.array(data["drift_matrix"]), -0.5 * np.eye(4))
+        assert np.array_equal(np.array(data["diffusion"]), target)
+        assert data["verification"]["steady_cm_max_dev"] == 0.0
+        # rounding resolves the spectrum within the zero band at r = 0.8, and not from r = 8 on
+        assert data["symplectic_spectrum"] == (pytest.approx([1.4, 1.4]) if r < 8 else None)
 
-    def test_covariant_handles_mixed_spectrum(self, capsys, tmp_path):
+    def test_mixed_spectrum(self, capsys, tmp_path):
+        """Unequal symplectic eigenvalues need no option: the isotropic drift reaches them."""
         cm = np.diag([3.0, 1.0, 3.0, 1.0])
         target = write_doc(tmp_path, "target.json", {"cm": cm.tolist()})
-        rc, out, _ = run(capsys, "engineer", "--target", target, "--method", "covariant", "--json")
-        assert rc == 0
+        rc, out, err = run(capsys, "engineer", "--target", target, "--json")
+        assert (rc, err) == (0, "")
         data = json.loads(out)
-        assert data["verification"]["steady_cm_max_dev"] < 1e-8
-        assert sorted(data["symplectic_spectrum"]) == pytest.approx([1.0, 3.0])
+        assert np.array_equal(np.array(data["diffusion"]), cm)
+        assert data["verification"]["steady_cm_max_dev"] == 0.0
+        assert data["symplectic_spectrum"] == pytest.approx([3.0, 1.0])
+
+    def test_method_option_is_gone(self, capsys, tmp_path):
+        target = write_doc(tmp_path, "t.json", {"cm": (2.0 * np.eye(2)).tolist()})
+        rc, _, err = run(capsys, "engineer", "--target", target, "--method", "gibbs")
+        assert rc == 1 and "unrecognized arguments: --method gibbs" in err
 
     def test_unphysical_target(self, capsys, tmp_path):
         target = write_doc(tmp_path, "bad.json", {"cm": (0.5 * np.eye(2)).tolist()})
@@ -333,8 +348,8 @@ class TestEngineer:
         target = write_doc(tmp_path, "t.json", {"cm": (2.0 * np.eye(2)).tolist()})
         rc, out, _ = run(capsys, "engineer", "--target", target)
         assert rc == 0
-        assert "engineered drift matrix:" in out
-        assert "steady-state deviation from target:" in out
+        assert out.startswith("engineered drift matrix:\n")
+        assert "steady-state deviation from target: 0\n" in out
 
     def test_input_validation(self, capsys, tmp_path):
         rc, _, err = run(capsys, "engineer")
@@ -347,33 +362,24 @@ class TestEngineer:
 
 
 class TestEngineerTolerance:
-    """--tol sets the band of engineer's symplectic-spectrum tests, the gibbs alpha check included."""
+    """--tol sets the band of engineer's physicality test."""
 
-    def test_gibbs_target_inside_the_band(self, capsys, tmp_path):
+    def test_target_inside_the_band(self, capsys, tmp_path):
         s = squeeze_transform(0.3)
         target = write_doc(tmp_path, "t.json", {"cm": ((1 - 1e-7) * (s @ s.T)).tolist()})
         rc, _, err = run(capsys, "engineer", "--target", target)
-        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999972 < 1\n"
-        rc, out, err = run(capsys, "engineer", "--target", target, "--method", "gibbs", "--tol", "1e-6")
+        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999961 < 1\n"
+        rc, out, err = run(capsys, "engineer", "--target", target, "--tol", "1e-6")
         assert (rc, err) == (0, "") and "steady-state deviation from target: " in out
-
-    def test_equal_spectrum_test_follows_the_band(self, capsys, tmp_path):
-        target = write_doc(tmp_path, "t.json", {"cm": np.diag([2.0, 2.0 + 2e-8, 2.0, 2.0 + 2e-8]).tolist()})
-        rc, _, err = run(capsys, "engineer", "--target", target)
-        assert rc == 3 and "gibbs method needs equal symplectic eigenvalues" in err
-        rc, out, err = run(capsys, "engineer", "--target", target, "--tol", "1e-6", "--json")
-        assert (rc, err) == (0, "")
-        assert json.loads(out)["verification"]["steady_cm_max_dev"] < 1e-7
 
 
 class TestEngineerSolvesOnce:
     ARGS = ("engineer", "--catalog", "TMTSS", "--params", "r=0.8,nbar=0.25")
 
-    @pytest.mark.parametrize("method", ["gibbs", "covariant"])
-    def test_reported_deviation_is_that_of_a_fresh_solve(self, capsys, monkeypatch, method):
+    def test_reported_deviation_is_that_of_a_fresh_solve(self, capsys, monkeypatch):
         """The deviation is read off the engineering step's own solve, and it is bit for bit
         the deviation of a fresh solve of the printed pair."""
-        rc, out, _ = run(capsys, *self.ARGS, "--method", method, "--json")
+        rc, out, _ = run(capsys, *self.ARGS, "--json")
         assert rc == 0
         data = json.loads(out)
         cm = lindlyap.solve(np.array(data["drift_matrix"]), np.array(data["diffusion"]))
@@ -388,9 +394,20 @@ class TestEngineerSolvesOnce:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(lindlyap.lyapunov, "solve", counted)
-        rc, text, _ = run(capsys, *self.ARGS, "--method", method)
+        rc, text, _ = run(capsys, *self.ARGS)
         assert rc == 0 and len(solves) == 1
         assert f"steady-state deviation from target: {lindlyap.cli._fmt(dev)}" in text.splitlines()
+
+    def test_no_normal_form(self, capsys, monkeypatch):
+        """The target's Williamson form is neither computed nor inverted."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("engineer must not decompose or invert the target")
+
+        monkeypatch.setattr(lindlyap.williamson, "williamson_decompose", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        rc, _, err = run(capsys, *self.ARGS, "--json")
+        assert (rc, err) == (0, "")
 
 
 class TestCatalogDomain:
@@ -815,6 +832,22 @@ REFUSALS = [
     # the --cm and --target documents share one loader
     *matrix_rows(["williamson", "--cm", DOC], "covariance matrix"),
     *matrix_rows(["engineer", "--target", DOC], "target covariance matrix"),
+    # the flags of engineer and sweep: --params belongs to --catalog, ranges have finite endpoints
+    pytest.param(["engineer", "--target", DOC, "--params", "r=0.8,nbar=0.2"], {"cm": (2.0 * np.eye(2)).tolist()}, 1,
+                 "--params needs --catalog; a --target document takes no parameters", id="engineer:--target+--params"),
+    pytest.param(["engineer", "--catalog", "TMTSS", "--params", "r=0.8,r=5,nbar=0.2"], {}, 1,
+                 "--params gives 'r' more than once", id="engineer:--params=r-twice"),
+    *[
+        pytest.param(["sweep", DOC, "--param", "zeta", *flags], FULL_CATALOG_DOC, 1, line, id=f"sweep:{flags[-2]}={flags[-1]}")
+        for flags, line in (
+            (["--range", "nan:2:2"], "--range must be A:B:STEPS: endpoint 'nan' is not finite"),
+            (["--range", "1:inf:2"], "--range must be A:B:STEPS: endpoint 'inf' is not finite"),
+            (["--range", "1:2:2", "--param2", "nbar", "--range2", "0.1:-inf:2"],
+             "--range2 must be A:B:STEPS: endpoint '-inf' is not finite"),
+            (["--range", "1:2:2", "--threshold-range", "1:nan"],
+             "--threshold-range must be A:B: endpoint 'nan' is not finite"),
+        )
+    ],
     # exit 2: the computation needs an asymptotically stable model; `stability` reports on stdout
     *[
         pytest.param([command, DOC], doc, 2, line, id=f"{command}:{name}")
@@ -831,18 +864,24 @@ REFUSALS = [
             id="evolve:unstable-default-horizon"),
     # exit 3: the reservoir cannot be engineered
     pytest.param(
-        ["engineer", "--target", DOC], {"cm": np.diag([3.0, 1.0, 3.0, 1.0]).tolist()}, 3,
-        "gibbs method needs equal symplectic eigenvalues (got spread 1.9999999999999996); use --method covariant",
-        id="engineer:gibbs-mixed-spectrum",
+        ["engineer", "--target", DOC], {"cm": (0.5 * np.eye(2)).tolist()}, 3,
+        "target is not physical: smallest symplectic eigenvalue 0.50000000000000011 < 1",
+        id="engineer:unphysical",
     ),
-    *[
-        pytest.param(
-            ["engineer", "--target", DOC, "--method", method], {"cm": (0.5 * np.eye(2)).tolist()}, 3,
-            "target is not physical: smallest symplectic eigenvalue 0.50000000000000011 < 1",
-            id=f"engineer:{method}-unphysical",
-        )
-        for method in ("gibbs", "covariant")
-    ],
+    # a squeezed mode is judged after balancing its q and p variances, so at any squeezing
+    pytest.param(
+        ["engineer", "--target", DOC], {"cm": np.diag([1e6, 1e-7]).tolist()}, 3,
+        "target is not physical: smallest symplectic eigenvalue 0.316227766016838 < 1",
+        id="engineer:squeezed-unphysical",
+    ),
+    pytest.param(
+        ["engineer", "--target", DOC], {"cm": np.diag([1.0, 1.0, -1.0, 1.0]).tolist()}, 3,
+        "target is not physical: it has variance -1 <= 0", id="engineer:negative-variance",
+    ),
+    pytest.param(
+        ["engineer", "--target", DOC], {"cm": [[2.0, 3.0], [3.0, 2.0]]}, 3,
+        "target is not physical: it is not positive semidefinite", id="engineer:indefinite",
+    ),
 ]
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import haar_unitary, random_stable_model
+from conftest import haar_unitary, random_stable_model, two_mode_symplectic
 from lindlyap import (
     CovarianceTransform,
     GaussianDynamics,
@@ -51,6 +53,15 @@ class TestTransformTriple:
             w = rng.normal(size=v.shape) + 2.0 * np.eye(v.shape[0])
             gamma_t, d_t, v_t = transform_triple(dyn.drift_matrix, dyn.diffusion, w, cm=v)
             assert np.allclose(solve(gamma_t, d_t), v_t, atol=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), two_mode_symplectic(1.5, 3))
+    def test_solving_the_transformed_pair_gives_w_v_wt(self, seed, w):
+        """Frame covariance for a random symplectic W: the solve of (W G W^-1, W D W^T) is W V W^T."""
+        dyn = random_stable_model(np.random.default_rng(seed), n=2)
+        v = steady_covariance(dyn)
+        gamma_t, d_t, v_t = transform_triple(dyn.drift_matrix, dyn.diffusion, w, cm=v)
+        assert np.abs(solve(gamma_t, d_t) - v_t).max() <= 1e-8 * np.abs(v_t).max()
 
     def test_no_cm_returns_none(self):
         _, _, cm = transform_triple(-np.eye(2), np.eye(2), np.eye(2))

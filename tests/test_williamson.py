@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary
+from conftest import random_physical_cm, two_mode_symplectic
 
 from lindlyap import (
     EngineeringError,
@@ -11,9 +11,9 @@ from lindlyap import (
     catalog_analytic,
     engineer_covariant_target,
     engineer_gibbs_target,
+    engineer_target,
     is_symplectic,
-    local_rotation,
-    rotation_from_unitary,
+    physical_spectrum,
     solve,
     squeeze_transform,
     steady_covariance,
@@ -154,22 +154,103 @@ class TestGibbsEngineering:
         assert np.abs(res.steady_cm - alpha * (s @ s.T)).max() < 1e-12
 
 
-two_mode_symplectic_factors = st.one_of(
-    st.floats(-4.0, 4.0).map(squeeze_transform),
-    st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2).map(local_rotation),
-    st.integers(0, 2**32 - 1).map(
-        lambda seed: rotation_from_unitary(haar_unitary(np.random.default_rng(seed), 2))
-    ),
-)
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(two_mode_symplectic_factors, min_size=1, max_size=4), st.floats(1.0, 10.0))
-def test_gibbs_drift_is_exactly_minus_half(factors, alpha):
-    s = np.linalg.multi_dot([np.eye(4), *factors])
+@given(two_mode_symplectic(4.0, 4), st.floats(1.0, 10.0))
+def test_gibbs_drift_is_exactly_minus_half(s, alpha):
     res = engineer_gibbs_target(s, alpha)
     assert np.array_equal(res.drift_matrix, -0.5 * np.eye(4))
     assert np.abs(res.steady_cm - res.target).max() <= 1e-12 * np.abs(res.target).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_williamson_identities_on_physical_states(n, seed):
+    """S V S^T = diag(nu, nu) with S symplectic, nu >= 1 within the band, nu the symplectic spectrum."""
+    v = random_physical_cm(np.random.default_rng(seed), n)
+    dec = williamson_decompose(v)
+    scale = np.abs(v).max()
+    assert np.abs(dec.s @ v @ dec.s.T - dec.lambda_matrix).max() <= 1e-9 * scale
+    assert is_symplectic(dec.s)
+    assert dec.mu.min() >= 1.0 - Tolerances().eig_zero_band * scale
+    assert np.abs(dec.mu - symplectic_spectrum(v)[::-1]).max() <= 1e-9 * scale
+
+
+class TestEngineerTarget:
+    @settings(max_examples=100, deadline=None)
+    @given(two_mode_symplectic(2.0, 3), st.lists(st.floats(1.0, 6.0), min_size=2, max_size=2))
+    def test_pair_is_the_target_itself(self, s, nu):
+        """Any physical V: the pair is exactly (-I/2, V), its solve returns V, and its
+        Lindblad realization rebuilds the pair."""
+        v = s @ np.diag(nu + nu) @ s.T
+        v = 0.5 * (v + v.T)
+        res = engineer_target(v)
+        # the Hermitian part of a symmetric V is V itself, but for the last bit of a subnormal entry
+        assert np.abs(res.target - v).max() <= np.finfo(float).smallest_subnormal
+        assert np.array_equal(res.drift_matrix, -0.5 * np.eye(4))
+        assert np.array_equal(res.diffusion, res.target)
+        assert np.array_equal(res.steady_cm, res.target)
+        dyn = res.realization.spec.build()
+        scale = np.abs(v).max()
+        assert np.abs(dyn.drift_matrix + 0.5 * np.eye(4)).max() <= 1e-9 * scale
+        assert np.abs(dyn.diffusion - v).max() <= 1e-9 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        two_mode_symplectic(0.0, 3), st.floats(6.0, 6.5), st.floats(0.05, 0.9), st.floats(1.0, 6.0), st.booleans()
+    )
+    def test_refuses_a_symplectic_eigenvalue_below_one(self, s, squeeze, low, high, low_first):
+        """Refused under rotations and a two-mode squeeze of 6 to 6.5 (cond(V) up to 2e13), where
+        the rounding error of nu, 8 eps cond(V) max(nu), stays below its distance to 1."""
+        nu = [low, high] if low_first else [high, low]
+        s = s @ squeeze_transform(squeeze)
+        v = s @ np.diag(nu + nu) @ s.T
+        with pytest.raises(EngineeringError, match="^target is not physical: smallest symplectic eigenvalue 0"):
+            engineer_target(0.5 * (v + v.T))
+
+    @pytest.mark.parametrize("r", [3.0, 5.5, 8.0, 50.0, 300.0])
+    def test_a_squeezed_mode_is_judged_at_any_squeezing(self, r):
+        """Balancing q against p makes an uncorrelated squeezed mode well conditioned."""
+        squeezed = np.diag([np.exp(2 * r), np.exp(-2 * r)])
+        assert physical_spectrum(squeezed) == pytest.approx([1.0], rel=1e-15)
+        with pytest.raises(EngineeringError, match="^target is not physical: smallest symplectic eigenvalue 0\\.[45]"):
+            engineer_target(0.5 * squeezed)
+
+    def test_spectrum_is_none_beyond_the_band(self):
+        """TMTSS's rounding error passes the zero band near r = 8: the target is built, its
+        spectrum not reported."""
+        for r, nu in ((0.8, [1.4, 1.4]), (5.0, [1.4, 1.4]), (8.0, None), (30.0, None)):
+            v = catalog_analytic("TMTSS", "target_cm", dict(r=r, nbar=0.2))
+            assert physical_spectrum(v) == (nu if nu is None else pytest.approx(nu))
+            assert np.array_equal(engineer_target(v).steady_cm, v)
+
+    def test_mixed_and_pure_targets(self):
+        """Unequal symplectic eigenvalues and a pure entangled state are both reached exactly."""
+        pure = catalog_analytic("CascadedOPO", "pure_cm", dict(epsilon1=0.3, epsilon2=-0.3, kappa=1.0))
+        for v in (np.diag([3.0, 1.0, 3.0, 1.0]), pure):
+            res = engineer_target(v)
+            assert np.array_equal(res.steady_cm, v)
+        assert len(res.realization.vectors) == 2  # a pure state of two modes needs two jump operators
+
+    def test_band_follows_the_tolerances(self):
+        s = squeeze_transform(0.3)
+        v = (1 - 1e-7) * (s @ s.T)
+        with pytest.raises(EngineeringError, match="^target is not physical"):
+            engineer_target(v)
+        res = engineer_target(v, Tolerances(eig_zero_band=1e-6, residual_tol=1e-6))
+        assert np.array_equal(res.steady_cm, res.target)
+
+    def test_refuses_malformed_input(self):
+        with pytest.raises(ValueError, match="^target covariance matrix is not Hermitian"):
+            engineer_target(np.array([[2.0, 0.5], [0.0, 2.0]]))
+        with pytest.raises(ValueError, match="^target covariance matrix must be 2n x 2n"):
+            engineer_target(np.eye(3))
+
+    def test_gibbs_target_is_the_same_pair(self):
+        s, alpha = squeeze_transform(0.45), 1.7
+        gibbs, direct = engineer_gibbs_target(s, alpha), engineer_target(alpha * (s @ s.T))
+        assert np.array_equal(gibbs.drift_matrix, direct.drift_matrix)
+        assert np.array_equal(gibbs.diffusion, direct.diffusion)
+        assert np.array_equal(gibbs.steady_cm, direct.steady_cm)
 
 
 class TestCovariantEngineering:
@@ -223,6 +304,7 @@ class TestCovariantEngineering:
 
 
 ENGINEERED = {
+    "target": lambda: engineer_target(np.diag([1.5, 2.0, 1.5, 2.0])),
     "gibbs": lambda: engineer_gibbs_target(squeeze_transform(0.4), 1.5),
     "covariant": lambda: engineer_covariant_target(
         np.diag([1.5, 2.0, 1.5, 2.0]), -0.5 * np.eye(4), np.diag([1.5, 2.0, 1.5, 2.0]), squeeze_transform(0.3)
