@@ -19,7 +19,8 @@ with an optional "tolerances" object ({"eig_zero_band", "stability_margin",
 "residual_tol"}) in either form.  `engineer` takes a target covariance V
 instead (--target, or --catalog TMTSS --params r=...,nbar=...) and builds
 the pair (-I/2, V) after refusing an unphysical V; its symplectic_spectrum
-is null where rounding does not resolve it within the zero band.  All floats
+is null, and sweep's purity and min_symplectic_eig cells are nan, where
+rounding does not resolve the spectrum within the zero band.  All floats
 are printed with 17 significant digits; CSV output is deterministic for fixed
 inputs.
 
@@ -434,6 +435,11 @@ class _SweepPoint:
     def steady_cm(self) -> np.ndarray:
         return lyapunov.steady_covariance(self.dyn, self.tol)
 
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray | None:
+        """Symplectic eigenvalues of the steady state, None where rounding hides them."""
+        return williamson.physical_spectrum(self.steady_cm, self.tol)
+
     def value(self, quantity: str, kind=None) -> float:
         """A column of ``_QUANTITIES`` (quantity or level, kind); nan where it is undefined."""
         if self.report is None:
@@ -444,8 +450,10 @@ class _SweepPoint:
             return math.nan
         try:
             if kind is None:
-                mu = williamson.symplectic_spectrum(self.steady_cm)
-                return float(1.0 / np.prod(mu)) if quantity == "purity" else float(mu.min())
+                nu = self.spectrum
+                if nu is None:
+                    return math.nan
+                return float(1.0 / np.prod(nu)) if quantity == "purity" else float(nu[-1])
             if quantity == "state":
                 return float(criteria_mod.state_criterion(self.steady_cm, kind, self.tol).spectrum[0])
             return float(criteria_mod.environment_criterion(self.dyn, kind, self.tol).spectrum[0])
@@ -762,7 +770,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("engineer", help="build a reservoir that prepares a target state", description=(
         "Build the reservoir with drift -I/2 and diffusion V, whose unique steady state is the target V. "
         "A V with a symplectic eigenvalue below 1 beyond the zero band and its rounding error exits 3; "
-        "the JSON symplectic_spectrum is null where that error exceeds the zero band (TMTSS from r = 8)."))
+        "the JSON symplectic_spectrum is null where that error exceeds the zero band (TMTSS from about r = 7)."))
     add_common(p, model=False)
     p.add_argument("--target", default=None, help="JSON file with the target covariance matrix")
     p.add_argument("--catalog", default=None, help="catalog id providing a target (TMTSS)")

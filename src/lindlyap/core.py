@@ -135,9 +135,13 @@ def reorder(m: np.ndarray, src: Layout, dst: Layout) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^dag) / 2, halved before the sum so that entries near the largest float cannot overflow."""
+    """(m + m^dag) / 2, halved before the sum so that entries near the largest float cannot overflow.
+
+    Entries already equal to their mirror are kept, so an exactly Hermitian m, subnormals included,
+    comes back unchanged: halving would drop the last bit of a subnormal.
+    """
     m = np.asarray(m)
-    return 0.5 * m + 0.5 * m.conj().T
+    return np.where(m == m.conj().T, m, 0.5 * m + 0.5 * m.conj().T)
 
 
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:

@@ -1,15 +1,14 @@
 """Normal forms of covariance matrices and reservoir engineering.
 
-Any positive definite covariance matrix M can be brought to diagonal form by
-a symplectic congruence, S M S^T = Lambda with Lambda = diag(mu, mu); the mu
-are the symplectic eigenvalues.
+A positive definite covariance matrix M is diagonalized by a symplectic congruence,
+S M S^T = Lambda = diag(mu, mu); the mu are its symplectic eigenvalues.  The spectrum, the
+normal form and the physicality test all read them off one Hermitian eigensolve of the
+mode-balanced matrix (`_symplectic_eigh`).
 
-Reservoir engineering needs no normal form: a covariance V is the unique
-steady state of the pair (-I/2, V), whose noise Gram matrix (V - iJ)/2 is
-PSD exactly when V obeys the uncertainty relation V + iJ >= 0, so every
-physical target is reached by a dissipator with drift -I/2 (Koga & Yamamoto,
-PRA 85, 022103 (2012)).  Transporting a solved base pair by a symplectic
-congruence, the other route here, reaches the same targets from other drifts.
+Reservoir engineering needs no normal form: a covariance V is the unique steady state of the
+pair (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD exactly when V obeys the uncertainty
+relation V + iJ >= 0 (Koga & Yamamoto, PRA 85, 022103 (2012)).  Transporting a solved base pair
+by a symplectic congruence, the other route here, reaches the same targets from other drifts.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from . import lyapunov
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form
@@ -45,17 +43,41 @@ class EngineeringError(ValueError):
     """A requested reservoir cannot be built from the given data."""
 
 
-def symplectic_spectrum(m: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a positive definite matrix, descending.
+def _symplectic_eigh(v: np.ndarray):
+    """The one symplectic eigensolve: (lam, nu, u, t) of a real symmetric 2n x 2n matrix V.
 
-    These are the moduli of the (purely imaginary) eigenvalues of J M, each
-    taken once.  A covariance matrix is physical iff all of them are >= 1.
+    Each mode is balanced to equal q and p variance by the symplectic scaling D, which leaves nu
+    unchanged and makes an uncorrelated squeezed mode well conditioned.  lam is the spectrum of
+    B = D V D; when B is positive definite, nu (ascending) are the n positive eigenvalues of the
+    Hermitian i B^(1/2) J B^(1/2), u their eigenvectors and t = B^(-1/2) D, else nu, u and t are None.
+    Each u is fixed in phase: its first entry of modulus above half the column's largest is real
+    and positive (the largest alone ties on symmetric two-mode states).
     """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0] // 2
-    ev = np.linalg.eigvals(symplectic_form(n) @ m)
-    mu = np.sort(np.abs(ev.imag))[::2]  # pairs +-i mu
-    return mu[::-1].copy()
+    n, var = len(v) // 2, v.diagonal()
+    var = np.where(var > 0, var, 1.0)  # a variance <= 0 stays on B's diagonal: B is not positive definite
+    d = var[n:] ** 0.25 / var[:n] ** 0.25
+    d = np.concatenate([d, 1.0 / d])
+    lam, w = np.linalg.eigh(d[:, None] * v * d)
+    if lam[0] <= 0:
+        return lam, None, None, None
+    root = (w * np.sqrt(lam)) @ w.T
+    nu, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
+    u, size = u[:, n:], abs(u[:, n:])
+    phase = u[np.argmax(size > 0.5 * size.max(axis=0), axis=0), np.arange(n)]
+    return lam, nu[n:], u * (abs(phase) / phase), (w / np.sqrt(lam)) @ w.T * d
+
+
+def _definite_eigh(m: np.ndarray):
+    """:func:`_symplectic_eigh` of a matrix that must be positive definite."""
+    lam, nu, u, t = _symplectic_eigh(m)
+    if nu is None:
+        raise ValueError(f"matrix must be positive definite, smallest eigenvalue {lam[0]:.6e}")
+    return nu, u, t
+
+
+def symplectic_spectrum(m: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues of a positive definite matrix, descending; a state is physical iff all >= 1."""
+    return _definite_eigh(check_hermitian(read_matrix(m, "matrix")))[0][::-1].copy()
 
 
 def is_symplectic(w: np.ndarray) -> bool:
@@ -84,61 +106,26 @@ class WilliamsonDecomposition:
         return np.diag(np.concatenate([self.mu, self.mu]))
 
 
-def _matrix_roots(m: np.ndarray):
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise ValueError(f"matrix must be positive definite, smallest eigenvalue {w.min():.6e}")
-    root = (u * np.sqrt(w)) @ u.T
-    inv_root = (u / np.sqrt(w)) @ u.T
-    return root, inv_root
-
-
 def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> WilliamsonDecomposition:
     """Diagonalize a positive definite 2n x 2n matrix by symplectic congruence.
 
-    Works through the real Schur form of M^(1/2) J M^(1/2), which is block
-    diagonal with 2 x 2 antisymmetric blocks carrying the symplectic
-    eigenvalues; the congruence is assembled from the Schur basis and both
-    defining identities are verified before returning.
+    O = [sqrt2 Im u, sqrt2 Re u] from :func:`_symplectic_eigh` is orthogonal and brings
+    B^(1/2) J B^(1/2) to [[0, Lambda], [-Lambda, 0]], so S = Lambda^(1/2) O^T B^(-1/2) D.  The phase
+    rule on u fixes the rotation of each mode that S is otherwise free in, so a few ulp of change in
+    M move S by rounding only (for distinct mu).  Both identities are verified before returning.
     """
     m = check_hermitian(read_matrix(m, "matrix"), tol)
-    n = m.shape[0] // 2
-    j = symplectic_form(n)
-
-    root, inv_root = _matrix_roots(m)
-    k = root @ j @ root
-    k = 0.5 * (k - k.T)
-
-    t, o = schur(k, output="real")
-    mu = np.empty(n)
-    for i in range(n):
-        val = 0.5 * (t[2 * i, 2 * i + 1] - t[2 * i + 1, 2 * i])
-        if val < 0:
-            o[:, [2 * i, 2 * i + 1]] = o[:, [2 * i + 1, 2 * i]]
-            val = -val
-        mu[i] = val
-
-    order = np.argsort(mu, kind="stable")
-    mu = mu[order]
-    cols = np.empty(2 * n, dtype=int)
-    cols[0::2] = 2 * order
-    cols[1::2] = 2 * order + 1
-    o = o[:, cols]
-    # interleaved (q_1, p_1, ...) Schur pairs -> block (q..., p...) layout
-    o_block = o[:, np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]]
-
-    lam = np.concatenate([mu, mu])
-    s = (np.sqrt(lam)[:, None] * o_block.T) @ inv_root
-
+    j = symplectic_form(m.shape[0] // 2)
+    mu, u, t = _definite_eigh(m)
+    u = np.sqrt(2 * mu) * u
+    dec = WilliamsonDecomposition(s=np.concatenate([u.imag, u.real], axis=1).T @ t, mu=mu)
     scale = max(1.0, np.abs(m).max())
-    err_m = np.abs(s @ m @ s.T - np.diag(lam)).max()
-    err_j = np.abs(s @ j @ s.T - j).max()
+    err_m = np.abs(dec.s @ m @ dec.s.T - dec.lambda_matrix).max()
+    err_j = np.abs(dec.s @ j @ dec.s.T - j).max()
     if err_m > 1e3 * tol.residual_tol * scale or err_j > 1e3 * tol.residual_tol:
-        raise ValueError(
-            f"decomposition validation failed: |S M S^T - Lambda| = {err_m:.3e}, "
-            f"|S J S^T - J| = {err_j:.3e}"
-        )
-    return WilliamsonDecomposition(s=s, mu=mu)
+        raise ValueError(f"decomposition validation failed: |S M S^T - Lambda| = {err_m:.3e}, "
+                         f"|S J S^T - J| = {err_j:.3e}")
+    return dec
 
 
 @dataclass(frozen=True)
@@ -182,32 +169,25 @@ def _finish_engineering(
 def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Symplectic eigenvalues nu of a covariance matrix V, descending, refusing an unphysical V.
 
-    Each mode is balanced to equal q and p variance by a symplectic scaling, which leaves nu unchanged
-    and makes an uncorrelated squeezed mode well conditioned.  The nu of the balanced B are the
-    positive eigenvalues of i B^(1/2) J B^(1/2); a relative change eps in B moves each by at most
-    eps cond(B) max(nu), and err is 2n times that.  V is refused when a variance is not positive, B
-    is indefinite beyond the zero band, or min(nu) + err < 1 - eig_zero_band.  None is returned when
-    err exceeds the zero band; once cond(B) ~ 1/eps, rounding hides whether V is physical and V is
-    not refused.
+    nu comes from :func:`_symplectic_eigh` on the mode-balanced B.  A relative change eps in B
+    moves each nu by at most eps cond(B) max(nu), and err is 2n times that.  V is refused when a
+    variance is not positive, B is indefinite beyond the zero band, or min(nu) + err < 1 -
+    eig_zero_band.  None is returned when err exceeds the zero band; once cond(B) ~ 1/eps,
+    rounding hides whether V is physical and V is not refused.
     """
     v = check_hermitian(read_matrix(target, "target covariance matrix"), tol, what="target covariance matrix")
     n, var = len(v) // 2, np.diag(v)
     if var.min() <= 0:
         raise EngineeringError(f"target is not physical: it has variance {var.min():.17g} <= 0")
-    d = var[n:] ** 0.25 / var[:n] ** 0.25
-    d = np.concatenate([d, 1.0 / d])
-    b = d[:, None] * v * d
-    lam, u = np.linalg.eigh(b)
+    lam, nu, _, _ = _symplectic_eigh(v)
     if lam[0] < -tol.eig_zero_band * lam[-1]:
         raise EngineeringError("target is not physical: it is not positive semidefinite")
-    if lam[0] <= 0:
+    if nu is None:
         return None
-    root = (u * np.sqrt(lam)) @ u.T
-    nu = np.linalg.eigvalsh(1j * (root @ symplectic_form(n) @ root))[: n - 1 : -1]  # the n positive, descending
-    err = 2 * n * np.finfo(float).eps * nu[0] * lam[-1] / lam[0]
-    if nu[-1] + err < 1.0 - tol.eig_zero_band:
-        raise EngineeringError(f"target is not physical: smallest symplectic eigenvalue {nu[-1]:.17g} < 1")
-    return nu if err <= tol.eig_zero_band * max(1.0, nu[0]) else None
+    err = 2 * n * np.finfo(float).eps * nu[-1] * lam[-1] / lam[0]
+    if nu[0] + err < 1.0 - tol.eig_zero_band:
+        raise EngineeringError(f"target is not physical: smallest symplectic eigenvalue {nu[0]:.17g} < 1")
+    return nu[::-1] if err <= tol.eig_zero_band * max(1.0, nu[-1]) else None
 
 
 def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EngineeredReservoir:

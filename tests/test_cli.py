@@ -256,6 +256,20 @@ class TestSweep:
         assert lines[0] == "zeta,nbar,abscissa"
         assert len(lines) == 5
 
+    def test_symplectic_cells_are_nan_where_rounding_hides_them(self, capsys, tmp_path):
+        """TMTSS steady states: purity and the smallest symplectic eigenvalue are exact up to
+        r = 5 and nan from r = 10, where their rounding error exceeds the zero band."""
+        model = catalog_doc(tmp_path, "TMTSS", r=1, nbar=0.2)
+        rc, out, err = run(capsys, "sweep", model, "--param", "r", "--range", "0:40:9",
+                           "--quantity", "purity", "--quantity", "min_symplectic_eig")
+        assert (rc, err) == (0, "")
+        lines = out.strip().splitlines()
+        assert lines[0] == "r,purity,min_symplectic_eig"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert np.array_equal(rows[:, 0], np.linspace(0, 40, 9))
+        assert np.abs(rows[:2, 1:] - [1 / 1.96, 1.4]).max() <= 1e-10
+        assert np.isnan(rows[2:, 1:]).all()
+
     def test_unknown_quantity(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,
@@ -368,7 +382,7 @@ class TestEngineerTolerance:
         s = squeeze_transform(0.3)
         target = write_doc(tmp_path, "t.json", {"cm": ((1 - 1e-7) * (s @ s.T)).tolist()})
         rc, _, err = run(capsys, "engineer", "--target", target)
-        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999961 < 1\n"
+        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999939 < 1\n"
         rc, out, err = run(capsys, "engineer", "--target", target, "--tol", "1e-6")
         assert (rc, err) == (0, "") and "steady-state deviation from target: " in out
 

@@ -79,6 +79,17 @@ class TestHermitianHelpers:
         m = np.array([[1.0, 2.0], [0.0, 3.0]])
         assert np.array_equal(hermitian_part(m), [[1.0, 1.0], [1.0, 3.0]])
 
+    def test_hermitian_part_keeps_an_exactly_hermitian_matrix(self):
+        """Subnormal entries keep their last bit; an asymmetric part is still averaged exactly."""
+        tiny = 3 * np.finfo(float).smallest_subnormal
+        m = np.array([[1.0, tiny], [tiny, 1.0]])
+        assert np.array_equal(hermitian_part(m), m)
+        z = np.array([[1.0, tiny + 1j * tiny], [tiny - 1j * tiny, 2.0]])
+        assert np.array_equal(hermitian_part(z), z)
+        out = hermitian_part(np.array([[1.0 + 1j, 2.0], [0.0, 3.0]]))
+        assert np.array_equal(out, [[1.0, 1.0], [1.0, 3.0]])
+        assert np.array_equal(out, out.conj().T)
+
     def test_check_hermitian_accepts_roundoff(self):
         m = np.array([[1.0, 0.5 + 1e-12], [0.5, 2.0]])
         out = check_hermitian(m)

@@ -9,6 +9,7 @@ from lindlyap import (
     EngineeringError,
     Tolerances,
     catalog_analytic,
+    catalog_build,
     engineer_covariant_target,
     engineer_gibbs_target,
     engineer_target,
@@ -53,6 +54,12 @@ class TestSymplecticSpectrum:
         m = alpha * squeeze_transform(1.3)
         assert np.allclose(symplectic_spectrum(m), [alpha, alpha], atol=1e-12)
 
+    @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.array([[2.0, 3.0], [3.0, 2.0]])])
+    def test_rejects_a_matrix_that_is_not_positive_definite(self, m):
+        for spectrum in (symplectic_spectrum, lambda m: williamson_decompose(m).mu):
+            with pytest.raises(ValueError, match="^matrix must be positive definite, smallest eigenvalue -?[0-9]"):
+                spectrum(m)
+
 
 class TestWilliamson:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -87,6 +94,31 @@ class TestWilliamson:
             if abs(mu_min - 1.0) < 1e-9 or abs(eig_min) < 1e-9:
                 continue  # skip knife-edge draws
             assert (mu_min >= 1.0) == (eig_min >= 0.0)
+
+    @pytest.mark.parametrize("cid, params", [
+        ("OPOThermal", dict(epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)),
+        ("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)),
+        ("TwoOscThermal", dict(omega=0.5, kappa=1.0, zeta=0.7, nbar=0.3)),
+    ])
+    def test_gauge_is_stable_under_ulp_changes(self, cid, params):
+        """The phase rule fixes each mode's rotation, so a symmetric change of up to 2 ulp per
+        entry moves S by rounding only, also on the mirror-symmetric two-mode states."""
+        v = steady_covariance(catalog_build(cid, params).build())
+        s = williamson_decompose(v).s
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            k = np.triu(rng.integers(-2, 3, size=v.shape))
+            moved = williamson_decompose(v + (k + np.triu(k, 1).T) * np.spacing(v)).s
+            assert np.abs(moved - s).max() <= 1e-10
+
+    def test_equal_pair_on_which_a_real_schur_iteration_stalls(self):
+        """A TMTSS steady state (two equal symplectic eigenvalues) on which scipy's real Schur
+        form raises "Schur form not found"; the Hermitian eigensolve decomposes it."""
+        nbar = 0.07993021865921003
+        v = steady_covariance(catalog_build("TMTSS", dict(r=0.8273759352833956, nbar=nbar)).build())
+        dec = williamson_decompose(v)
+        assert dec.mu == pytest.approx([2 * nbar + 1] * 2, rel=1e-6)
+        assert is_symplectic(dec.s)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -184,8 +216,7 @@ class TestEngineerTarget:
         v = s @ np.diag(nu + nu) @ s.T
         v = 0.5 * (v + v.T)
         res = engineer_target(v)
-        # the Hermitian part of a symmetric V is V itself, but for the last bit of a subnormal entry
-        assert np.abs(res.target - v).max() <= np.finfo(float).smallest_subnormal
+        assert np.array_equal(res.target, v)
         assert np.array_equal(res.drift_matrix, -0.5 * np.eye(4))
         assert np.array_equal(res.diffusion, res.target)
         assert np.array_equal(res.steady_cm, res.target)
