@@ -660,9 +660,10 @@ def cmd_evolve(args) -> int:
     header = ["t"] + [f"x{i}" for i in range(dim)] + [
         f"V_{i}_{j}" for i in range(dim) for j in range(dim)
     ]
-    rows = [",".join(header)]
-    for t, x, v in zip(traj.times, traj.means, traj.cms):
-        rows.append(",".join([_fmt(t)] + [_fmt(c) for c in x] + [_fmt(c) for c in v.ravel()]))
+    # one row per record, each cell "%.17g", the format of _fmt, applied to the whole row at once
+    table = np.column_stack([traj.times, traj.means, traj.cms.reshape(len(traj.times), -1)])
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    rows = [",".join(header)] + [row_format % tuple(row) for row in table.tolist()]
     _emit("\n".join(rows), args.output)
     return EXIT_OK
 

@@ -255,10 +255,9 @@ def environment_criterion(
                 f"conjugate noise Gram matrix by {dev:.3e}"
             )
         concl = Conclusiveness.IFF
-    elif np.abs(gamma - gamma.T).max() <= tol.residual_tol * max(1.0, np.abs(gamma).max()):
-        concl = Conclusiveness.IFF
     else:
-        concl = Conclusiveness.SUFFICIENT_ONLY
+        asymmetry, scale = dyn._drift_asymmetry  # measured once per model
+        concl = Conclusiveness.IFF if asymmetry <= tol.residual_tol * scale else Conclusiveness.SUFFICIENT_ONLY
     verdict, spectrum, idx = _verdict_of(check_hermitian(tested, tol, what="tested matrix"), tol)
     if isinstance(kind, Uncertainty):
         if idx.negative:

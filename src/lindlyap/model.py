@@ -161,6 +161,25 @@ class GaussianDynamics:
         """Schur form of drift_matrix, factorized on first use and shared by every later reader."""
         return schur_form(self.drift_matrix)
 
+    @cached_property
+    def _drift_asymmetry(self) -> tuple[float, float]:
+        """(max|Gamma - Gamma^T|, max(1, max|Gamma|)) of drift_matrix, measured once per model."""
+        gamma = self.drift_matrix
+        return float(np.abs(gamma - gamma.T).max()), max(1.0, float(np.abs(gamma).max()))
+
+
+def _moment_pair(
+    hessian: np.ndarray, couplings: np.ndarray, tol: Tolerances
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(noise_gram, drift_matrix, diffusion) of a Hessian and the couplings stacked as the rows of C.
+
+    noise_gram = C^T conj(C), checked Hermitian; drift_matrix = J H - Im(noise_gram) J and
+    diffusion = 2 Re(noise_gram).
+    """
+    gram = check_hermitian(couplings.T @ couplings.conj(), tol, what="noise Gram matrix")
+    j = symplectic_form(hessian.shape[0] // 2)
+    return gram, j @ hessian - gram.imag @ j, 2.0 * gram.real
+
 
 def build_dynamics(
     hamiltonian: QuadraticHamiltonian,
@@ -183,10 +202,7 @@ def build_dynamics(
     couplings = np.array([v.coupling for v in lindblad], dtype=complex).reshape(len(lindblad), 2 * n)
     offsets = np.array([v.offset for v in lindblad], dtype=complex)
     shift = (offsets.conj() @ couplings).imag
-    gram = check_hermitian(couplings.T @ couplings.conj(), tol, what="noise Gram matrix")
-    j = symplectic_form(n)
-    drift_matrix = j @ hamiltonian.hessian - gram.imag @ j
-    diffusion = 2.0 * gram.real
+    gram, drift_matrix, diffusion = _moment_pair(hamiltonian.hessian, couplings, tol)
     return GaussianDynamics(
         hessian=hamiltonian.hessian,
         drift_matrix=drift_matrix,
@@ -309,11 +325,20 @@ def mean_fixed_point(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np
 
 @dataclass(frozen=True)
 class LindbladRealization:
-    """A model recovered from a (drift, diffusion) pair."""
+    """A model recovered from a (drift, diffusion) pair.
+
+    couplings holds one jump coupling per row and is read-only, so the
+    LindbladVector objects built from it on the first read of ``vectors`` (or
+    ``spec``), and kept, cannot go stale.
+    """
 
     hamiltonian: QuadraticHamiltonian
     noise_gram: np.ndarray
-    vectors: tuple[LindbladVector, ...]
+    couplings: np.ndarray
+
+    @cached_property
+    def vectors(self) -> tuple[LindbladVector, ...]:
+        return tuple(LindbladVector(c) for c in self.couplings)
 
     @property
     def spec(self) -> ModelSpec:
@@ -332,8 +357,9 @@ def realize_lindblad(
     diffusion / 2 + i Im(noise_gram) and must be PSD for the pair to come from
     a dissipator of the assumed form.  Coupling vectors are read off from its
     eigendecomposition (one per eigenvalue above the zero band), and the
-    pair they rebuild must match the given one within residual_tol plus what
-    the dropped eigenvalues carried.
+    pair they rebuild by the arithmetic of :func:`build_dynamics` must match
+    the given one within residual_tol plus what the dropped eigenvalues
+    carried.
     """
     gamma = read_matrix(drift_matrix, "drift matrix")
     d = np.asarray(diffusion, dtype=float)
@@ -356,18 +382,17 @@ def realize_lindblad(
             "not realizable as a Lindblad dissipator: the implied noise Gram "
             f"matrix has eigenvalue {eigval.min():.6e} below the zero band"
         )
-    vectors = tuple(
-        LindbladVector(np.sqrt(val) * eigvec[:, k])
-        for k, val in enumerate(eigval)
-        if val > band
-    )
+    keep = eigval > band
+    couplings = np.ascontiguousarray((eigvec[:, keep] * np.sqrt(eigval[keep])).T)
+    couplings.flags.writeable = False
 
     ham = QuadraticHamiltonian(hessian)
-    rebuilt = build_dynamics(ham, vectors, tol)
+    _, drift, diff = _moment_pair(ham.hessian, couplings, tol)
     # the dropped eigenvalues lie in the band, so they move a Gram entry by at most one band:
     # the drift (J H - Im(Gram) J) by one band and the diffusion (2 Re(Gram)) by two
     allowed = tol.residual_tol * max(1.0, np.abs(gamma).max(), np.abs(d).max())
-    errs = np.abs(rebuilt.drift_matrix - gamma).max(), np.abs(rebuilt.diffusion - d).max()
-    if errs[0] > allowed + band or errs[1] > allowed + 2.0 * band:
+    errs = np.abs(drift - gamma).max(), np.abs(diff - d).max()
+    # `not <=` also refuses a deviation that overflowed to NaN
+    if not (errs[0] <= allowed + band and errs[1] <= allowed + 2.0 * band):
         raise ValueError(f"realization failed to reproduce the pair, deviation {max(errs):.3e}")
-    return LindbladRealization(hamiltonian=ham, noise_gram=gram, vectors=vectors)
+    return LindbladRealization(hamiltonian=ham, noise_gram=gram, couplings=couplings)

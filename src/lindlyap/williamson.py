@@ -3,7 +3,8 @@
 A positive definite covariance matrix M is diagonalized by a symplectic congruence,
 S M S^T = Lambda = diag(mu, mu); the mu are its symplectic eigenvalues.  The spectrum, the
 normal form and the physicality test all read them off one Hermitian eigensolve of the
-mode-balanced matrix (`_symplectic_eigh`).
+mode-balanced matrix (`_balanced`): the spectrum and the test take its eigenvalues alone, the
+normal form its eigenvectors too (`_symplectic_eigh`).
 
 Reservoir engineering needs no normal form: a covariance V is the unique steady state of the
 pair (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD exactly when V obeys the uncertainty
@@ -43,15 +44,14 @@ class EngineeringError(ValueError):
     """A requested reservoir cannot be built from the given data."""
 
 
-def _symplectic_eigh(v: np.ndarray):
-    """The one symplectic eigensolve: (lam, nu, u, t) of a real symmetric 2n x 2n matrix V.
+def _balanced(v: np.ndarray):
+    """(lam, w, d, h) of a real symmetric 2n x 2n matrix V, the part every symplectic eigensolve shares.
 
-    Each mode is balanced to equal q and p variance by the symplectic scaling D, which leaves nu
-    unchanged and makes an uncorrelated squeezed mode well conditioned.  lam is the spectrum of
-    B = D V D; when B is positive definite, nu (ascending) are the n positive eigenvalues of the
-    Hermitian i B^(1/2) J B^(1/2), u their eigenvectors and t = B^(-1/2) D, else nu, u and t are None.
-    Each u is fixed in phase: its first entry of modulus above half the column's largest is real
-    and positive (the largest alone ties on symmetric two-mode states).
+    Each mode is balanced to equal q and p variance by the symplectic scaling D = diag(d), which
+    leaves nu unchanged and makes an uncorrelated squeezed mode well conditioned.  B = D V D has
+    the eigendecomposition w diag(lam) w^T.  When B is positive definite, the symplectic
+    eigenvalues nu (ascending) are the n positive eigenvalues of the Hermitian
+    h = i B^(1/2) J B^(1/2); else h is None.
     """
     n, var = len(v) // 2, v.diagonal()
     var = np.where(var > 0, var, 1.0)  # a variance <= 0 stays on B's diagonal: B is not positive definite
@@ -59,25 +59,42 @@ def _symplectic_eigh(v: np.ndarray):
     d = np.concatenate([d, 1.0 / d])
     lam, w = np.linalg.eigh(d[:, None] * v * d)
     if lam[0] <= 0:
-        return lam, None, None, None
+        return lam, w, d, None
     root = (w * np.sqrt(lam)) @ w.T
-    nu, u = np.linalg.eigh(1j * (root @ symplectic_form(n) @ root))
+    return lam, w, d, 1j * (root @ symplectic_form(n) @ root)
+
+
+def _definite(m: np.ndarray):
+    """:func:`_balanced` of a matrix that must be positive definite."""
+    lam, w, d, h = _balanced(m)
+    if h is None:
+        raise ValueError(f"matrix must be positive definite, smallest eigenvalue {lam[0]:.6e}")
+    return lam, w, d, h
+
+
+def _nu(h: np.ndarray) -> np.ndarray:
+    """The symplectic eigenvalues, ascending, from the eigenvalues of :func:`_balanced`'s h alone."""
+    return np.linalg.eigvalsh(h)[len(h) // 2 :]
+
+
+def _symplectic_eigh(m: np.ndarray):
+    """(nu, u, t) of a positive definite M: nu as in :func:`_nu`, u the eigenvectors of h for nu,
+    and t = B^(-1/2) D.
+
+    Each u is fixed in phase: its first entry of modulus above half the column's largest is real
+    and positive (the largest alone ties on symmetric two-mode states).
+    """
+    lam, w, d, h = _definite(m)
+    n = len(m) // 2
+    nu, u = np.linalg.eigh(h)
     u, size = u[:, n:], abs(u[:, n:])
     phase = u[np.argmax(size > 0.5 * size.max(axis=0), axis=0), np.arange(n)]
-    return lam, nu[n:], u * (abs(phase) / phase), (w / np.sqrt(lam)) @ w.T * d
-
-
-def _definite_eigh(m: np.ndarray):
-    """:func:`_symplectic_eigh` of a matrix that must be positive definite."""
-    lam, nu, u, t = _symplectic_eigh(m)
-    if nu is None:
-        raise ValueError(f"matrix must be positive definite, smallest eigenvalue {lam[0]:.6e}")
-    return nu, u, t
+    return nu[n:], u * (abs(phase) / phase), (w / np.sqrt(lam)) @ w.T * d
 
 
 def symplectic_spectrum(m: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive definite matrix, descending; a state is physical iff all >= 1."""
-    return _definite_eigh(check_hermitian(read_matrix(m, "matrix")))[0][::-1].copy()
+    return _nu(_definite(check_hermitian(read_matrix(m, "matrix")))[3])[::-1].copy()
 
 
 def is_symplectic(w: np.ndarray) -> bool:
@@ -116,7 +133,7 @@ def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Willia
     """
     m = check_hermitian(read_matrix(m, "matrix"), tol)
     j = symplectic_form(m.shape[0] // 2)
-    mu, u, t = _definite_eigh(m)
+    mu, u, t = _symplectic_eigh(m)
     u = np.sqrt(2 * mu) * u
     dec = WilliamsonDecomposition(s=np.concatenate([u.imag, u.real], axis=1).T @ t, mu=mu)
     scale = max(1.0, np.abs(m).max())
@@ -169,7 +186,7 @@ def _finish_engineering(
 def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
     """Symplectic eigenvalues nu of a covariance matrix V, descending, refusing an unphysical V.
 
-    nu comes from :func:`_symplectic_eigh` on the mode-balanced B.  A relative change eps in B
+    nu comes from :func:`_nu` on the mode-balanced B.  A relative change eps in B
     moves each nu by at most eps cond(B) max(nu), and err is 2n times that.  V is refused when a
     variance is not positive, B is indefinite beyond the zero band, or min(nu) + err < 1 -
     eig_zero_band.  None is returned when err exceeds the zero band; once cond(B) ~ 1/eps,
@@ -179,11 +196,12 @@ def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.n
     n, var = len(v) // 2, np.diag(v)
     if var.min() <= 0:
         raise EngineeringError(f"target is not physical: it has variance {var.min():.17g} <= 0")
-    lam, nu, _, _ = _symplectic_eigh(v)
+    lam, _, _, h = _balanced(v)
     if lam[0] < -tol.eig_zero_band * lam[-1]:
         raise EngineeringError("target is not physical: it is not positive semidefinite")
-    if nu is None:
+    if h is None:
         return None
+    nu = _nu(h)
     err = 2 * n * np.finfo(float).eps * nu[-1] * lam[-1] / lam[0]
     if nu[0] + err < 1.0 - tol.eig_zero_band:
         raise EngineeringError(f"target is not physical: smallest symplectic eigenvalue {nu[0]:.17g} < 1")

@@ -382,7 +382,7 @@ class TestEngineerTolerance:
         s = squeeze_transform(0.3)
         target = write_doc(tmp_path, "t.json", {"cm": ((1 - 1e-7) * (s @ s.T)).tolist()})
         rc, _, err = run(capsys, "engineer", "--target", target)
-        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999939 < 1\n"
+        assert rc == 3 and err == "error: target is not physical: smallest symplectic eigenvalue 0.99999989999999961 < 1\n"
         rc, out, err = run(capsys, "engineer", "--target", target, "--tol", "1e-6")
         assert (rc, err) == (0, "") and "steady-state deviation from target: " in out
 
@@ -471,6 +471,31 @@ class TestEvolve:
         assert lines[0] == "t,x0,x1,V_0_0,V_0_1,V_1_0,V_1_1"
         assert len(lines) == 4  # header, t=0, t=0.5, t=1
         assert float(lines[-1].split(",")[0]) == pytest.approx(1.0)
+
+    def test_csv_rows_are_the_per_cell_format(self, capsys, tmp_path, monkeypatch):
+        """Each CSV row is the comma join of _fmt over t, the mean and the row-major covariance."""
+        evolve, recorded = lindlyap.evolution.evolve, []
+
+        def recording(*args, **kwargs):
+            traj = evolve(*args, **kwargs)
+            # a signed zero, a subnormal, the largest float and an integral value keep their text
+            traj.means[1] = [-0.0, 5e-324, -1.7976931348623157e308, 3.0]
+            recorded.append(traj)
+            return traj
+
+        monkeypatch.setattr(lindlyap.evolution, "evolve", recording)
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, _ = run(capsys, "evolve", model, "--t-end", "30", "--stride", "100")
+        assert rc == 0
+        (traj,) = recorded
+        fmt = lindlyap.cli._fmt
+        want = [
+            ",".join([fmt(t)] + [fmt(c) for c in x] + [fmt(c) for c in v.ravel()])
+            for t, x, v in zip(traj.times, traj.means, traj.cms)
+        ]
+        rows = out.splitlines()[1:]
+        assert rows == want
+        assert rows[1].split(",")[1:5] == ["-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "3"]
 
     def test_default_horizon_needs_stability(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPO", epsilon=1.2, kappa=1.0)

@@ -1,8 +1,12 @@
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lindlyap import (
     Definiteness,
@@ -14,7 +18,14 @@ from lindlyap import (
     reorder,
     symplectic_form,
 )
-from lindlyap.core import check_hermitian, classify_spectrum, hermitian_part, read_matrix, read_number
+from lindlyap.core import (
+    DEFAULT_TOL,
+    check_hermitian,
+    classify_spectrum,
+    hermitian_part,
+    read_matrix,
+    read_number,
+)
 
 
 class TestSymplecticForm:
@@ -318,3 +329,103 @@ class TestNonFiniteRejected:
         assert np.array_equal(check_hermitian(big), big)
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="not Hermitian"):
             check_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))  # the deviation overflows
+
+
+def check_hermitian_without_gate(m, tol=DEFAULT_TOL, what="matrix"):
+    """check_hermitian as it ran on every matrix before its exact-Hermitian fast gate."""
+    dev = np.abs(m - m.conj().T).max()
+    scale = max(1.0, np.abs(m).max())
+    bound = tol.residual_tol * scale
+    if not (dev <= bound < math.inf) and not np.isfinite(m).all():
+        raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
+    if not (dev <= bound):
+        raise ValueError(
+            f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
+            f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"
+        )
+    return hermitian_part(m)
+
+
+TINY = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+
+
+@st.composite
+def near_hermitian(draw):
+    """A real or complex matrix at a scale from 1e-300 to 1e300 that is exactly Hermitian, one ulp
+    off, or far off, with subnormal and signed-zero entries placed in mirrored pairs."""
+    k = draw(st.integers(1, 5))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    b = draw(hnp.arrays(float, (k, k), elements=st.floats(-1.0, 1.0)))
+    m = scale * (b + b.T)
+    if draw(st.booleans()):
+        c = draw(hnp.arrays(float, (k, k), elements=st.floats(-1.0, 1.0)))
+        m = m + 1j * (scale * (c - c.T))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        v = draw(st.sampled_from(TINY))
+        m[i, j] = v
+        m[j, i] = -v if v == 0 and draw(st.booleans()) else v  # a zero may meet its mirror with the other sign
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    off = draw(st.sampled_from(["exact", "ulp", "far"]))
+    if off == "ulp" and np.iscomplexobj(m):
+        z = complex(m[i, j])
+        if i == j:
+            m[i, j] = complex(z.real, np.nextafter(z.imag, np.inf))
+        else:
+            m[i, j] = complex(np.nextafter(z.real, np.inf), z.imag)
+    elif off == "ulp":
+        m[i, j] = np.nextafter(m[i, j], np.inf)
+    elif off == "far" and i != j:
+        m[i, j] += 1e-6 * max(1.0, np.abs(m).max())
+    return m
+
+
+class TestExactHermitianGate:
+    """check_hermitian returns an exactly Hermitian, finite matrix's copy without measuring it; every
+    result and every refusal is bit for bit that of the measured path."""
+
+    @settings(max_examples=300)
+    @given(near_hermitian())
+    def test_same_result_as_the_measured_path(self, m):
+        try:
+            want = check_hermitian_without_gate(m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                check_hermitian(m)
+            assert str(got.value) == str(exc)
+            return
+        out = check_hermitian(m)
+        assert out.dtype == want.dtype and out.shape == want.shape
+        assert out.tobytes() == want.tobytes()  # bit for bit, signed zeros and subnormals included
+        assert not np.shares_memory(out, m)
+
+    def test_an_integer_matrix_comes_back_as_floats(self):
+        m = np.array([[2, 1], [1, 3]])
+        out = check_hermitian(m)
+        assert out.dtype == check_hermitian_without_gate(m).dtype == np.float64
+        assert np.array_equal(out, m)
+
+    def test_an_empty_matrix_is_still_refused(self):
+        for check in (check_hermitian_without_gate, check_hermitian):
+            with pytest.raises(ValueError):
+                check(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            [[INF, 0.5], [0.5, 1.0]],
+            [[1.0, 0.5], [0.5, -INF]],
+            [[complex(-INF, 0.0), 0.5j], [-0.5j, 1.0]],
+            [[NAN, 0.5], [0.5, 1.0]],
+            [[1.0, NAN], [NAN, 1.0]],
+        ],
+        ids=["+inf", "-inf", "complex -inf", "nan diagonal", "nan pair"],
+    )
+    def test_non_finite_symmetric_matrix_refused(self, m):
+        m = np.array(m)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError) as want:
+                check_hermitian_without_gate(m, what="covariance matrix")
+            with pytest.raises(ValueError, match="^covariance matrix is not finite") as got:
+                check_hermitian(m, what="covariance matrix")
+        assert str(got.value) == str(want.value)

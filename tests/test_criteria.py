@@ -34,7 +34,7 @@ from lindlyap import (
     transform_triple,
     xi_matrix,
 )
-from lindlyap.core import DEFAULT_TOL, check_hermitian
+from lindlyap.core import DEFAULT_TOL, Tolerances, check_hermitian
 
 HALF = Partition(2, frozenset({1}))
 
@@ -468,6 +468,18 @@ class TestHermitianChecksPerVerdict:
         assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
         # the shift and the shifted source, on either route: one shifted source serves both
         assert calls == ["shift", "tested matrix"]
+
+    def test_drift_symmetry_is_measured_once_and_judged_per_call(self):
+        """The drift's asymmetry is measured on the model's first environment verdict and kept;
+        each call judges it against its own residual_tol."""
+        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
+        assert "_drift_asymmetry" not in vars(dyn)
+        assert environment_criterion(dyn, Classicality()).conclusiveness is Conclusiveness.SUFFICIENT_ONLY
+        gamma = dyn.drift_matrix
+        assert vars(dyn)["_drift_asymmetry"] == (np.abs(gamma - gamma.T).max(), max(1.0, np.abs(gamma).max()))
+        asymmetry, scale = dyn._drift_asymmetry
+        loose = Tolerances(residual_tol=asymmetry / scale)
+        assert environment_criterion(dyn, Classicality(), loose).conclusiveness is Conclusiveness.IFF
 
     def test_nan_covariance_refused(self):
         # every comparison with NaN is False, so a `dev > bound` test would let this through

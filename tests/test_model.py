@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+import lindlyap.model
 from lindlyap import (
     GaussianDynamics,
     LindbladVector,
@@ -243,6 +244,22 @@ class TestRealizeLindblad:
         """Pure damping with no diffusion violates the noise positivity constraint."""
         with pytest.raises(ValueError, match="not realizable"):
             realize_lindblad(-np.eye(2), np.zeros((2, 2)))
+
+    def test_round_trip_miss_refused(self, monkeypatch):
+        """realize_lindblad rebuilds the pair by the arithmetic build_dynamics uses, one helper for
+        both, and refuses a rebuilt pair beyond its bound."""
+        params = dict(epsilon=0.05, kappa=0.8, zeta=1.5, nbar=0.3)
+        dyn = catalog_build("OPOThermal", params).build()
+        moment_pair = lindlyap.model._moment_pair
+
+        def perturbed(hessian, couplings, tol):
+            # the rebuilt Gram matrix is off by a relative 2e-6, far beyond residual_tol
+            return moment_pair(hessian, couplings * (1 + 1e-6), tol)
+
+        monkeypatch.setattr(lindlyap.model, "_moment_pair", perturbed)
+        with pytest.raises(ValueError, match="^realization failed to reproduce the pair, deviation"):
+            realize_lindblad(dyn.drift_matrix, dyn.diffusion)
+        assert not np.array_equal(catalog_build("OPOThermal", params).build().diffusion, dyn.diffusion)
 
 
 class TestFiniteModelData:

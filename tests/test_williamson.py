@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import random_physical_cm, two_mode_symplectic
 
+import lindlyap.model
 from lindlyap import (
+    DEFAULT_TOL,
     EngineeringError,
     Tolerances,
     catalog_analytic,
@@ -53,6 +55,23 @@ class TestSymplecticSpectrum:
         alpha = 2.0
         m = alpha * squeeze_transform(1.3)
         assert np.allclose(symplectic_spectrum(m), [alpha, alpha], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectrum_takes_no_eigenvectors(self, monkeypatch, seed):
+        """The spectrum and the physicality test take nu from eigvalsh; only the normal form takes
+        the eigenvectors too.  Both give the same nu to rounding."""
+        v = random_physical_cm(np.random.default_rng(seed), 1 + seed)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            fn = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        nu = symplectic_spectrum(v)
+        assert calls == ["eigh", "eigvalsh"]
+        assert np.array_equal(physical_spectrum(v), nu)
+        assert calls == ["eigh", "eigvalsh"] * 2
+        mu = williamson_decompose(v).mu
+        assert calls == ["eigh", "eigvalsh"] * 2 + ["eigh", "eigh"]
+        assert np.abs(nu[::-1] - mu).max() <= 1e-13 * mu.max()
 
     @pytest.mark.parametrize("m", [np.diag([1.0, -1.0]), np.diag([0.0, 1.0]), np.array([[2.0, 3.0], [3.0, 2.0]])])
     def test_rejects_a_matrix_that_is_not_positive_definite(self, m):
@@ -355,3 +374,44 @@ class TestEngineeredPairSolvedOnce:
         res = ENGINEERED[method]()
         assert np.array_equal(res.steady_cm, solve(res.drift_matrix, res.diffusion))
         assert np.abs(res.steady_cm - res.target).max() < 1e-12
+
+
+@pytest.fixture
+def model_constructions(monkeypatch):
+    """Names of the model-layer objects made from here on: build_dynamics runs and LindbladVectors."""
+    calls = []
+    build, vector = lindlyap.model.build_dynamics, lindlyap.model.LindbladVector
+
+    def counted_build(*args, **kwargs):
+        calls.append("build_dynamics")
+        return build(*args, **kwargs)
+
+    def counted_vector(*args, **kwargs):
+        calls.append("LindbladVector")
+        return vector(*args, **kwargs)
+
+    monkeypatch.setattr(lindlyap.model, "build_dynamics", counted_build)
+    monkeypatch.setattr(lindlyap.model, "LindbladVector", counted_vector)
+    return calls
+
+
+class TestRealizationBuiltOnDemand:
+    @pytest.mark.parametrize("method", ENGINEERED)
+    def test_no_model_is_built_to_check_the_realization(self, model_constructions, method):
+        """The round trip is checked on arrays; the vectors are made on their first read and kept."""
+        res = ENGINEERED[method]()
+        assert model_constructions == []
+        assert not res.realization.couplings.flags.writeable
+        vectors = res.realization.vectors
+        assert model_constructions == ["LindbladVector"] * len(vectors)
+        assert res.realization.vectors is vectors
+
+    @pytest.mark.parametrize("method", ENGINEERED)
+    def test_vectors_are_those_of_the_eager_construction(self, method):
+        """One sqrt(eigenvalue) * eigenvector of the noise Gram matrix per eigenvalue above the band."""
+        real = ENGINEERED[method]().realization
+        eigval, eigvec = np.linalg.eigh(real.noise_gram)
+        band = DEFAULT_TOL.eig_zero_band * max(1.0, np.abs(eigval).max())
+        want = [np.sqrt(val) * eigvec[:, k] for k, val in enumerate(eigval) if val > band]
+        assert len(real.vectors) == len(want) > 0
+        assert all(np.array_equal(v.coupling, w) for v, w in zip(real.vectors, want))
