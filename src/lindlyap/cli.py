@@ -15,9 +15,9 @@ or spelled out explicitly
                    "lambda_im": [0.7071067811865476, 0.0],
                    "mu_re": 0.0, "mu_im": 0.0}]}
 
-with an optional "tolerances" object ({"eig_zero_band", "stability_margin",
-"residual_tol"}) in either form.  `engineer` takes a target covariance V
-instead (--target, or --catalog TMTSS --params r=...,nbar=...) and builds
+with an optional "tolerances" object ({"eig_zero_band", "stability_margin", "residual_tol"},
+each relative to the size of what it compares) in either form.  `engineer` takes a target
+covariance V instead (--target, or --catalog TMTSS --params r=...,nbar=...) and builds
 the pair (-I/2, V) after refusing an unphysical V; its symplectic_spectrum
 is null, and sweep's purity and min_symplectic_eig cells are nan, where
 rounding does not resolve the spectrum within the zero band.  All floats
@@ -215,11 +215,6 @@ def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
     return tol
 
 
-def _marginal(abscissa: float, margin: float) -> bool:
-    """Whether a drift that is not asymptotically stable is marginally stable, not unstable."""
-    return abs(abscissa) <= margin
-
-
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
     if n < 2:
         raise ValueError("separability and steerability need at least two modes")
@@ -286,7 +281,7 @@ def cmd_stability(args) -> int:
             "drift spectrum:",
         ]
         lines += ["  " + _fmt_complex(z) for z in report.spectrum]
-        if not report.is_stable and _marginal(report.spectral_abscissa, tol.stability_margin):
+        if report.is_marginal:
             lines.append("note: marginally stable, no unique steady state")
         _emit("\n".join(lines), args.output)
     return EXIT_OK if report.is_stable else EXIT_STABILITY
@@ -629,6 +624,8 @@ def cmd_engineer(args) -> int:
 def cmd_evolve(args) -> int:
     if args.stride < 1:
         raise ValueError(f"--stride must be at least 1, got {args.stride}")
+    if not math.isfinite(args.v0_scale):
+        raise ValueError(f"--v0-scale must be finite, got {args.v0_scale}")
     if args.v0_scale < 0:
         raise ValueError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
@@ -804,7 +801,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UnstableDriftError as exc:
-        kind = "marginally stable" if _marginal(exc.abscissa, exc.margin) else "unstable"
+        kind = "marginally stable" if exc.report.is_marginal else "unstable"
         sys.stderr.write(
             f"error: model is {kind} (spectral abscissa {_fmt(exc.abscissa)}); "
             "this computation needs an asymptotically stable drift matrix\n"

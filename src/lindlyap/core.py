@@ -1,7 +1,7 @@
 """Shared linear-algebra primitives: phase-space conventions, inertia counts,
-definiteness verdicts, tolerance handling, and the readers that turn outside
-input into a number or a 2n x 2n matrix, refusing it with a ValueError that
-names the field.
+definiteness verdicts, the one scale rule of every tolerance, and the readers
+that turn outside input into a number or a 2n x 2n matrix, refusing it with a
+ValueError that names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.  Helpers are provided to convert to and
@@ -57,15 +57,13 @@ def read_matrix(value, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical tolerances used across the package.
+    """Numerical tolerances used across the package, each relative to the size of what it compares.
 
-    eig_zero_band: relative half-width of the band around zero inside which an
-        eigenvalue counts as zero.  The absolute band is
-        eig_zero_band * max(1, max |eigenvalue|) of the matrix at hand.
-    stability_margin: a spectral abscissa must lie below -stability_margin for
-        a generator to count as asymptotically stable.
-    residual_tol: relative tolerance on equation residuals (Lyapunov solves,
-        Hermiticity checks, reconstruction identities).
+    eig_zero_band: half-width of the band around zero inside which an eigenvalue counts as zero.
+    stability_margin: a spectral abscissa must lie below -stability_margin * max |entry| of the drift
+        matrix for it to count as asymptotically stable.
+    residual_tol: tolerance on equation residuals (Lyapunov solves, Hermiticity checks,
+        reconstruction identities).
     """
 
     eig_zero_band: float = 1e-9
@@ -81,6 +79,18 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)  # below it a deviation is underflow noise, not error
+
+
+def within(dev: float, rtol: float, *sizes: float) -> bool:
+    """Whether dev <= rtol times the largest size of the quantities compared, floored only at the smallest
+    normal float: the rule of every relative comparison.  A NaN dev fails."""
+    return bool(dev <= rtol * max(*sizes, _SMALLEST_NORMAL))
+
+
+def zero_band(eig: np.ndarray, tol: Tolerances, *sizes: float) -> float:
+    """eig_zero_band times the size of eig and of ``sizes``, those of terms that can cancel in eig's matrix."""
+    return tol.eig_zero_band * max(float(np.abs(eig).max()) if eig.size else 0.0, *sizes, _SMALLEST_NORMAL)
 
 
 class Layout(enum.Enum):
@@ -147,7 +157,7 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
     """Validate that ``m`` is Hermitian within tolerance and return its Hermitian part.
 
-    The deviation is measured as ||m - m^dag||_inf relative to max(1, ||m||_inf).
+    The deviation ||m - m^dag||_inf is judged relative to ||m||_inf (:func:`within`).
     A matrix with a NaN or infinite entry is rejected as not finite.
 
     Fast gate: a nonempty, finite float or complex m that equals m^dag entry for entry passes every
@@ -159,13 +169,10 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if m.size and m.dtype.kind in "fc" and (m == m.conj().T).all() and np.isfinite(m).all():
         return m.copy()
-    dev = np.abs(m - m.conj().T).max()
-    scale = max(1.0, np.abs(m).max()) if m.size else 1.0
-    bound = tol.residual_tol * scale
-    # a NaN entry makes dev NaN, which fails `<=`; an infinite one makes the bound infinite
-    if not (dev <= bound < math.inf) and not np.isfinite(m).all():
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
-    if not (dev <= bound):
+    dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    if not within(dev, tol.residual_tol, scale):
         raise ValueError(
             f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
             f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"
@@ -195,10 +202,10 @@ class Definiteness(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[InertiaIndex, Definiteness]:
-    """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the
-    zero band and marginality rules of :func:`inertia` and :func:`psd_verdict`."""
-    band = tol.eig_zero_band * max(1.0, float(np.abs(eig).max()) if eig.size else 0.0)
+def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) -> tuple[InertiaIndex, Definiteness]:
+    """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the zero band
+    (:func:`zero_band`, of eig and ``sizes``) and marginality rules of :func:`inertia` and :func:`psd_verdict`."""
+    band = zero_band(eig, tol, *sizes)
     positive = int(np.count_nonzero(eig > band))
     negative = int(np.count_nonzero(eig < -band))
     idx = InertiaIndex(positive=positive, zero=eig.size - positive - negative, negative=negative)
@@ -212,7 +219,7 @@ def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[I
 def inertia(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> InertiaIndex:
     """Count positive, zero, and negative eigenvalues of a Hermitian matrix.
 
-    Eigenvalues within eig_zero_band * max(1, max |eig|) of zero count as zero.
+    Eigenvalues within eig_zero_band * max |eig| of zero (:func:`zero_band`) count as zero.
     Raises ValueError if ``m`` is not Hermitian within residual_tol.
     """
     return classify_spectrum(np.linalg.eigvalsh(check_hermitian(m, tol)), tol)[0]

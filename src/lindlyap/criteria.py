@@ -28,8 +28,10 @@ from .core import (
     Tolerances,
     check_hermitian,
     classify_spectrum,
+    hermitian_part,
     read_matrix,
     symplectic_form,
+    within,
 )
 from .lyapunov import shifted_source
 from .model import GaussianDynamics, require_stable
@@ -188,10 +190,10 @@ _VERDICTS = {
 }
 
 
-def _verdict_of(tested: np.ndarray, tol: Tolerances) -> tuple[Verdict, np.ndarray, InertiaIndex]:
-    # one eigensolve of a Hermitian matrix: the spectrum, its inertia and the verdict all come from it
+def _verdict_of(tested: np.ndarray, tol: Tolerances, size: float) -> tuple[Verdict, np.ndarray, InertiaIndex]:
+    # one eigensolve: spectrum, inertia and verdict; size is that of the shift's terms, which can cancel
     spectrum = np.linalg.eigvalsh(tested)
-    idx, definiteness = classify_spectrum(spectrum, tol)
+    idx, definiteness = classify_spectrum(spectrum, tol, size)
     return _VERDICTS[definiteness], spectrum, idx
 
 
@@ -214,7 +216,7 @@ def state_criterion(
     n = v.shape[0] // 2
     # exactly Hermitian, with no second check: v is, and Xi's entries are 0, +-1 or +-1/2 times i
     tested = v + xi_matrix(kind, n)
-    verdict, spectrum, idx = _verdict_of(tested, tol)
+    verdict, spectrum, idx = _verdict_of(tested, tol, 1.0)  # 1 is max|Xi|, the same for every kind
     return CriterionResult(
         kind=kind,
         level=Level.STATE,
@@ -244,21 +246,22 @@ def environment_criterion(
     gamma = dyn.drift_matrix
     xi = xi_matrix(kind, n)
 
-    tested = shifted_source(dyn.diffusion, gamma, xi, tol)
+    # Hermitian with the diffusion, and not measured against its own size, which cancellation can shrink
+    tested = shifted_source(check_hermitian(dyn.diffusion, tol, what="diffusion"), gamma, xi, tol)
     if isinstance(kind, Uncertainty):
         gram_twice = 2.0 * dyn.noise_gram.conj()
         dev = np.abs(tested - gram_twice).max()
-        scale = max(1.0, np.abs(gram_twice).max())
-        if dev > tol.residual_tol * scale:
+        if not within(dev, tol.residual_tol, np.abs(gram_twice).max(), dyn.drift_schur.size):
             raise RuntimeError(
                 f"internal inconsistency: shifted diffusion deviates from twice the "
                 f"conjugate noise Gram matrix by {dev:.3e}"
             )
         concl = Conclusiveness.IFF
     else:
-        asymmetry, scale = dyn._drift_asymmetry  # measured once per model
-        concl = Conclusiveness.IFF if asymmetry <= tol.residual_tol * scale else Conclusiveness.SUFFICIENT_ONLY
-    verdict, spectrum, idx = _verdict_of(check_hermitian(tested, tol, what="tested matrix"), tol)
+        symmetric = within(dyn._drift_asymmetry, tol.residual_tol, dyn.drift_schur.size)  # both measured once
+        concl = Conclusiveness.IFF if symmetric else Conclusiveness.SUFFICIENT_ONLY
+    # the shift's terms Xi Gamma^T and Gamma Xi have the size of Gamma, as max|Xi| = 1
+    verdict, spectrum, idx = _verdict_of(hermitian_part(tested), tol, dyn.drift_schur.size)
     if isinstance(kind, Uncertainty):
         if idx.negative:
             raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, get_lapack_funcs, rsf2csf
 
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part, within
 from .model import (
     GaussianDynamics,
     SchurForm,
@@ -106,8 +106,8 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
     form = prob.form or schur_form(a)
-    if form.abscissa >= -tol.stability_margin:
-        raise UnstableDriftError("Lyapunov solve", form.abscissa, tol.stability_margin)
+    if not (report := form.stability(tol)).is_stable:
+        raise UnstableDriftError("Lyapunov solve", report)
 
     t, u = form.t, form.u
     real = np.isrealobj(t) and np.isrealobj(q)
@@ -122,11 +122,10 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     # the residual is judged against the size of the equation's terms, 2 |A| |P| + |Q|, the
     # normwise backward error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    # ed., sec. 16.2); a non-normal A makes |P| >> |Q| and then |Q| alone cannot be reached.
-    # Below the smallest normal float a residual is underflow noise, not error.
-    scale = max(2.0 * np.abs(a).max() * np.abs(p).max() + np.abs(q).max(), np.finfo(float).tiny)
+    # ed., sec. 16.2); a non-normal A makes |P| >> |Q| and then |Q| alone cannot be reached
+    scale = 2.0 * form.size * np.abs(p).max() + np.abs(q).max()
     res = np.abs(a @ p + p @ a.conj().T + q).max()
-    if not (res <= tol.residual_tol * scale):
+    if not within(res, tol.residual_tol, scale):
         raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}")
     return p
 
@@ -180,8 +179,7 @@ def solve_integral(
     e, w = _flow(a, q, horizon)
 
     tail = np.abs(e @ q @ e.conj().T).max()
-    scale = np.abs(q).max() or 1.0
-    if tail > tol.residual_tol * scale:
+    if not within(tail, tol.residual_tol, np.abs(q).max()):
         warnings.warn(
             f"integrand norm {tail:.3e} at the horizon has not decayed below "
             f"{tol.residual_tol:.1e} of the source scale; increase the horizon",

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import schur
 
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form, within, zero_band
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -162,10 +162,10 @@ class GaussianDynamics:
         return schur_form(self.drift_matrix)
 
     @cached_property
-    def _drift_asymmetry(self) -> tuple[float, float]:
-        """(max|Gamma - Gamma^T|, max(1, max|Gamma|)) of drift_matrix, measured once per model."""
+    def _drift_asymmetry(self) -> float:
+        """max|Gamma - Gamma^T| of drift_matrix, measured once per model; its scale is drift_schur.size."""
         gamma = self.drift_matrix
-        return float(np.abs(gamma - gamma.T).max()), max(1.0, float(np.abs(gamma).max()))
+        return float(np.abs(gamma - gamma.T).max())
 
 
 def _moment_pair(
@@ -219,8 +219,8 @@ class SchurForm:
 
     For a real matrix t is quasi-upper-triangular and u orthogonal; for a
     complex one t is upper triangular and u unitary.  spectrum is sorted by
-    (real part, imaginary part) and abscissa is its largest real part.  The
-    arrays are read-only.
+    (real part, imaginary part) and abscissa is its largest real part; size is
+    max |entry| of matrix, measured once.  The arrays are read-only.
     """
 
     matrix: np.ndarray
@@ -228,6 +228,13 @@ class SchurForm:
     u: np.ndarray
     spectrum: np.ndarray
     abscissa: float
+    size: float
+
+    def stability(self, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
+        """Stable: abscissa < -margin, where margin = stability_margin * size; marginal: |abscissa| <= margin."""
+        rtol, a = tol.stability_margin, self.abscissa
+        stable, marginal = not within(-a, rtol, self.size), within(abs(a), rtol, self.size)
+        return StabilityReport(stable, a, self.spectrum, rtol * self.size, marginal)
 
 
 def schur_form(matrix: np.ndarray) -> SchurForm:
@@ -254,16 +261,18 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     spectrum = eig[np.lexsort((eig.imag, eig.real))]
     for arr in (a, t, u, spectrum):
         arr.flags.writeable = False
-    return SchurForm(matrix=a, t=t, u=u, spectrum=spectrum, abscissa=float(spectrum[-1].real))
+    return SchurForm(a, t, u, spectrum, float(spectrum[-1].real), float(np.abs(a).max()))
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Spectral stability of a drift matrix."""
+    """Spectral stability of a drift matrix (:meth:`SchurForm.stability`): stable, marginal or unstable."""
 
     is_stable: bool
     spectral_abscissa: float
     spectrum: np.ndarray  # read-only, sorted by (real part, imaginary part)
+    margin: float
+    is_marginal: bool
 
 
 def stability_check(
@@ -271,46 +280,35 @@ def stability_check(
 ) -> StabilityReport:
     """Decide asymptotic stability of a drift matrix (or of a model's drift).
 
-    Stable means every eigenvalue real part lies below -stability_margin.  The
-    spectrum is read off the drift's Schur form: a model's form is computed
+    Stable means every eigenvalue real part lies below -stability_margin * max |entry|
+    of the drift.  The spectrum is read off the drift's Schur form: a model's form is computed
     once and cached on it, a SchurForm is read as given, and a bare matrix,
     which must be finite, is factorized on every call.
     """
-    if isinstance(target, GaussianDynamics):
-        form = target.drift_schur
-    elif isinstance(target, SchurForm):
-        form = target
-    else:
-        form = schur_form(target)
-    return StabilityReport(
-        is_stable=bool(form.abscissa < -tol.stability_margin),
-        spectral_abscissa=form.abscissa,
-        spectrum=form.spectrum,
-    )
+    form = target.drift_schur if isinstance(target, GaussianDynamics) else target
+    return (form if isinstance(form, SchurForm) else schur_form(form)).stability(tol)
 
 
 class UnstableDriftError(ValueError):
     """Refusal of ``what``, which needs an asymptotically stable drift matrix.
 
-    abscissa is the drift's spectral abscissa and margin the stability margin
-    it failed to clear (abscissa >= -margin).
+    report is the failed StabilityReport, abscissa its spectral abscissa and
+    margin its margin, the threshold the abscissa failed to clear (abscissa >= -margin).
     """
 
-    def __init__(self, what: str, abscissa: float, margin: float):
+    def __init__(self, what: str, report: StabilityReport):
+        self.report, self.abscissa, self.margin = report, report.spectral_abscissa, report.margin
         super().__init__(
-            f"{what} needs an asymptotically stable drift matrix (spectral abscissa {abscissa:.6e})"
+            f"{what} needs an asymptotically stable drift matrix (spectral abscissa {self.abscissa:.6e})"
         )
-        self.abscissa = abscissa
-        self.margin = margin
 
 
 def require_stable(
     target: GaussianDynamics | SchurForm | np.ndarray, what: str, tol: Tolerances = DEFAULT_TOL
 ) -> StabilityReport:
     """Stability report of a drift matrix; raises UnstableDriftError naming ``what`` if it is not stable."""
-    report = stability_check(target, tol)
-    if not report.is_stable:
-        raise UnstableDriftError(what, report.spectral_abscissa, tol.stability_margin)
+    if not (report := stability_check(target, tol)).is_stable:
+        raise UnstableDriftError(what, report)
     return report
 
 
@@ -376,7 +374,7 @@ def realize_lindblad(
     gram = 0.5 * d + 1j * gram_imag
 
     eigval, eigvec = np.linalg.eigh(gram)
-    band = tol.eig_zero_band * max(1.0, np.abs(eigval).max() if eigval.size else 0.0)
+    band = zero_band(eigval, tol)
     if eigval.min() < -band:
         raise ValueError(
             "not realizable as a Lindblad dissipator: the implied noise Gram "
@@ -390,9 +388,9 @@ def realize_lindblad(
     _, drift, diff = _moment_pair(ham.hessian, couplings, tol)
     # the dropped eigenvalues lie in the band, so they move a Gram entry by at most one band:
     # the drift (J H - Im(Gram) J) by one band and the diffusion (2 Re(Gram)) by two
-    allowed = tol.residual_tol * max(1.0, np.abs(gamma).max(), np.abs(d).max())
+    sizes = np.abs(gamma).max(), np.abs(d).max()
     errs = np.abs(drift - gamma).max(), np.abs(diff - d).max()
-    # `not <=` also refuses a deviation that overflowed to NaN
-    if not (errs[0] <= allowed + band and errs[1] <= allowed + 2.0 * band):
+    # `within` also refuses a deviation that overflowed to NaN
+    if not all(within(err - slack, tol.residual_tol, *sizes) for err, slack in zip(errs, (band, 2 * band))):
         raise ValueError(f"realization failed to reproduce the pair, deviation {max(errs):.3e}")
     return LindbladRealization(hamiltonian=ham, noise_gram=gram, couplings=couplings)

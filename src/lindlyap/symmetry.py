@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form, within
 from .model import GaussianDynamics, _require_finite, schur_form, stability_check
 from .williamson import STRUCTURE_TOL, is_symplectic
 
@@ -35,9 +35,8 @@ __all__ = [
 ]
 
 
-def _rel_dev(a: np.ndarray, b: np.ndarray) -> float:
-    scale = max(1.0, np.linalg.norm(b))
-    return float(np.linalg.norm(a - b) / scale)
+def _close(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
+    return within(np.linalg.norm(a - b), rtol, np.linalg.norm(b))
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class CovarianceTransform:
         if np.linalg.matrix_rank(w) < len(w):
             raise ValueError("transform must be invertible")
         object.__setattr__(self, "matrix", w)
-        object.__setattr__(self, "is_orthogonal", _rel_dev(w @ w.T, np.eye(len(w))) < STRUCTURE_TOL)
+        object.__setattr__(self, "is_orthogonal", _close(w @ w.T, np.eye(len(w)), STRUCTURE_TOL))
         object.__setattr__(self, "is_symplectic", is_symplectic(w))
 
 
@@ -98,18 +97,18 @@ def invariance_check(
     internal consistency check.
     """
     gamma_t, diffusion_t, _ = transform_triple(gamma, diffusion, w)
-    g_inv = _rel_dev(gamma_t, gamma) <= STRUCTURE_TOL
-    d_inv = _rel_dev(diffusion_t, diffusion) <= STRUCTURE_TOL
+    g_inv = _close(gamma_t, gamma, STRUCTURE_TOL)
+    d_inv = _close(diffusion_t, diffusion, STRUCTURE_TOL)
     implied = g_inv and d_inv
     if implied:
         form = schur_form(gamma)  # one factorization serves the stability check and the solve
         if stability_check(form, tol).is_stable:
             cm = lyapunov.solve(lyapunov.LyapunovProblem(form, diffusion), tol=tol)
-            dev = _rel_dev(np.asarray(w) @ cm @ np.asarray(w).T, cm)
-            if dev > max(STRUCTURE_TOL, 1e3 * tol.residual_tol):
+            cm_t = np.asarray(w) @ cm @ np.asarray(w).T
+            if not _close(cm_t, cm, max(STRUCTURE_TOL, 1e3 * tol.residual_tol)):
                 raise RuntimeError(
-                    f"invariant pair produced a non-invariant stationary covariance "
-                    f"(relative deviation {dev:.3e}); this should be impossible"
+                    f"invariant pair produced a non-invariant stationary covariance (relative "
+                    f"deviation {np.linalg.norm(cm_t - cm) / np.linalg.norm(cm):.3e}); this should be impossible"
                 )
     return InvarianceReport(gamma_invariant=g_inv, diffusion_invariant=d_inv, cm_invariant=implied)
 
@@ -127,11 +126,10 @@ class StructureTemplate(enum.Enum):
 def match_template(m: np.ndarray, template: StructureTemplate) -> bool:
     """Decide whether a 2n x 2n matrix fits a structural template.
 
-    Deviations are measured in Frobenius norm, within STRUCTURE_TOL of max(1, ||m||_F).
+    Deviations are measured in Frobenius norm, within STRUCTURE_TOL of ||m||_F.
     """
     m = read_matrix(m, "matrix")
     n = m.shape[0] // 2
-    scale = max(1.0, np.linalg.norm(m))
     a, b = m[:n, :n], m[:n, n:]
     c, e = m[n:, :n], m[n:, n:]
 
@@ -156,7 +154,7 @@ def match_template(m: np.ndarray, template: StructureTemplate) -> bool:
         dev = np.linalg.norm(j @ m @ j.T - m)
     else:
         raise ValueError(f"unknown template {template!r}")
-    return bool(dev <= STRUCTURE_TOL * scale)
+    return within(dev, STRUCTURE_TOL, np.linalg.norm(m))
 
 
 def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> float | None:
@@ -174,12 +172,12 @@ def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> flo
         return None
     alpha = -np.trace(d) / tr_sym
     dev = np.abs(d + alpha * (gamma + gamma.T)).max()
-    if dev > tol.residual_tol * max(1.0, np.abs(d).max()):
+    if not within(dev, tol.residual_tol, np.abs(d).max()):
         return None
     if stability_check(dyn, tol).is_stable:
         cm = lyapunov.steady_covariance(dyn, tol)
         dev = np.abs(cm - alpha * np.eye(gamma.shape[0])).max()
-        if dev > 1e3 * tol.residual_tol * max(1.0, alpha):
+        if not within(dev, 1e3 * tol.residual_tol, alpha):
             raise RuntimeError(
                 f"isotropic condition held entrywise but the solved covariance "
                 f"deviates from alpha I by {dev:.3e}"
@@ -201,7 +199,7 @@ def symplectic_rotation(y: np.ndarray, z: np.ndarray) -> np.ndarray:
         np.abs(y @ y.T + z @ z.T - np.eye(n)).max(),
         np.abs(y @ z.T - z @ y.T).max(),
     )
-    if dev > STRUCTURE_TOL * max(1.0, np.abs(y).max(), np.abs(z).max()):
+    if not within(dev, STRUCTURE_TOL, 1.0, np.abs(y).max(), np.abs(z).max()):  # 1 is max|I|
         raise ValueError(f"Y + iZ is not unitary, deviation {dev:.3e}")
     return np.block([[y, z], [-z, y]])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form, within, zero_band
 from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
 
 __all__ = [
@@ -98,7 +98,7 @@ def symplectic_spectrum(m: np.ndarray) -> np.ndarray:
 
 
 def is_symplectic(w: np.ndarray) -> bool:
-    """Whether W J W^T = J within STRUCTURE_TOL of max(1, max|W|^2), in max-norm.
+    """Whether W J W^T = J within STRUCTURE_TOL of the larger of max|J| = 1 and max|W|^2, in max-norm.
 
     Max-norms do not square the entries of W J W^T - J, which are of size eps max|W|^2, so the
     test stays finite as long as W J W^T does.
@@ -108,7 +108,7 @@ def is_symplectic(w: np.ndarray) -> bool:
         return False
     j = symplectic_form(w.shape[0] // 2)
     dev = np.abs(w @ j @ w.T - j).max()
-    return bool(dev <= STRUCTURE_TOL * max(1.0, np.abs(w).max() ** 2))
+    return within(dev, STRUCTURE_TOL, 1.0, np.abs(w).max() ** 2)
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,10 @@ def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Willia
     mu, u, t = _symplectic_eigh(m)
     u = np.sqrt(2 * mu) * u
     dec = WilliamsonDecomposition(s=np.concatenate([u.imag, u.real], axis=1).T @ t, mu=mu)
-    scale = max(1.0, np.abs(m).max())
     err_m = np.abs(dec.s @ m @ dec.s.T - dec.lambda_matrix).max()
     err_j = np.abs(dec.s @ j @ dec.s.T - j).max()
-    if err_m > 1e3 * tol.residual_tol * scale or err_j > 1e3 * tol.residual_tol:
+    rtol = 1e3 * tol.residual_tol  # S J S^T is compared with J, of size max|J| = 1
+    if not (within(err_m, rtol, np.abs(m).max()) and within(err_j, rtol, 1.0)):
         raise ValueError(f"decomposition validation failed: |S M S^T - Lambda| = {err_m:.3e}, "
                          f"|S J S^T - J| = {err_j:.3e}")
     return dec
@@ -169,9 +169,8 @@ def _finish_engineering(
         raise EngineeringError(f"engineering infeasible: {exc}") from exc
     problem = lyapunov.LyapunovProblem(form, d)
     cm = lyapunov.solve(problem, tol=tol)
-    scale = max(1.0, np.abs(target).max())
     dev = np.abs(cm - target).max()
-    if dev > 1e3 * tol.residual_tol * scale:
+    if not within(dev, 1e3 * tol.residual_tol, np.abs(target).max()):
         raise EngineeringError(f"engineered pair misses the target by {dev:.3e}")
     return EngineeredReservoir(
         target=target,
@@ -197,15 +196,15 @@ def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.n
     if var.min() <= 0:
         raise EngineeringError(f"target is not physical: it has variance {var.min():.17g} <= 0")
     lam, _, _, h = _balanced(v)
-    if lam[0] < -tol.eig_zero_band * lam[-1]:
+    if lam[0] < -zero_band(lam, tol):
         raise EngineeringError("target is not physical: it is not positive semidefinite")
     if h is None:
         return None
     nu = _nu(h)
     err = 2 * n * np.finfo(float).eps * nu[-1] * lam[-1] / lam[0]
-    if nu[0] + err < 1.0 - tol.eig_zero_band:
+    if not within(1.0 - (nu[0] + err), tol.eig_zero_band, 1.0):  # the vacuum bound nu >= 1, of size 1
         raise EngineeringError(f"target is not physical: smallest symplectic eigenvalue {nu[0]:.17g} < 1")
-    return nu[::-1] if err <= tol.eig_zero_band * max(1.0, nu[-1]) else None
+    return nu[::-1] if within(err, tol.eig_zero_band, nu[-1]) else None
 
 
 def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EngineeredReservoir:
@@ -228,7 +227,7 @@ def engineer_gibbs_target(
     s = np.asarray(transform, dtype=float)
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
-    if alpha < 1.0 - tol.eig_zero_band:
+    if not within(1.0 - alpha, tol.eig_zero_band, 1.0):  # the vacuum bound alpha >= 1, of size 1
         raise EngineeringError(f"alpha must be >= 1 for a physical target, got {alpha}")
     target = alpha * (s @ s.T)  # exactly symmetric: numpy forms S S^T by a symmetric rank-k update
     return _finish_engineering(target, np.diag(np.full(len(s), -0.5)), target, tol)
@@ -256,7 +255,7 @@ def engineer_covariant_target(
     g0 = np.asarray(base_drift, dtype=float)
     d0 = np.asarray(base_diffusion, dtype=float)
     res = np.abs(g0 @ lam + lam @ g0.T + d0).max()
-    if res > tol.residual_tol * max(1.0, np.abs(d0).max()):
+    if not within(res, tol.residual_tol, np.abs(d0).max()):
         raise EngineeringError(
             f"base covariance does not solve the base stationary equation, residual {res:.3e}"
         )

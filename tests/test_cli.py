@@ -508,7 +508,7 @@ class TestEvolve:
             (["--t-end", "inf"], "t_end"),
             (["--dt", "0"], "dt"),
             (["--dt", "-1"], "dt"),
-            (["--v0-scale", "nan"], "v0"),
+            (["--v0-scale", "nan"], "--v0-scale"),
         ],
     )
     def test_bad_input_exits_one(self, capsys, tmp_path, flags, field):
@@ -724,6 +724,8 @@ class TestEvolveFlags:
             (["--stride", "-5"], "--stride must be at least 1, got -5"),
             (["--stride", "0"], "--stride must be at least 1, got 0"),
             (["--v0-scale", "-1"], "--v0-scale must be nonnegative, got -1.0"),
+            (["--v0-scale", "inf"], "--v0-scale must be finite, got inf"),
+            (["--v0-scale", "nan"], "--v0-scale must be finite, got nan"),
         ],
     )
     def test_bad_flag_exits_one(self, capsys, tmp_path, flags, message):

@@ -178,8 +178,9 @@ class TestPsdVerdict:
 
 
 def three_sum_classification(eig, tol):
-    """The counting rule classify_spectrum once used: one reduction per sign class."""
-    band = tol.eig_zero_band * max(1.0, np.abs(eig).max() if eig.size else 0.0)
+    """The counting rule classify_spectrum once used: one reduction per sign class, with the
+    band eig_zero_band * max |eig|."""
+    band = tol.eig_zero_band * (np.abs(eig).max() if eig.size else 0.0)
     idx = InertiaIndex(
         positive=int(np.sum(eig > band)),
         zero=int(np.sum(np.abs(eig) <= band)),
@@ -200,7 +201,7 @@ class TestClassifySpectrum:
         rng = np.random.default_rng(int(1e3 * zero_band) + 17)
         for _ in range(300):
             top = float(rng.choice([0.5, 1.0, 7.0, 1e6]))
-            band = tol.eig_zero_band * max(1.0, top)
+            band = tol.eig_zero_band * top
             edges = [band, -band]
             edges += [np.nextafter(e, d) for e in (band, -band) for d in (np.inf, -np.inf)]
             pool = np.array([top, -top, 0.0, *edges, *rng.uniform(-top, top, 4)])
@@ -332,10 +333,11 @@ class TestNonFiniteRejected:
 
 
 def check_hermitian_without_gate(m, tol=DEFAULT_TOL, what="matrix"):
-    """check_hermitian as it ran on every matrix before its exact-Hermitian fast gate."""
+    """check_hermitian as it runs on every matrix but for its exact-Hermitian fast gate: the
+    deviation judged relative to max|m|, floored only at the smallest normal float."""
     dev = np.abs(m - m.conj().T).max()
-    scale = max(1.0, np.abs(m).max())
-    bound = tol.residual_tol * scale
+    scale = np.abs(m).max()
+    bound = tol.residual_tol * max(scale, np.finfo(float).tiny)
     if not (dev <= bound < math.inf) and not np.isfinite(m).all():
         raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
     if not (dev <= bound):
@@ -376,7 +378,7 @@ def near_hermitian(draw):
     elif off == "ulp":
         m[i, j] = np.nextafter(m[i, j], np.inf)
     elif off == "far" and i != j:
-        m[i, j] += 1e-6 * max(1.0, np.abs(m).max())
+        m[i, j] += 1e-6 * np.abs(m).max()
     return m
 
 

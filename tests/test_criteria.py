@@ -466,18 +466,22 @@ class TestHermitianChecksPerVerdict:
         calls = count_hermitian_checks(monkeypatch)
         res = environment_criterion(dyn, kind)
         assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
-        # the shift and the shifted source, on either route: one shifted source serves both
-        assert calls == ["shift", "tested matrix"]
+        # the diffusion and the shift, on either route: the shifted source is Hermitian with them,
+        # and its terms can cancel below its own size, so it is not measured again
+        assert calls == ["diffusion", "shift"]
 
     def test_drift_symmetry_is_measured_once_and_judged_per_call(self):
         """The drift's asymmetry is measured on the model's first environment verdict and kept;
-        each call judges it against its own residual_tol."""
-        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
+        each call judges it against its own residual_tol, relative to the drift's size (0.1 here)."""
+        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.03, epsilon2=-0.02, kappa=0.1)).build()
         assert "_drift_asymmetry" not in vars(dyn)
         assert environment_criterion(dyn, Classicality()).conclusiveness is Conclusiveness.SUFFICIENT_ONLY
         gamma = dyn.drift_matrix
-        assert vars(dyn)["_drift_asymmetry"] == (np.abs(gamma - gamma.T).max(), max(1.0, np.abs(gamma).max()))
-        asymmetry, scale = dyn._drift_asymmetry
+        assert vars(dyn)["_drift_asymmetry"] == np.abs(gamma - gamma.T).max()
+        asymmetry, scale = dyn._drift_asymmetry, dyn.drift_schur.size
+        assert scale == np.abs(gamma).max()
+        tight = Tolerances(residual_tol=0.99 * asymmetry / scale)
+        assert environment_criterion(dyn, Classicality(), tight).conclusiveness is Conclusiveness.SUFFICIENT_ONLY
         loose = Tolerances(residual_tol=asymmetry / scale)
         assert environment_criterion(dyn, Classicality(), loose).conclusiveness is Conclusiveness.IFF
 

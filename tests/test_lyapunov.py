@@ -185,14 +185,14 @@ class TestBartelsStewart:
         + [("triangular", offset) for offset in (-1e-12, 0.0, 1e-12)],
     )
     def test_refuses_exactly_the_unstable_generators(self, route, offset):
-        """solve refuses a generator iff stability_check does, also next to -stability_margin.
+        """solve refuses a generator iff stability_check does, also next to the margin.
 
         The leading rotation block puts an eigenvalue pair at sigma +- 0.8i with
-        sigma = -stability_margin + offset; the rest is more stable and coupled
-        to it from above, so the generator is non-normal.
+        sigma = -0.25 + offset; the rest is more stable and coupled to it from
+        above, so the generator is non-normal.  stability_margin is 0.25 relative
+        to the generator's size, so the margin is 0.25 to rounding.
         """
-        tol = Tolerances(stability_margin=0.25)
-        sigma = -tol.stability_margin + offset
+        sigma = -0.25 + offset
         t = np.array(
             [
                 [sigma, 0.8, 0.3, -0.5],
@@ -213,6 +213,8 @@ class TestBartelsStewart:
             a = o @ t @ o.T
             if route == "complex source":
                 q = q + 0.5j * np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+        tol = Tolerances(stability_margin=0.25 / np.abs(a).max())
+        assert stability_check(a, tol).margin == pytest.approx(0.25, rel=1e-15)
         if stability_check(a, tol).is_stable:
             p = solve(a, q, tol=tol)
             assert residual(a, p, q) < 1e-12

@@ -147,10 +147,15 @@ class TestStability:
         assert stability_check(dyn).spectral_abscissa == -1.0
 
     def test_cached_spectrum_verdict_follows_tolerance(self):
+        """The margin is stability_margin times the drift's size max|Gamma|, here 0.65."""
         dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()  # abscissa -0.35
+        size = np.abs(dyn.drift_matrix).max()
+        assert size == dyn.drift_schur.size == pytest.approx(0.65)
         assert stability_check(dyn).is_stable
-        assert not stability_check(dyn, Tolerances(stability_margin=0.4)).is_stable
-        assert stability_check(dyn, Tolerances(stability_margin=0.3)).is_stable
+        for margin, stable in ((0.36, False), (0.34, True)):
+            report = stability_check(dyn, Tolerances(stability_margin=margin / size))
+            assert report.is_stable is stable and report.is_marginal is not stable
+            assert report.margin == pytest.approx(margin)
 
 
 class TestUnstableDriftError:
@@ -163,7 +168,7 @@ class TestUnstableDriftError:
         exc = info.value
         assert isinstance(exc, ValueError)
         assert exc.abscissa == stability_check(dyn).spectral_abscissa == pytest.approx(abscissa, abs=1e-12)
-        assert exc.margin == 1e-6
+        assert exc.margin == 1e-6 * np.abs(dyn.drift_matrix).max()
         assert str(exc) == f"mean fixed point needs an asymptotically stable drift matrix (spectral abscissa {exc.abscissa:.6e})"
 
     def test_stable_model_gets_its_report(self):
