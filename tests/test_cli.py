@@ -939,3 +939,65 @@ def test_refusal_table(capsys, tmp_path, argv, doc, code, line):
 def test_refusal_table_documents_are_valid_unspoiled(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", doc))
     assert (rc, err) == (0, "")
+
+
+class TestInProcessEntryPoint:
+    """main(argv) returns the exit code and can be called again: one parser serves every call of a process."""
+
+    def test_one_parser_per_process(self, tmp_path):
+        model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
+        src = os.path.dirname(os.path.dirname(lindlyap.__file__))
+        code = f"""
+import argparse, contextlib, io, json, sys
+sys.path.insert(0, {src!r})
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from lindlyap.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(["steady", {model!r}])]
+    first = len(built)
+    codes += [main(argv) for argv in (["stability", {model!r}], ["no-such-command"], ["steady", {model!r}])]
+print(json.dumps([codes, first, len(built)]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, first, total = json.loads(proc.stdout)
+        assert codes == [0, 0, 1, 0]
+        # the first call builds the parser and its subcommand parsers; the three later calls build none
+        assert first > 1 and total == first
+
+    def test_shared_parser_leaks_nothing_between_calls(self, capsys, tmp_path, monkeypatch):
+        """Each call of a sequence in this process prints and returns what it does first in a fresh one."""
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width, read per call
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        unstable = catalog_doc(tmp_path, "OPO", epsilon=1.2, kappa=1.0)
+        calls = [
+            ["evolve", model, "--stride", "seven"],
+            ["evolve", model, "--stride", "7", "--t-end", "0.05"],
+            ["evolve", model, "--t-end", "0.05"],
+            ["criteria", model, "--json"],
+            ["--help"],
+            ["steady", unstable],
+        ]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindlyap.__file__)))
+        code = "import sys; from lindlyap.cli import main; sys.exit(main(sys.argv[1:]))"
+        fresh = [
+            subprocess.Popen([sys.executable, "-c", code, *argv], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for argv in calls
+        ]
+        shared = [run(capsys, *argv) for argv in calls]
+        want = []
+        for proc in fresh:
+            out, err = proc.communicate(timeout=120)
+            want.append((proc.returncode, out, err))
+        assert shared == want
+        assert [rc for rc, _, _ in shared] == [1, 0, 0, 0, 0, 2]
+        assert shared[0][2].startswith("usage: lindlyap evolve") and "invalid int value: 'seven'" in shared[0][2]
+        # --stride 7 records t = 0, 0.007, ..., 0.049 and the end; the default stride of 200 only t = 0 and the end
+        assert len(shared[1][1].splitlines()) == 10 and len(shared[2][1].splitlines()) == 3
+        assert shared[4][1].startswith("usage: lindlyap [-h]")

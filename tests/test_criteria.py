@@ -464,11 +464,35 @@ class TestHermitianChecksPerVerdict:
     def test_environment_criterion_keeps_its_checks(self, monkeypatch, kind, model, symmetric):
         dyn = model()
         calls = count_hermitian_checks(monkeypatch)
-        res = environment_criterion(dyn, kind)
-        assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
-        # the diffusion and the shift, on either route: the shifted source is Hermitian with them,
-        # and its terms can cancel below its own size, so it is not measured again
-        assert calls == ["diffusion", "shift"]
+        for _ in range(2):
+            res = environment_criterion(dyn, kind)
+            assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
+        # the shift on every call, on either route: the shifted source is Hermitian with it and the
+        # diffusion, and its terms can cancel below its own size, so it is not measured again.  A built
+        # model's diffusion is exactly Hermitian, measured once on the first verdict and not checked.
+        assert vars(dyn)["_diffusion_is_hermitian"] is True
+        assert calls == ["shift", "shift"]
+
+    def test_hand_built_diffusion_is_checked_per_call(self, monkeypatch):
+        """A diffusion that is not exactly Hermitian is judged on every call, against that call's tol."""
+        dyn = opo_thermal(1.5)
+        d = dyn.diffusion.copy()
+        off = 1e-3 * np.abs(d).max()  # 1e-3 relative: inside residual_tol 1e-2, outside the default
+        d[0, 1] += off
+        skewed = dataclasses.replace(dyn, diffusion=d)
+        loose = Tolerances(residual_tol=1e-2)
+        want = environment_criterion(dataclasses.replace(dyn, diffusion=check_hermitian(d, loose)), Classicality())
+        calls = count_hermitian_checks(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^diffusion is not Hermitian"):
+                environment_criterion(skewed, Classicality())
+        assert vars(skewed)["_diffusion_is_hermitian"] is False
+        assert calls == ["diffusion", "diffusion"]
+        calls.clear()
+        for _ in range(2):
+            res = environment_criterion(skewed, Classicality(), loose)
+            assert np.array_equal(res.tested_matrix, want.tested_matrix)
+        assert calls == ["diffusion", "shift"] * 2
 
     def test_drift_symmetry_is_measured_once_and_judged_per_call(self):
         """The drift's asymmetry is measured on the model's first environment verdict and kept;
