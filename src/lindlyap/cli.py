@@ -30,9 +30,6 @@ A refusal is an exception that `main` maps to its code, printing one
 "error: " line on stderr: an UnstableDriftError exits 2, an EngineeringError
 3, and any other ValueError 1; its message names the document field or flag
 at fault.
-
-main(argv) is also the in-process entry point: it returns the exit code rather than exiting,
-is safe to call repeatedly, and every call in a process shares one parser, built on the first.
 """
 
 from __future__ import annotations
@@ -660,10 +657,11 @@ def cmd_evolve(args) -> int:
     header = ["t"] + [f"x{i}" for i in range(dim)] + [
         f"V_{i}_{j}" for i in range(dim) for j in range(dim)
     ]
-    # one row per record, each cell "%.17g", the format of _fmt, applied to the whole table at once
+    # one row per record, each cell "%.17g", the format of _fmt, applied to the whole row at once
     table = np.column_stack([traj.times, traj.means, traj.cms.reshape(len(traj.times), -1)])
-    table_format = "\n".join([",".join(["%.17g"] * table.shape[1])] * table.shape[0])
-    _emit(",".join(header) + "\n" + table_format % tuple(table.ravel().tolist()), args.output)
+    row_format = ",".join(["%.17g"] * table.shape[1])
+    rows = [",".join(header)] + [row_format % tuple(row) for row in table.tolist()]
+    _emit("\n".join(rows), args.output)
     return EXIT_OK
 
 
@@ -797,6 +795,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """The command line as an in-process entry point: parse argv, run it, return the exit code.
+
+    It never exits the interpreter and is safe to call repeatedly; every call in a
+    process shares one parser, built on the first.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

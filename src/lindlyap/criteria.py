@@ -246,11 +246,8 @@ def environment_criterion(
     gamma = dyn.drift_matrix
     xi = xi_matrix(kind, n)
 
-    diffusion = dyn.diffusion
-    if not dyn._diffusion_is_hermitian:  # only a hand-built model: build_dynamics gives 2 Re of a Hermitian Gram
-        diffusion = check_hermitian(diffusion, tol, what="diffusion")
     # Hermitian with the diffusion, and not measured against its own size, which cancellation can shrink
-    tested = shifted_source(diffusion, gamma, xi, tol)
+    tested = shifted_source(check_hermitian(dyn.diffusion, tol, what="diffusion"), gamma, xi, tol)
     if isinstance(kind, Uncertainty):
         gram_twice = 2.0 * dyn.noise_gram.conj()
         dev = np.abs(tested - gram_twice).max()

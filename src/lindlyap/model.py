@@ -167,12 +167,6 @@ class GaussianDynamics:
         gamma = self.drift_matrix
         return float(np.abs(gamma - gamma.T).max())
 
-    @cached_property
-    def _diffusion_is_hermitian(self) -> bool:
-        """Whether diffusion equals its conjugate transpose entry for entry, measured once per model."""
-        d = self.diffusion
-        return bool((d == d.conj().T).all())
-
 
 def _moment_pair(
     hessian: np.ndarray, couplings: np.ndarray, tol: Tolerances
