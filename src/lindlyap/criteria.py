@@ -28,7 +28,6 @@ from .core import (
     Tolerances,
     check_hermitian,
     classify_spectrum,
-    hermitian_part,
     read_matrix,
     symplectic_form,
     within,
@@ -246,7 +245,8 @@ def environment_criterion(
     gamma = dyn.drift_matrix
     xi = xi_matrix(kind, n)
 
-    # Hermitian with the diffusion, and not measured against its own size, which cancellation can shrink
+    # exactly Hermitian, as the checked diffusion is, and not measured against its own size, which
+    # cancellation can shrink
     tested = shifted_source(check_hermitian(dyn.diffusion, tol, what="diffusion"), gamma, xi, tol)
     if isinstance(kind, Uncertainty):
         gram_twice = 2.0 * dyn.noise_gram.conj()
@@ -261,7 +261,7 @@ def environment_criterion(
         symmetric = within(dyn._drift_asymmetry, tol.residual_tol, dyn.drift_schur.size)  # both measured once
         concl = Conclusiveness.IFF if symmetric else Conclusiveness.SUFFICIENT_ONLY
     # the shift's terms Xi Gamma^T and Gamma Xi have the size of Gamma, as max|Xi| = 1
-    verdict, spectrum, idx = _verdict_of(hermitian_part(tested), tol, dyn.drift_schur.size)
+    verdict, spectrum, idx = _verdict_of(tested, tol, dyn.drift_schur.size)
     if isinstance(kind, Uncertainty):
         if idx.negative:
             raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")

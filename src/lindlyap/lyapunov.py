@@ -124,7 +124,8 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     # normwise backward error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     # ed., sec. 16.2); a non-normal A makes |P| >> |Q| and then |Q| alone cannot be reached
     scale = 2.0 * form.size * np.abs(p).max() + np.abs(q).max()
-    res = np.abs(a @ p + p @ a.conj().T + q).max()
+    g = a @ p  # P is exactly Hermitian, so P A^dag = (A P)^dag: one product gives both terms
+    res = np.abs(g + g.conj().T + q).max()
     if not within(res, tol.residual_tol, scale):
         raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}")
     return p
@@ -210,8 +211,17 @@ def shifted_source(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> n
 
     Solving with the shifted source returns P + Xi, so positivity of the
     shifted source certifies P + Xi >= 0 for any stable generator.
+
+    It takes one product, G = A Xi, and returns Q - (G + G^dag): the checked
+    Xi is exactly Hermitian, so Xi A^dag = (A Xi)^dag.  The sum G + G^dag is
+    exactly Hermitian, since its (i, j) entry g_ij + conj(g_ji) and the
+    conjugate of its (j, i) entry add the same two numbers.  So the result is
+    exactly Hermitian whenever Q is, as a criterion's eigensolve needs.  Two
+    subtractions, Q - G - G^dag, would round the mirrored entries in
+    different orders and lose that.
     """
     q = np.asarray(source)
     a = np.asarray(generator)
     xi = check_hermitian(np.asarray(shift), tol, what="shift")
-    return q - xi @ a.conj().T - a @ xi
+    g = a @ xi
+    return q - (g + g.conj().T)

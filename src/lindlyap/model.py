@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import get_lapack_funcs, schur
 
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form, within, zero_band
 
@@ -237,6 +237,15 @@ class SchurForm:
         return StabilityReport(stable, a, self.spectrum, rtol * self.size, marginal)
 
 
+@cache
+def _schur_lwork(dtype: np.dtype, size: int) -> int:
+    """The optimal LAPACK ``gees`` workspace for a size x size matrix of dtype, the one that
+    ``scipy.linalg.schur`` asks for before each factorization.  The query reads the size alone, not
+    the entries, so it is made once per (dtype, size) in a process."""
+    (gees,) = get_lapack_funcs(("gees",), dtype=dtype)
+    return int(gees(lambda *_: None, np.zeros((size, size), dtype), lwork=-1)[-2][0].real)
+
+
 def schur_form(matrix: np.ndarray) -> SchurForm:
     """Factorize a finite square matrix once, by ``scipy.linalg.schur`` in double precision.
 
@@ -249,7 +258,9 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     real = np.isrealobj(matrix)
     a = np.array(matrix, dtype=float if real else complex)
     _require_finite(("drift matrix", a))
-    t, u = schur(a, output="real" if real else "complex", check_finite=False)
+    # floored at 1: schur returns an empty matrix, or refuses a non-square one, before LAPACK runs
+    lwork = _schur_lwork(a.dtype, max((1, *a.shape)))
+    t, u = schur(a, output="real" if real else "complex", lwork=lwork, check_finite=False)
     eig = np.diag(t)
     k = np.flatnonzero(np.diag(t, -1))  # the first row of each 2 x 2 block; a complex t has none
     if k.size:

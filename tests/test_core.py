@@ -213,6 +213,30 @@ class TestClassifySpectrum:
     def test_empty_spectrum(self):
         assert classify_spectrum(np.array([])) == three_sum_classification(np.array([]), Tolerances())
 
+    @pytest.mark.parametrize(
+        "eig, zero_band",
+        [
+            ([float("nan"), 1.0, -2.0], 1e-9),
+            ([1.0, float("nan"), -2.0], 1e-9),
+            ([1.0, -2.0, float("nan")], 1e-9),
+            ([-2.0, float("nan"), float("nan"), 3.0], 0.25),
+            ([float("inf"), 1.0, -2.0], 1e-9),
+            ([1.0, -2.0, float("-inf")], 1e-9),
+            ([float("-inf"), 0.0, float("inf")], 1e-9),
+            ([1.0, float("inf")], 0.0),
+            ([-1.0, float("nan")], 0.0),
+        ],
+        ids=["nan first", "nan middle", "nan last", "two nans", "+inf", "-inf", "both infs",
+             "inf, no band", "nan, no band"],
+    )
+    def test_non_finite_spectrum_counts_as_zero(self, eig, zero_band):
+        """A NaN makes the band NaN, wherever it sits in the spectrum, and an infinity makes it
+        infinite (NaN with no band), so every eigenvalue counts as zero and the verdict is marginal."""
+        eig = np.array(eig)
+        idx, definiteness = classify_spectrum(eig, Tolerances(eig_zero_band=zero_band), 1.0)
+        assert idx == InertiaIndex(positive=0, zero=eig.size, negative=0)
+        assert definiteness is Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
+
 
 class TestTolerances:
     def test_frozen(self):

@@ -231,6 +231,32 @@ class TestEnvironmentCriteria:
         assert np.allclose(one.spectrum, [0.8, 2.3, 2.5, 4.0], atol=1e-12)
 
 
+CATALOG_POINTS = [
+    ("TwoOscThermal", dict(omega1=0.5, omega2=0.9, kappa=1.0, zeta1=0.7, zeta2=1.1, nbar1=0.3, nbar2=0.1)),
+    ("TwoOscRWA", dict(varpi=1.0, Omega=0.3, zeta1=0.5, zeta2=0.7, nbar1=0.2, nbar2=0.4)),
+    ("OPO", dict(epsilon=0.3, kappa=1.0)),
+    ("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)),
+    ("OPOThermal", dict(epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)),
+    ("TMTSS", dict(r=0.8, nbar=0.25)),
+]
+
+
+class TestStoredEnvironmentMatrix:
+    @pytest.mark.parametrize("cid, params", CATALOG_POINTS, ids=[cid for cid, _ in CATALOG_POINTS])
+    def test_spectrum_is_that_of_the_tested_matrix(self, cid, params):
+        """The environment route decomposes the matrix it stores: one equal to its conjugate
+        transpose entry for entry, whose eigvalsh is the stored spectrum bit for bit, for every kind."""
+        dyn = catalog_build(cid, params).build()
+        kinds = [Uncertainty(), Classicality()]
+        if dyn.n > 1:
+            kinds += [Separability(HALF), Steerability(HALF, 1), Steerability(HALF, 2)]
+        for kind in kinds:
+            res = environment_criterion(dyn, kind)
+            tested = res.tested_matrix
+            assert (tested == tested.conj().T).all()
+            assert res.spectrum.tobytes() == np.linalg.eigvalsh(tested).tobytes()
+
+
 class TestThresholds:
     def test_squeezing_flip_of_separability(self):
         """State separability of the squeezed thermal target flips at ln(2 nbar + 1)."""

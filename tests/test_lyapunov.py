@@ -13,9 +13,14 @@ import lindlyap.lyapunov
 import lindlyap.model
 from conftest import random_stable_model
 from lindlyap import (
+    Classicality,
     LyapunovProblem,
+    Partition,
     QuadraticHamiltonian,
+    Separability,
+    Steerability,
     Tolerances,
+    Uncertainty,
     UnstableDriftError,
     build_dynamics,
     catalog_build,
@@ -28,7 +33,9 @@ from lindlyap import (
     steady_state_problem,
     symplectic_form,
     thermal_bath,
+    xi_matrix,
 )
+from lindlyap.core import hermitian_part
 from lindlyap.lyapunov import _flow, _square
 from lindlyap.model import schur_form
 
@@ -325,6 +332,29 @@ class TestShiftedSources:
         assert np.allclose(p, [[0.5, 0.35], [0.35, 0.25]], atol=1e-12)
         assert np.linalg.eigvalsh(p).min() > 0
         assert np.linalg.eigvalsh(q).min() < 0
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.integers(0, 5))
+    def test_exactly_hermitian_with_one_product(self, seed, n, complex_gen, pick):
+        """For an exactly Hermitian Q the shifted source equals its conjugate transpose entry for
+        entry, and Q - Xi A^dag - A Xi to rounding; Xi is a criterion's or a random Hermitian matrix."""
+        rng = np.random.default_rng(seed)
+        dim = 2 * n
+        a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if complex_gen else 0.0)
+        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        q = hermitian_part(b @ b.conj().T)
+        kinds = [Uncertainty(), Classicality()]
+        if n > 1:
+            part = Partition(n, frozenset({n - 1}))
+            kinds += [Separability(part), Steerability(part, 1), Steerability(part, 2)]
+        if pick < len(kinds):
+            xi = xi_matrix(kinds[pick], n)
+        else:
+            xi = hermitian_part(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        out = shifted_source(q, a, xi)
+        assert (out == out.conj().T).all()
+        scale = np.abs(q).max() + dim * np.abs(a).max() * np.abs(xi).max()
+        assert np.abs(out - (q - xi @ a.conj().T - a @ xi)).max() <= 8 * dim * np.finfo(float).eps * scale
 
     def test_shift_must_be_hermitian(self):
         with pytest.raises(ValueError):
