@@ -241,20 +241,21 @@ CATALOG_POINTS = [
 ]
 
 
-class TestStoredEnvironmentMatrix:
+class TestStoredTestedMatrix:
     @pytest.mark.parametrize("cid, params", CATALOG_POINTS, ids=[cid for cid, _ in CATALOG_POINTS])
     def test_spectrum_is_that_of_the_tested_matrix(self, cid, params):
-        """The environment route decomposes the matrix it stores: one equal to its conjugate
-        transpose entry for entry, whose eigvalsh is the stored spectrum bit for bit, for every kind."""
+        """Both routes decompose the matrix they store: one equal to its conjugate transpose entry
+        for entry, whose eigvalsh is the stored spectrum bit for bit, for every kind."""
         dyn = catalog_build(cid, params).build()
+        cm = steady_covariance(dyn)
         kinds = [Uncertainty(), Classicality()]
         if dyn.n > 1:
             kinds += [Separability(HALF), Steerability(HALF, 1), Steerability(HALF, 2)]
         for kind in kinds:
-            res = environment_criterion(dyn, kind)
-            tested = res.tested_matrix
-            assert (tested == tested.conj().T).all()
-            assert res.spectrum.tobytes() == np.linalg.eigvalsh(tested).tobytes()
+            for res in (environment_criterion(dyn, kind), state_criterion(cm, kind)):
+                tested = res.tested_matrix
+                assert (tested == tested.conj().T).all()
+                assert res.spectrum.tobytes() == np.linalg.eigvalsh(tested).tobytes()
 
 
 class TestThresholds:
