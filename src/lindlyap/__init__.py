@@ -11,11 +11,7 @@ from .core import (
     DEFAULT_TOL,
     Definiteness,
     InertiaIndex,
-    Layout,
     Tolerances,
-    inertia,
-    psd_verdict,
-    reorder,
     symplectic_form,
 )
 from .criteria import (
@@ -30,7 +26,6 @@ from .criteria import (
     Verdict,
     environment_criterion,
     state_criterion,
-    steerability_both_parts,
     xi_matrix,
 )
 from .catalog import CatalogId, catalog_analytic, catalog_build, squeeze_transform, thermal_bath

@@ -506,10 +506,7 @@ def cmd_sweep(args) -> int:
     quantities = args.quantity or ["abscissa"]
     for q in quantities:
         if q not in _QUANTITIES:
-            raise ValueError(
-                f"unknown quantity {q!r}; expected abscissa, purity, min_symplectic_eig, "
-                "or <state|env>_<kind>_min_eig"
-            )
+            raise ValueError(f"unknown quantity {q!r}; expected one of {', '.join(_QUANTITIES)}")
     columns = [_QUANTITIES[q] for q in quantities]
     thresholds = [_parse_threshold_spec(s, cid) for s in (args.threshold or [])]
     bracket = _fields(args.threshold_range, "--threshold-range", "A:B", (_finite, _finite))
@@ -716,10 +713,11 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lindlyap", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True):
+    def add_common(p, model=True, json_flag=True):
         if model:
             p.add_argument("model", help="path to a model JSON document")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--tol", type=float, default=None, help="override eig_zero_band and residual_tol")
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
 
@@ -747,7 +745,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_criteria)
 
     p = sub.add_parser("sweep", help="scan catalog parameters, CSV output")
-    add_common(p)
+    add_common(p, json_flag=False)
     p.add_argument("--param", required=True, help="catalog parameter to sweep")
     p.add_argument("--range", required=True, help="A:B:STEPS for --param")
     p.add_argument("--param2", default=None, help="optional second parameter")
@@ -756,7 +754,7 @@ def build_parser() -> _Parser:
         "--quantity",
         action="append",
         help="column to report (repeatable): abscissa, purity, min_symplectic_eig, "
-        "or <state|env>_<kind>_min_eig; default abscissa",
+        f"or <state|env>_<kind>_min_eig with <kind> one of {', '.join(_KINDS)}; default abscissa",
     )
     p.add_argument(
         "--threshold",

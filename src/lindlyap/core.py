@@ -1,11 +1,10 @@
-"""Shared linear-algebra primitives: phase-space conventions, inertia counts,
-definiteness verdicts, the one scale rule of every tolerance, and the readers
-that turn outside input into a number or a 2n x 2n matrix, refusing it with a
-ValueError that names the field.
+"""Shared linear-algebra primitives: the symplectic form, inertia counts and
+definiteness verdicts of a spectrum, the one scale rule of every tolerance, and
+the readers that turn outside input into a number or a 2n x 2n matrix, refusing
+it with a ValueError that names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
-positions first, then all momenta.  Helpers are provided to convert to and
-from the interleaved ordering (q_1, p_1, q_2, p_2, ...).
+positions first, then all momenta.
 """
 
 from __future__ import annotations
@@ -20,15 +19,12 @@ import numpy as np
 
 __all__ = [
     "Tolerances",
-    "Layout",
+    "DEFAULT_TOL",
     "InertiaIndex",
     "Definiteness",
     "symplectic_form",
-    "reorder",
     "hermitian_part",
     "check_hermitian",
-    "inertia",
-    "psd_verdict",
     "classify_spectrum",
     "read_number",
     "read_matrix",
@@ -51,8 +47,8 @@ def read_matrix(value, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a numeric matrix: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if m.shape[0] % 2:
-        raise ValueError(f"{what} must be 2n x 2n, got shape {m.shape}")
+    if m.shape[0] % 2 or not m.size:
+        raise ValueError(f"{what} must be 2n x 2n with n >= 1, got shape {m.shape}")
     return m
 
 
@@ -94,13 +90,6 @@ def zero_band(eig: np.ndarray, tol: Tolerances, *sizes: float) -> float:
     return tol.eig_zero_band * max(float(np.abs(eig).max()) if eig.size else 0.0, *sizes, _SMALLEST_NORMAL)
 
 
-class Layout(enum.Enum):
-    """Orderings of the 2n phase-space coordinates."""
-
-    BLOCK_QP = "block_qp"  # (q_1..q_n, p_1..p_n)
-    INTERLEAVED_QP = "interleaved_qp"  # (q_1, p_1, q_2, p_2, ...)
-
-
 @functools.lru_cache(maxsize=64)
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form J = [[0, I], [-I, 0]] (block layout).
@@ -117,34 +106,6 @@ def symplectic_form(n: int) -> np.ndarray:
     return j
 
 
-def _block_to_interleaved_perm(n: int) -> np.ndarray:
-    # perm[k] = index in block layout of the k-th interleaved coordinate
-    perm = np.empty(2 * n, dtype=int)
-    perm[0::2] = np.arange(n)
-    perm[1::2] = np.arange(n) + n
-    return perm
-
-
-def reorder(m: np.ndarray, src: Layout, dst: Layout) -> np.ndarray:
-    """Re-index a 2n-vector or 2n x 2n matrix between coordinate layouts."""
-    m = np.asarray(m)
-    if m.shape[0] % 2:
-        raise ValueError(f"phase-space dimension must be even, got {m.shape[0]}")
-    if src == dst:
-        return m.copy()
-    n = m.shape[0] // 2
-    perm = _block_to_interleaved_perm(n)
-    if src == Layout.BLOCK_QP:
-        take = perm
-    else:
-        take = np.argsort(perm)
-    if m.ndim == 1:
-        return m[take]
-    if m.ndim == 2 and m.shape[0] == m.shape[1]:
-        return m[np.ix_(take, take)]
-    raise ValueError(f"expected a 2n vector or 2n x 2n matrix, got shape {m.shape}")
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(m + m^dag) / 2, halved before the sum so that entries near the largest float cannot overflow.
 
@@ -159,7 +120,7 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
     """Validate that ``m`` is Hermitian within tolerance and return its Hermitian part.
 
     The deviation ||m - m^dag||_inf is judged relative to ||m||_inf (:func:`within`).
-    A matrix with a NaN or infinite entry is rejected as not finite.
+    An empty matrix is refused, and one with a NaN or infinite entry is rejected as not finite.
 
     Fast gate: a nonempty, finite float or complex m that equals m^dag entry for entry passes every
     test below and is its own Hermitian part, so ``m.copy()`` is returned after one comparison and one
@@ -171,6 +132,8 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
     kind = m.dtype.kind
     if m.size and kind in "fc" and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all():
         return m.copy()
+    if not m.size:
+        raise ValueError(f"{what} is empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
     dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
@@ -206,7 +169,8 @@ class Definiteness(enum.Enum):
 
 def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) -> tuple[InertiaIndex, Definiteness]:
     """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the zero band
-    (:func:`zero_band`, of eig and ``sizes``) and marginality rules of :func:`inertia` and :func:`psd_verdict`.
+    (:func:`zero_band`, of eig and ``sizes``): an eigenvalue inside the band counts as zero, and a
+    spectrum with none below the band but at least one inside it is marginal.
 
     The eigenvalues may come in any order: sortedness is not assumed.  They are read as the Python
     floats of one ``eig.tolist()``, sorted, and counted by bisection, which for the few eigenvalues of
@@ -228,20 +192,3 @@ def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) ->
     if idx.zero > 0:
         return idx, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
     return idx, Definiteness.POSITIVE_DEFINITE
-
-
-def inertia(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> InertiaIndex:
-    """Count positive, zero, and negative eigenvalues of a Hermitian matrix.
-
-    Eigenvalues within eig_zero_band * max |eig| of zero (:func:`zero_band`) count as zero.
-    Raises ValueError if ``m`` is not Hermitian within residual_tol.
-    """
-    return classify_spectrum(np.linalg.eigvalsh(check_hermitian(m, tol)), tol)[0]
-
-
-def psd_verdict(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Definiteness:
-    """Classify a Hermitian matrix as PD, marginally PSD, or indefinite.
-
-    Marginal means no eigenvalue below the zero band but at least one inside it.
-    """
-    return classify_spectrum(np.linalg.eigvalsh(check_hermitian(m, tol)), tol)[1]

@@ -48,7 +48,6 @@ __all__ = [
     "xi_matrix",
     "state_criterion",
     "environment_criterion",
-    "steerability_both_parts",
 ]
 
 
@@ -276,23 +275,3 @@ def environment_criterion(
         conclusiveness=concl,
         label=_ppt_label(kind, verdict),
     )
-
-
-def steerability_both_parts(
-    target: GaussianDynamics | np.ndarray,
-    partition: Partition,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[CriterionResult, CriterionResult]:
-    """Steering tests in both directions: (part one steered, part two steered).
-
-    Evaluates at the environment level when given a model and at the state
-    level when given a covariance matrix.
-    """
-    results = []
-    for steered in (1, 2):
-        kind = Steerability(partition, steered)
-        if isinstance(target, GaussianDynamics):
-            results.append(environment_criterion(target, kind, tol))
-        else:
-            results.append(state_criterion(target, kind, tol))
-    return tuple(results)

@@ -258,7 +258,9 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     real = np.isrealobj(matrix)
     a = np.array(matrix, dtype=float if real else complex)
     _require_finite(("drift matrix", a))
-    # floored at 1: schur returns an empty matrix, or refuses a non-square one, before LAPACK runs
+    if not a.size:
+        raise ValueError(f"drift matrix is empty, got shape {a.shape}")
+    # floored at 1: schur refuses a matrix that is not square before LAPACK runs
     lwork = _schur_lwork(a.dtype, max((1, *a.shape)))
     t, u = schur(a, output="real" if real else "complex", lwork=lwork, check_finite=False)
     eig = np.diag(t)

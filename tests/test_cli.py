@@ -270,7 +270,9 @@ class TestSweep:
         assert np.abs(rows[:2, 1:] - [1 / 1.96, 1.4]).max() <= 1e-10
         assert np.isnan(rows[2:, 1:]).all()
 
-    def test_unknown_quantity(self, capsys, tmp_path):
+    @pytest.mark.parametrize("quantity", ["entropy", "env_steerability_min_eig"])
+    def test_unknown_quantity(self, capsys, tmp_path, quantity):
+        """The refusal lists every column name, the steering columns included."""
         rc, _, err = run(
             capsys,
             "sweep",
@@ -280,9 +282,16 @@ class TestSweep:
             "--range",
             "1:2:2",
             "--quantity",
-            "entropy",
+            quantity,
         )
         assert rc == 1 and "unknown quantity" in err
+        assert "env_steerability_part1_min_eig" in err
+
+    def test_json_is_not_an_option(self, capsys, tmp_path):
+        """sweep prints CSV only, so --json is refused as an unknown flag rather than ignored."""
+        rc, out, err = run(capsys, "sweep", self.model(tmp_path), "--param", "zeta", "--range", "1:2:2", "--json")
+        assert (rc, out) == (1, "")
+        assert any("--json" in line for line in err.splitlines())
 
     def test_threshold_kind_validated(self, capsys, tmp_path):
         rc, _, err = run(
@@ -797,7 +806,7 @@ def matrix_rows(argv, what):
                    f"{what} must be a numeric matrix: could not convert string to float: 'abc'"),
         matrix_doc(argv, {"cm": [[2.0, 0.0, 0.0]]}, f"{what} must be square, got shape (1, 3)"),
         matrix_doc(argv, [[2.0, 0.0, 0.0]], f"{what} must be square, got shape (1, 3)"),
-        matrix_doc(argv, {"cm": [[2.0]]}, f"{what} must be 2n x 2n, got shape (1, 1)"),
+        matrix_doc(argv, {"cm": [[2.0]]}, f"{what} must be 2n x 2n with n >= 1, got shape (1, 1)"),
         matrix_doc(argv, {"cm": [[2.0, None], [None, 2.0]]}, f"{what} is not finite: it has a NaN or infinite entry"),
         matrix_doc(argv, {"cm": [[2.0, 0.5], [0.0, 2.0]]}, f"{what} {NOT_SYMMETRIC}"),
     ]
@@ -842,7 +851,7 @@ REFUSALS = [
     field(FULL_DOC, ("hessian",), None, '"hessian" must be square, got shape ()'),
     field(FULL_DOC, ("hessian",), "abc", "\"hessian\" must be a numeric matrix: could not convert string to float: 'abc'"),
     field(FULL_DOC, ("hessian",), [[0.0, 0.15, 0.0]], '"hessian" must be square, got shape (1, 3)'),
-    field(FULL_DOC, ("hessian",), [[1.0]], '"hessian" must be 2n x 2n, got shape (1, 1)'),
+    field(FULL_DOC, ("hessian",), [[1.0]], '"hessian" must be 2n x 2n with n >= 1, got shape (1, 1)'),
     field(FULL_DOC, ("hessian",), [[0.0, None], [None, 0.0]], "hessian is not finite: it has a NaN or infinite entry"),
     field(FULL_DOC, ("xi",), None, '"xi" must have length 2, got shape ()'),
     field(FULL_DOC, ("xi",), "abc", "\"xi\" must be a numeric vector: could not convert string to float: 'abc'"),

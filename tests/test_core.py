@@ -1,3 +1,6 @@
+import ast
+import importlib
+import inspect
 import math
 import re
 import warnings
@@ -8,15 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lindlyap
 from lindlyap import (
     Definiteness,
     InertiaIndex,
-    Layout,
+    QuadraticHamiltonian,
     Tolerances,
-    inertia,
-    psd_verdict,
-    reorder,
+    Uncertainty,
+    physical_spectrum,
+    realize_lindblad,
+    solve,
+    stability_check,
+    state_criterion,
     symplectic_form,
+    williamson_decompose,
 )
 from lindlyap.core import (
     DEFAULT_TOL,
@@ -46,43 +54,6 @@ class TestSymplecticForm:
     def test_rejects_zero_modes(self):
         with pytest.raises(ValueError):
             symplectic_form(0)
-
-
-class TestReorder:
-    def test_vector_roundtrip(self):
-        x = np.arange(6.0)  # (q1, q2, q3, p1, p2, p3)
-        y = reorder(x, Layout.BLOCK_QP, Layout.INTERLEAVED_QP)
-        assert np.array_equal(y, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
-        assert np.array_equal(reorder(y, Layout.INTERLEAVED_QP, Layout.BLOCK_QP), x)
-
-    def test_matrix_congruence(self):
-        """Reordering a matrix permutes rows and columns consistently."""
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(6, 6))
-        mi = reorder(m, Layout.BLOCK_QP, Layout.INTERLEAVED_QP)
-        assert np.allclose(np.sort(np.linalg.eigvals(mi)), np.sort(np.linalg.eigvals(m)))
-        assert np.array_equal(reorder(mi, Layout.INTERLEAVED_QP, Layout.BLOCK_QP), m)
-
-    def test_interleaved_form_is_block_diagonal(self):
-        # J becomes a direct sum of 2x2 rotations in the interleaved layout
-        j = reorder(symplectic_form(3), Layout.BLOCK_QP, Layout.INTERLEAVED_QP)
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        for k in range(3):
-            assert np.array_equal(j[2 * k : 2 * k + 2, 2 * k : 2 * k + 2], block)
-        off = j.copy()
-        for k in range(3):
-            off[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = 0.0
-        assert not off.any()
-
-    def test_same_layout_copies(self):
-        m = np.eye(4)
-        out = reorder(m, Layout.BLOCK_QP, Layout.BLOCK_QP)
-        assert out is not m
-        assert np.array_equal(out, m)
-
-    def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            reorder(np.zeros(3), Layout.BLOCK_QP, Layout.INTERLEAVED_QP)
 
 
 class TestHermitianHelpers:
@@ -124,59 +95,6 @@ class TestHermitianHelpers:
         assert np.array_equal(out, m)
 
 
-class TestInertia:
-    def test_counts(self):
-        idx = inertia(np.diag([3.0, -1.0, 0.0, 2.0]))
-        assert idx == InertiaIndex(positive=2, zero=1, negative=1)
-        assert idx.total == 4
-
-    def test_str_format(self):
-        assert str(InertiaIndex(2, 1, 1)) == "(+2, 0:1, -1)"
-
-    def test_zero_band_is_relative(self):
-        """Tiny eigenvalues on a large-norm matrix fall inside the zero band."""
-        idx = inertia(np.diag([1e9, 1e-3]))
-        assert idx == InertiaIndex(positive=1, zero=1, negative=0)
-        # the same small value next to order-one entries is a genuine eigenvalue
-        idx = inertia(np.diag([1.0, 1e-3]))
-        assert idx == InertiaIndex(positive=2, zero=0, negative=0)
-
-    def test_congruence_invariance(self):
-        rng = np.random.default_rng(3)
-        m = np.diag([2.0, 1.0, 0.0, -1.5])
-        for _ in range(5):
-            s = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
-            assert abs(np.linalg.det(s)) > 1e-3
-            assert inertia(s.T @ m @ s) == inertia(m)
-
-    def test_complex_hermitian(self):
-        j = symplectic_form(1)
-        idx = inertia(1j * j)  # eigenvalues +1 and -1
-        assert idx == InertiaIndex(positive=1, zero=0, negative=1)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            inertia(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdVerdict:
-    @pytest.mark.parametrize(
-        "diag, expected",
-        [
-            ([1.0, 2.0], Definiteness.POSITIVE_DEFINITE),
-            ([1.0, 0.0], Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL),
-            ([1.0, -0.5], Definiteness.INDEFINITE),
-        ],
-    )
-    def test_basic(self, diag, expected):
-        assert psd_verdict(np.diag(diag)) is expected
-
-    def test_band_controls_marginality(self):
-        m = np.diag([1.0, 1e-12])
-        assert psd_verdict(m) is Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
-        assert psd_verdict(m, Tolerances(eig_zero_band=1e-14)) is Definiteness.POSITIVE_DEFINITE
-
-
 def three_sum_classification(eig, tol):
     """The counting rule classify_spectrum once used: one reduction per sign class, with the
     band eig_zero_band * max |eig|."""
@@ -210,8 +128,27 @@ class TestClassifySpectrum:
             rng.shuffle(eig)
             assert classify_spectrum(eig, tol) == three_sum_classification(eig, tol)
 
-    def test_empty_spectrum(self):
-        assert classify_spectrum(np.array([])) == three_sum_classification(np.array([]), Tolerances())
+    @pytest.mark.parametrize(
+        "eig, zero_band, expected",
+        [
+            ([], 1e-9, (InertiaIndex(0, 0, 0), Definiteness.POSITIVE_DEFINITE)),
+            ([3.0, -1.0, 0.0, 2.0], 1e-9, (InertiaIndex(2, 1, 1), Definiteness.INDEFINITE)),
+            ([1e9, 1e-3], 1e-9, (InertiaIndex(1, 1, 0), Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL)),
+            ([1.0, 1e-3], 1e-9, (InertiaIndex(2, 0, 0), Definiteness.POSITIVE_DEFINITE)),
+            ([1.0, 1e-12], 1e-9, (InertiaIndex(1, 1, 0), Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL)),
+            ([1.0, 1e-12], 1e-14, (InertiaIndex(2, 0, 0), Definiteness.POSITIVE_DEFINITE)),
+        ],
+        ids=["empty", "mixed signs", "1e-3 next to 1e9", "1e-3 next to 1", "1e-12 in the band",
+             "1e-12 past a narrower band"],
+    )
+    def test_pinned_spectra(self, eig, zero_band, expected):
+        """The band is relative: 1e-3 counts as zero next to 1e9 but not next to 1; and
+        eig_zero_band alone decides whether a small eigenvalue makes the spectrum marginal."""
+        eig, tol = np.array(eig), Tolerances(eig_zero_band=zero_band)
+        assert classify_spectrum(eig, tol) == expected == three_sum_classification(eig, tol)
+
+    def test_inertia_str_format(self):
+        assert str(InertiaIndex(2, 1, 1)) == "(+2, 0:1, -1)"
 
     @pytest.mark.parametrize(
         "eig, zero_band",
@@ -295,12 +232,47 @@ class TestReaders:
             ([1.0, 2.0], "the field must be square, got shape (2,)"),
             ([[1.0, 2.0]], "the field must be square, got shape (1, 2)"),
             (np.zeros((2, 2, 2)), "the field must be square, got shape (2, 2, 2)"),
-            (np.eye(3), "the field must be 2n x 2n, got shape (3, 3)"),
+            (np.eye(3), "the field must be 2n x 2n with n >= 1, got shape (3, 3)"),
+            (np.zeros((0, 0)), "the field must be 2n x 2n with n >= 1, got shape (0, 0)"),
         ],
     )
     def test_matrix_refusals_name_the_field(self, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_matrix(value, "the field")
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: stability_check(EMPTY), "drift matrix"),
+        (lambda: solve(EMPTY, EMPTY), "source"),
+        (lambda: state_criterion(EMPTY, Uncertainty()), "covariance matrix"),
+        (lambda: williamson_decompose(EMPTY), "matrix"),
+        (lambda: physical_spectrum(EMPTY), "target covariance matrix"),
+        (lambda: QuadraticHamiltonian(EMPTY), "hessian"),
+        (lambda: realize_lindblad(EMPTY, EMPTY), "drift matrix"),
+    ],
+    ids=["stability_check", "solve", "state_criterion", "williamson_decompose", "physical_spectrum",
+         "QuadraticHamiltonian", "realize_lindblad"],
+)
+def test_empty_matrix_refused_by_name(call, what):
+    with pytest.raises(ValueError, match=f"^{what} (must be 2n x 2n with n >= 1|is empty), got shape \\(0, 0\\)$"):
+        call()
+
+
+def test_package_exports_are_in_their_modules_all():
+    """Every name the package imports from a module is in that module's __all__, so a name deleted
+    from a module cannot stay exported."""
+    tree = ast.parse(inspect.getsource(lindlyap))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"lindlyap.{node.module}")
+        missing = [alias.name for alias in node.names if alias.name not in module.__all__]
+        assert not missing, f"lindlyap.{node.module}.__all__ lacks {missing}"
 
 
 class TestSharedSymplecticForm:
@@ -342,12 +314,6 @@ class TestNonFiniteRejected:
                 check_hermitian(np.array(m), what="covariance matrix")
             with pytest.raises(ValueError, match="not finite"):
                 check_hermitian(np.array(m), Tolerances(residual_tol=0.0))
-
-    def test_verdicts_refuse_nan(self):
-        m = np.array([[1.0, NAN], [NAN, 1.0]])
-        for verdict in (psd_verdict, inertia):
-            with pytest.raises(ValueError, match="not finite"):
-                verdict(m)
 
     def test_finite_extremes_accepted(self):
         big = np.array([[1e300, -1e300], [-1e300, 1e300]])

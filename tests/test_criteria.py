@@ -22,19 +22,16 @@ from lindlyap import (
     catalog_analytic,
     catalog_build,
     environment_criterion,
-    inertia,
     local_rotation,
     mean_fixed_point,
-    psd_verdict,
     stability_check,
     state_criterion,
     steady_covariance,
-    steerability_both_parts,
     symplectic_form,
     transform_triple,
     xi_matrix,
 )
-from lindlyap.core import DEFAULT_TOL, Tolerances, check_hermitian
+from lindlyap.core import DEFAULT_TOL, Tolerances, check_hermitian, classify_spectrum
 
 HALF = Partition(2, frozenset({1}))
 
@@ -145,7 +142,8 @@ class TestStateCriteria:
     def test_product_thermal_is_separable_and_unsteerable(self):
         v = np.diag([1.8, 1.8, 3.0, 3.0])  # block layout, two modes
         assert state_criterion(v, Separability(HALF)).verdict is Verdict.HOLDS
-        one, two = steerability_both_parts(v, HALF)
+        one = state_criterion(v, Steerability(HALF, 1))
+        two = state_criterion(v, Steerability(HALF, 2))
         assert one.verdict is Verdict.HOLDS
         assert two.verdict is Verdict.HOLDS
 
@@ -213,7 +211,8 @@ class TestEnvironmentCriteria:
         dyn = catalog_build(
             "CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)
         ).build()
-        one, two = steerability_both_parts(dyn, HALF)
+        one = environment_criterion(dyn, Steerability(HALF, 1))
+        two = environment_criterion(dyn, Steerability(HALF, 2))
         r17, r5 = np.sqrt(17.0), np.sqrt(5.0)
         assert np.allclose(
             one.spectrum, [(3.0 - r17) / 2, 0.0, 1.0, (3.0 + r17) / 2], atol=1e-10
@@ -226,7 +225,8 @@ class TestEnvironmentCriteria:
 
     def test_symmetric_model_steers_equally_both_ways(self):
         dyn = opo_thermal(1.5)
-        one, two = steerability_both_parts(dyn, HALF)
+        one = environment_criterion(dyn, Steerability(HALF, 1))
+        two = environment_criterion(dyn, Steerability(HALF, 2))
         assert np.allclose(one.spectrum, two.spectrum, atol=1e-12)
         assert np.allclose(one.spectrum, [0.8, 2.3, 2.5, 4.0], atol=1e-12)
 
@@ -275,7 +275,7 @@ class TestThresholds:
         target = lambda r: catalog_analytic("TMTSS", "target_cm", dict(r=r, nbar=nbar))
 
         def min_eig(r):
-            one, _ = steerability_both_parts(target(r), HALF)
+            one = state_criterion(target(r), Steerability(HALF, 1))
             return one.spectrum[0]
 
         flip = locate_flip(min_eig, 1e-6, 4.0)
@@ -338,7 +338,8 @@ class TestHierarchy:
             clas = state_criterion(v, Classicality()).spectrum[0]
             sep = state_criterion(v, Separability(part)).spectrum[0]
             unc = state_criterion(v, Uncertainty()).spectrum[0]
-            one, two = steerability_both_parts(v, part)
+            one = state_criterion(v, Steerability(part, 1))
+            two = state_criterion(v, Steerability(part, 2))
             # V + i T J T - (V - I) = I + i T J T >= 0, so the PPT floor dominates
             assert sep >= clas - 1e-11
             # the steering matrix is the average of the uncertainty and PPT matrices
@@ -350,7 +351,8 @@ class TestHierarchy:
             "CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)
         ).build()
         v = steady_covariance(dyn)
-        one, two = steerability_both_parts(v, HALF)
+        one = state_criterion(v, Steerability(HALF, 1))
+        two = state_criterion(v, Steerability(HALF, 2))
         sep = state_criterion(v, Separability(HALF))
         assert one.verdict is Verdict.VIOLATED
         assert two.verdict is Verdict.VIOLATED
@@ -386,15 +388,16 @@ class TestOneSpectrumPerVerdict:
             (-2.0, Definiteness.INDEFINITE, Verdict.VIOLATED, 0),
         ],
     )
-    def test_verdict_agrees_with_inertia_and_psd_verdict(self, offset, definiteness, verdict, zeros):
+    def test_verdict_agrees_with_classify_spectrum(self, offset, definiteness, verdict, zeros):
         # one eigenvalue just inside or just outside the zero band (eig_zero_band * max |eig|)
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         m = q @ np.diag([1.0, 0.5, 0.25, offset * 1e-9]) @ q.T
         m = 0.5 * (m + m.T)
         res = state_criterion(m + np.eye(4), Classicality())  # tests m + I - I
-        assert psd_verdict(m) is definiteness
+        idx, got = classify_spectrum(np.linalg.eigvalsh(m))
+        assert got is definiteness
         assert res.verdict is verdict
-        assert inertia(m) == res.inertia
+        assert idx == res.inertia
         assert res.inertia.zero == zeros
 
 
