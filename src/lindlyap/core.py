@@ -39,12 +39,22 @@ def read_number(value, what: str) -> float:
         raise ValueError(f"{what} must be a number, got {value!r}") from exc
 
 
+def refuse_imaginary(given: np.ndarray, what: str) -> None:
+    """Refuse an array with a nonzero imaginary part by a ValueError naming ``what``: a float conversion
+    would drop that part with only a ComplexWarning.  A complex array whose imaginary part is zero passes."""
+    if given.dtype.kind == "c" and given.imag.any():
+        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+
+
 def read_matrix(value, what: str) -> np.ndarray:
-    """``value`` as a real 2n x 2n float array; a refusal is a ValueError naming ``what``."""
+    """``value`` as a real 2n x 2n float array; a refusal is a ValueError naming ``what``.  A complex
+    value is read as its real part if its imaginary part is zero, and refused otherwise."""
     try:
-        m = np.asarray(value, dtype=float)
+        given = np.asarray(value)
+        m = np.asarray(given.real if given.dtype.kind == "c" else value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a numeric matrix: {exc}") from exc
+    refuse_imaginary(given, what)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if m.shape[0] % 2 or not m.size:

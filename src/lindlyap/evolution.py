@@ -6,23 +6,27 @@ affine map x -> Phi x + c, V -> Phi V Phi^T + W with Phi = exp(Gamma t).  Phi,
 c and W come from the exact finite-horizon flow of :mod:`lindlyap.lyapunov`,
 one matrix exponential of a Van Loan block (Van Loan, IEEE TAC 23(3), 1978)
 taken over a short time and squared up to t, whose generator is Gamma with
-`drive` appended as an extra column.  One such map covers a
-whole recording stride, so the grid step only chooses the recorded times, not
-the accuracy.  The recorded states are filled by doubling: the map over m
-strides takes the block of states [0, m) to the block [m, 2m) in one batched
-product and is then squared into the map over 2m strides, so K recorded
-states cost O(log K) array operations and each passes through at most
-log2 K maps.  The covariance is re-symmetrized at every recorded state.
+`drive` appended as an extra column.  One such map covers a whole recording
+stride, so the grid step only chooses the recorded times, not the accuracy.
+The recorded states are filled by doubling: the map over m strides takes the
+block of states [0, m) to the block [m, 2m) and is then squared into the map
+over 2m strides, so K recorded states cost O(log K) array operations and each
+passes through at most log2 K maps.  A block costs one product for the means
+and, for the covariances, one stacked product Phi V and one flat product of
+all its rows by Phi^T, each written straight into the recorded arrays.  The
+covariance is re-symmetrized at every recorded state.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lyapunov
+from .core import refuse_imaginary
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -75,16 +79,19 @@ def evolve(
     strides.  A map whose square would not be finite (a growing mode over a
     long time) is not squared further, but applied block by block, so an
     unexcited unstable mode does not poison the trajectory.  t_end and dt
-    must be finite and positive, x0 and v0 finite.  Aborts, naming the first
-    recorded step, if a recorded moment stops being finite.
+    must be finite and positive, record_every an integer >= 1, and x0 and v0
+    finite and real (a zero imaginary part is dropped).  Aborts, naming the
+    first recorded step, if a recorded moment stops being finite.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    x = np.asarray(x0, dtype=float)
-    v = np.asarray(v0, dtype=float)
+    if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    x, v = np.asarray(x0), np.asarray(v0)
+    for name, value in (("x0", x), ("v0", v)):
+        refuse_imaginary(value, name)
+    x, v = np.asarray(x.real, dtype=float), np.asarray(v.real, dtype=float)
     dim = dyn.drift_matrix.shape[0]
     if x.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {x.shape}")
@@ -109,18 +116,26 @@ def evolve(
     means[0], cms[0] = x, v
 
     def advance(flow, src, dst, size):
-        """States [dst, dst + size) as the flow of states [src, src + size)."""
+        """Write states [dst, dst + size) as the flow of states [src, src + size).  The means
+        take one product by Phi^T; the covariances are (Phi V) Phi^T, a stacked product and
+        then one flat product of all the block's rows by Phi^T.  Both products by Phi^T write
+        straight into the recorded arrays."""
         e, w = flow
         phi, c, w = e[:dim, :dim], e[:dim, dim], w[:dim, :dim]
-        xs = means[src : src + size] @ phi.T + c
-        vs = phi @ cms[src : src + size] @ phi.T + w
-        vs = 0.5 * (vs + vs.transpose(0, 2, 1))
-        finite = np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
-        if not finite.all():
+        # out= writes in place: the source block ends at or before dst, so the two never
+        # overlap, and cms is C-contiguous, so the reshaped destination is a view of it
+        xs, vs = means[dst : dst + size], cms[dst : dst + size]
+        np.matmul(means[src : src + size], phi.T, out=xs)
+        xs += c
+        left = np.matmul(phi, cms[src : src + size])
+        np.matmul(left.reshape(-1, dim), phi.T, out=vs.reshape(-1, dim))
+        vs += w
+        np.add(vs, vs.transpose(0, 2, 1), out=left)
+        np.multiply(left, 0.5, out=vs)
+        if not (np.isfinite(xs).all() and np.isfinite(vs).all()):
+            finite = np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
             k = ks[dst + int(np.argmin(finite))]
             raise RuntimeError(f"moments diverged at step {k} (t = {k * h:.6g})")
-        means[dst : dst + size] = xs
-        cms[dst : dst + size] = vs
 
     with np.errstate(over="ignore", invalid="ignore"):  # `advance` reports divergence
         if full:

@@ -72,6 +72,8 @@ class LyapunovProblem:
             raise ValueError(f"generator must be square, got shape {a.shape}")
         if q.shape != a.shape:
             raise ValueError(f"source shape {q.shape} does not match generator shape {a.shape}")
+        if not q.size:
+            raise ValueError(f"source is empty, got shape {q.shape}")
         _require_finite(("generator", a))
         object.__setattr__(self, "generator", a)
         object.__setattr__(self, "source", q)

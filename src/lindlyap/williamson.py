@@ -104,7 +104,7 @@ def is_symplectic(w: np.ndarray) -> bool:
     test stays finite as long as W J W^T does.
     """
     w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2:
+    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 or not w.size:
         return False
     j = symplectic_form(w.shape[0] // 2)
     dev = np.abs(w @ j @ w.T - j).max()

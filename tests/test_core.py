@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import lindlyap
 from lindlyap import (
+    Classicality,
     Definiteness,
     InertiaIndex,
     QuadraticHamiltonian,
@@ -20,6 +21,7 @@ from lindlyap import (
     Uncertainty,
     physical_spectrum,
     realize_lindblad,
+    residual,
     solve,
     stability_check,
     state_criterion,
@@ -221,6 +223,10 @@ class TestReaders:
         assert m.dtype == float and np.array_equal(m, [[1.0, 2.0], [3.0, 4.5]])
         given = np.eye(4)
         assert read_matrix(given, "m") is given  # no copy of an array that already fits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a zero imaginary part is dropped without a ComplexWarning
+            m = read_matrix(np.array([[1.5, -2.0], [3.0, 4.0]]) + 0j, "m")
+        assert m.dtype == float and np.array_equal(m, [[1.5, -2.0], [3.0, 4.0]])
 
     @pytest.mark.parametrize(
         "value, message",
@@ -234,6 +240,8 @@ class TestReaders:
             (np.zeros((2, 2, 2)), "the field must be square, got shape (2, 2, 2)"),
             (np.eye(3), "the field must be 2n x 2n with n >= 1, got shape (3, 3)"),
             (np.zeros((0, 0)), "the field must be 2n x 2n with n >= 1, got shape (0, 0)"),
+            (np.diag([2.0, 2.0]) + 5j * np.array([[0, 1], [-1, 0]]), "the field must be real, got a nonzero imaginary part"),
+            ([[1.0, 1e-300j], [0.0, 1.0]], "the field must be real, got a nonzero imaginary part"),
         ],
     )
     def test_matrix_refusals_name_the_field(self, value, message):
@@ -254,12 +262,31 @@ EMPTY = np.zeros((0, 0))
         (lambda: physical_spectrum(EMPTY), "target covariance matrix"),
         (lambda: QuadraticHamiltonian(EMPTY), "hessian"),
         (lambda: realize_lindblad(EMPTY, EMPTY), "drift matrix"),
+        (lambda: residual(EMPTY, EMPTY, EMPTY), "source"),
     ],
     ids=["stability_check", "solve", "state_criterion", "williamson_decompose", "physical_spectrum",
-         "QuadraticHamiltonian", "realize_lindblad"],
+         "QuadraticHamiltonian", "realize_lindblad", "residual"],
 )
 def test_empty_matrix_refused_by_name(call, what):
     with pytest.raises(ValueError, match=f"^{what} (must be 2n x 2n with n >= 1|is empty), got shape \\(0, 0\\)$"):
+        call()
+
+
+COMPLEX = np.diag([2.0, 2.0]) + 1j * np.array([[0.0, 5.0], [-5.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: state_criterion(COMPLEX, Classicality()), "covariance matrix"),
+        (lambda: williamson_decompose(COMPLEX), "matrix"),
+        (lambda: QuadraticHamiltonian(np.eye(2) * (1 + 1j)), "hessian"),
+    ],
+    ids=["state_criterion", "williamson_decompose", "QuadraticHamiltonian"],
+)
+def test_complex_matrix_refused_by_name(call, what):
+    """A nonzero imaginary part is refused, not dropped with a ComplexWarning."""
+    with pytest.raises(ValueError, match=f"^{what} must be real, got a nonzero imaginary part$"):
         call()
 
 

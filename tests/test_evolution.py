@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from scipy.linalg import expm
 from lindlyap import (
     GaussianDynamics,
     catalog_build,
+    evolution,
     evolve,
+    lyapunov,
     solve,
     stability_check,
     steady_covariance,
@@ -117,10 +121,31 @@ class TestValidation:
         with pytest.raises(ValueError, match="t_end"):
             evolve(dyn, np.zeros(2), np.eye(2), t_end=0.0)
 
-    def test_bad_stride(self):
+    @pytest.mark.parametrize("record_every", [0, -3, 2.5, 3.0, "3", True, np.bool_(True), None])
+    def test_bad_stride(self, record_every):
         dyn = raw_pair_dynamics(-np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="record_every"):
-            evolve(dyn, np.zeros(2), np.eye(2), t_end=1.0, record_every=0)
+            evolve(dyn, np.zeros(2), np.eye(2), t_end=1.0, record_every=record_every)
+
+    def test_numpy_integer_stride(self):
+        dyn = raw_pair_dynamics(-np.eye(2), np.eye(2))
+        want = evolve(dyn, np.zeros(2), np.eye(2), t_end=1.0, dt=0.01, record_every=7)
+        got = evolve(dyn, np.zeros(2), np.eye(2), t_end=1.0, dt=0.01, record_every=np.int64(7))
+        assert np.array_equal(got.times, want.times) and np.array_equal(got.cms, want.cms)
+
+    def test_complex_moments(self):
+        """A nonzero imaginary part is refused by name; a zero one reads as the real part."""
+        dyn = raw_pair_dynamics(-np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="^x0 must be real, got a nonzero imaginary part$"):
+            evolve(dyn, np.array([1.0, 1j]), np.eye(2), t_end=1.0)
+        with pytest.raises(ValueError, match="^v0 must be real, got a nonzero imaginary part$"):
+            evolve(dyn, np.zeros(2), np.eye(2) * (1 + 1j), t_end=1.0)
+        x0, v0 = np.array([1.0, -2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        want = evolve(dyn, x0, v0, t_end=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evolve(dyn, x0 + 0j, v0 + 0j, t_end=1.0)
+        assert np.array_equal(got.means, want.means) and np.array_equal(got.cms, want.cms)
 
     def test_shape_mismatch(self):
         dyn = raw_pair_dynamics(-np.eye(2), np.eye(2))
@@ -281,3 +306,78 @@ class TestDoubledRecording:
         dyn = raw_pair_dynamics(gamma, np.zeros((2, 2)))
         with pytest.raises(RuntimeError, match=rf"^moments diverged at step {step} \(t = {step}\)$"):
             evolve(dyn, x0, v0, t_end=1000.0, dt=1.0, record_every=record_every)
+
+
+def reference_trajectory(dyn, x0, v0, t_end, dt, record_every):
+    """evolve's recording with each block computed as 0.5 ((Phi V) Phi^T + W + transpose) into fresh
+    arrays and copied into place: the same grid, doubling, overflow guard and tail stride."""
+    dim = len(x0)
+    steps = max(1, math.ceil(t_end / dt))
+    h = t_end / steps
+    full, tail = divmod(steps, record_every)
+    ks = np.arange(0, steps + 1, record_every)
+    if tail:
+        ks = np.append(ks, steps)
+    means = np.empty((len(ks), dim))
+    cms = np.empty((len(ks), dim, dim))
+    means[0], cms[0] = x0, 0.5 * (v0 + v0.T)
+
+    def advance(flow, src, dst, size):
+        e, w = flow
+        phi, c, w = e[:dim, :dim], e[:dim, dim], w[:dim, :dim]
+        xs = means[src : src + size] @ phi.T + c
+        vs = phi @ cms[src : src + size] @ phi.T + w
+        vs = 0.5 * (vs + vs.transpose(0, 2, 1))
+        finite = np.isfinite(xs).all(axis=1) & np.isfinite(vs).all(axis=(1, 2))
+        if not finite.all():
+            k = ks[dst + int(np.argmin(finite))]
+            raise RuntimeError(f"moments diverged at step {k} (t = {k * h:.6g})")
+        means[dst : dst + size] = xs
+        cms[dst : dst + size] = vs
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        if full:
+            flow, m, done, doubling = evolution._flow(dyn, record_every * h), 1, 1, True
+            while done <= full:
+                size = min(m, full + 1 - done)
+                advance(flow, done - m, done, size)
+                done += size
+                if doubling and done <= full:
+                    wide = lyapunov._square(*flow)
+                    doubling = all(np.isfinite(a).all() for a in wide)
+                    if doubling:
+                        flow, m = wide, 2 * m
+        if tail:
+            advance(evolution._flow(dyn, tail * h), full, full + 1, 1)
+    return ks * h, means, cms
+
+
+class TestInPlaceRecording:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(-2.0, 1.5),
+        st.integers(1, 400),
+        st.integers(1, 50),
+        st.sampled_from([0.01, 0.3, 2.0, 50.0]),
+    )
+    def test_bit_identical_to_fresh_block_products(self, dim, seed, shift, steps, record_every, h):
+        """Recorded moments equal, bit for bit, blocks computed as (Phi V) Phi^T in fresh arrays,
+        and a divergence gives the same message; a positive shift with long strides diverges."""
+        rng = np.random.default_rng(seed)
+        gamma = rng.normal(size=(dim, dim)) / math.sqrt(dim) + shift * np.eye(dim)
+        b = rng.normal(size=(dim, dim))
+        dyn = raw_pair_dynamics(gamma, b @ b.T, drive=rng.normal(size=dim))
+        x0 = rng.normal(size=dim)
+        v0 = rng.normal(size=(dim, dim))
+        t_end = steps * h
+        try:
+            want = reference_trajectory(dyn, x0, v0, t_end, h, record_every)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(exc))}$"):
+                evolve(dyn, x0, v0, t_end=t_end, dt=h, record_every=record_every)
+            return
+        traj = evolve(dyn, x0, v0, t_end=t_end, dt=h, record_every=record_every)
+        for got, ref in zip((traj.times, traj.means, traj.cms), want):
+            assert got.shape == ref.shape and np.array_equal(got, ref)
