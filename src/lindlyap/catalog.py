@@ -135,10 +135,15 @@ def squeeze_transform(r: float) -> np.ndarray:
         c, s = math.cosh(r), math.sinh(r)
     except OverflowError:
         raise ValueError(f"squeezing {r!r} overflows double precision") from None
-    qq = np.array([[c, s], [s, c]])
-    pp = np.array([[c, -s], [-s, c]])
-    z = np.zeros((2, 2))
-    return np.block([[qq, z], [z, pp]])
+    return _two_mode_matrix(np.array([[c, s], [s, c]]), 0.0, 0.0, np.array([[c, -s], [-s, c]]))
+
+
+def _two_mode_matrix(qq, qp, pq, pp) -> np.ndarray:
+    """The 4 x 4 float matrix [[qq, qp], [pq, pp]] of 2 x 2 blocks (a scalar block is filled with it),
+    written into one array by slices: the result of ``np.block``, bit for bit, at a fraction of its cost."""
+    m = np.empty((4, 4))
+    m[:2, :2], m[:2, 2:], m[2:, :2], m[2:, 2:] = qq, qp, pq, pp
+    return m
 
 
 def resolve_param(cid: CatalogId, key: str) -> tuple[str, ...]:
@@ -181,7 +186,6 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
     """Instantiate a catalog model from its named parameters (a failed TMTSS recipe names r)."""
     cid = catalog_id(cid)
     p = resolve_params(cid, params)
-    z2 = np.zeros((2, 2))
 
     if cid is CatalogId.TWO_OSC_THERMAL:
         hq = np.array(
@@ -191,13 +195,13 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
             ]
         )
         hp = np.diag([p["omega1"], p["omega2"]])
-        ham = QuadraticHamiltonian(np.block([[hq, z2], [z2, hp]]))
+        ham = QuadraticHamiltonian(_two_mode_matrix(hq, 0.0, 0.0, hp))
         vecs = thermal_bath(2, 0, p["zeta1"], p["nbar1"]) + thermal_bath(2, 1, p["zeta2"], p["nbar2"])
         return ModelSpec(ham, vecs)
 
     if cid is CatalogId.TWO_OSC_RWA:
         hb = np.array([[p["varpi"], p["Omega"]], [p["Omega"], p["varpi"]]])
-        ham = QuadraticHamiltonian(np.block([[hb, z2], [z2, hb]]))
+        ham = QuadraticHamiltonian(_two_mode_matrix(hb, 0.0, 0.0, hb))
         vecs = thermal_bath(2, 0, p["zeta1"], p["nbar1"]) + thermal_bath(2, 1, p["zeta2"], p["nbar2"])
         return ModelSpec(ham, vecs)
 
@@ -210,14 +214,14 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
     if cid is CatalogId.CASCADED_OPO:
         e1, e2, kap = p["epsilon1"], p["epsilon2"], p["kappa"]
         c = np.array([[e1 / 2, -kap / 2], [kap / 2, e2 / 2]])
-        ham = QuadraticHamiltonian(np.block([[z2, c], [c.T, z2]]))
+        ham = QuadraticHamiltonian(_two_mode_matrix(0.0, c, c.T, 0.0))
         lam = math.sqrt(kap / 2.0) * np.array([1j, 1j, -1.0, -1.0], dtype=complex)
         return ModelSpec(ham, [LindbladVector(lam)])
 
     if cid is CatalogId.OPO_THERMAL:
         eps, kap = p["epsilon"], p["kappa"]
         c = np.array([[eps / 2, kap / 2], [kap / 2, eps / 2]])
-        ham = QuadraticHamiltonian(np.block([[z2, c], [c.T, z2]]))
+        ham = QuadraticHamiltonian(_two_mode_matrix(0.0, c, c.T, 0.0))
         vecs = thermal_bath(2, 0, p["zeta"], p["nbar"]) + thermal_bath(2, 1, p["zeta"], p["nbar"])
         return ModelSpec(ham, vecs)
 

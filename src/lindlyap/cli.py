@@ -84,6 +84,23 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return ["  ".join(_fmt(x) for x in row) for row in m]
 
 
+def _csv_rows(table: np.ndarray) -> list[str]:
+    """One line per row of a float table, each cell "%.17g" (the format of _fmt), comma-separated.
+
+    A column whose 64-bit pattern is the same in every row is formatted once, from the first row,
+    into the row format as a literal; the per-row % fills the other columns.  Comparing bits, not
+    values, keeps -0.0 apart from 0.0 and one NaN payload from another.
+    """
+    bits = table.view(np.int64)
+    constant = bits[-1] == bits[0]  # only a column equal in its end rows needs the full comparison
+    constant[constant] = (bits[:, constant] == bits[0, constant]).all(axis=0)
+    row_format = ",".join(
+        "%.17g" % x if fixed else "%.17g" for x, fixed in zip(table[0].tolist(), constant.tolist())
+    )
+    varying = table[:, ~constant] if constant.any() else table  # a table that varies everywhere is not copied
+    return [row_format % tuple(row) for row in varying.tolist()]
+
+
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         if np.iscomplexobj(obj):
@@ -654,10 +671,10 @@ def cmd_evolve(args) -> int:
     header = ["t"] + [f"x{i}" for i in range(dim)] + [
         f"V_{i}_{j}" for i in range(dim) for j in range(dim)
     ]
-    # one row per record, each cell "%.17g", the format of _fmt, applied to the whole row at once
+    # one row per record; a column that is the same in every record, such as the means of an
+    # undriven model started at 0, is formatted once
     table = np.column_stack([traj.times, traj.means, traj.cms.reshape(len(traj.times), -1)])
-    row_format = ",".join(["%.17g"] * table.shape[1])
-    rows = [",".join(header)] + [row_format % tuple(row) for row in table.tolist()]
+    rows = [",".join(header)] + _csv_rows(table)
     _emit("\n".join(rows), args.output)
     return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Shared linear-algebra primitives: the symplectic form, inertia counts and
 definiteness verdicts of a spectrum, the one scale rule of every tolerance, and
-the readers that turn outside input into a number or a 2n x 2n matrix, refusing
-it with a ValueError that names the field.
+the readers that turn outside input into a number, a real array or a 2n x 2n
+matrix, refusing it with a ValueError that names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.
@@ -44,6 +44,14 @@ def refuse_imaginary(given: np.ndarray, what: str) -> None:
     would drop that part with only a ComplexWarning.  A complex array whose imaginary part is zero passes."""
     if given.dtype.kind == "c" and given.imag.any():
         raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+
+
+def read_real(value, what: str) -> np.ndarray:
+    """``value`` as a float array: a nonzero imaginary part is refused by :func:`refuse_imaginary`,
+    naming ``what``, and a zero one is dropped."""
+    given = np.asarray(value)
+    refuse_imaginary(given, what)
+    return np.asarray(given.real, dtype=float)
 
 
 def read_matrix(value, what: str) -> np.ndarray:

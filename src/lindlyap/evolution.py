@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import refuse_imaginary
+from .core import read_real
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -88,10 +88,7 @@ def evolve(
             raise ValueError(f"{name} must be finite and positive, got {value}")
     if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
-    x, v = np.asarray(x0), np.asarray(v0)
-    for name, value in (("x0", x), ("v0", v)):
-        refuse_imaginary(value, name)
-    x, v = np.asarray(x.real, dtype=float), np.asarray(v.real, dtype=float)
+    x, v = read_real(x0, "x0"), read_real(v0, "v0")
     dim = dyn.drift_matrix.shape[0]
     if x.shape != (dim,):
         raise ValueError(f"x0 must have shape ({dim},), got {x.shape}")

@@ -142,8 +142,10 @@ def _flow(a: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarra
     squared m times.
     """
     m = max(0, int(np.frexp(t * np.linalg.norm(a, 1))[1]))
-    block = expm(t / 2**m * np.block([[-a, q], [np.zeros_like(a), a.conj().T]]))
     dim = len(a)
+    gen = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a, q))
+    gen[:dim, :dim], gen[:dim, dim:], gen[dim:, dim:] = -a, q, a.conj().T
+    block = expm(t / 2**m * gen)
     e = block[dim:, dim:].conj().T
     flow = e, e @ block[:dim, dim:]
     for _ in range(m):

@@ -23,7 +23,9 @@ from functools import cache, cached_property
 import numpy as np
 from scipy.linalg import get_lapack_funcs, schur
 
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form, within, zero_band
+from .core import (
+    DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_real, symplectic_form, within, zero_band,
+)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -69,7 +71,7 @@ class QuadraticHamiltonian:
     def __post_init__(self):
         h = read_matrix(self.hessian, "hessian")
         lin = self.linear
-        lin = np.zeros(h.shape[0]) if lin is None else np.asarray(lin, dtype=float)
+        lin = np.zeros(h.shape[0]) if lin is None else read_real(lin, "linear term xi")
         if lin.shape != (h.shape[0],):
             raise ValueError(f"linear term must have length {h.shape[0]}, got {lin.shape}")
         _require_finite(("hessian", h), ("linear term xi", lin), ("offset h0", self.offset))
@@ -373,7 +375,7 @@ def realize_lindblad(
     carried.
     """
     gamma = read_matrix(drift_matrix, "drift matrix")
-    d = np.asarray(diffusion, dtype=float)
+    d = read_real(diffusion, "diffusion")
     if d.shape != gamma.shape:
         raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
     _require_finite(("drift matrix", gamma))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form, within
+from .core import DEFAULT_TOL, Tolerances, read_matrix, read_real, symplectic_form, within
 from .model import GaussianDynamics, _require_finite, schur_form, stability_check
 from .williamson import STRUCTURE_TOL, is_symplectic
 
@@ -70,7 +70,7 @@ def transform_triple(
     covariant under this action: if V solves the original pair, W V W^T
     solves the transformed one.
     """
-    w = np.asarray(w, dtype=float)
+    w = read_real(w, "w")
     gamma_t = w @ gamma @ np.linalg.inv(w)
     diffusion_t = w @ diffusion @ w.T
     cm_t = None if cm is None else w @ cm @ w.T
@@ -190,8 +190,7 @@ def symplectic_rotation(y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Requires Y Y^T + Z Z^T = I and Y Z^T symmetric, i.e. Y + i Z unitary, within STRUCTURE_TOL.
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
+    y, z = read_real(y, "Y"), read_real(z, "Z")
     if y.shape != z.shape or y.ndim != 2 or y.shape[0] != y.shape[1]:
         raise ValueError("Y and Z must be square matrices of equal shape")
     n = y.shape[0]
@@ -206,7 +205,7 @@ def symplectic_rotation(y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def local_rotation(angles) -> np.ndarray:
     """Independent phase rotation of each mode (diagonal Y and Z blocks)."""
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    angles = np.atleast_1d(read_real(angles, "angles"))
     return symplectic_rotation(np.diag(np.cos(angles)), np.diag(np.sin(angles)))
 
 

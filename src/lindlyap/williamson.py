@@ -19,7 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, symplectic_form, within, zero_band
+from .core import (
+    DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_real, symplectic_form, within, zero_band,
+)
 from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
 
 __all__ = [
@@ -101,9 +103,13 @@ def is_symplectic(w: np.ndarray) -> bool:
     """Whether W J W^T = J within STRUCTURE_TOL of the larger of max|J| = 1 and max|W|^2, in max-norm.
 
     Max-norms do not square the entries of W J W^T - J, which are of size eps max|W|^2, so the
-    test stays finite as long as W J W^T does.
+    test stays finite as long as W J W^T does.  Anything that is not a real 2n x 2n matrix, a complex
+    one included, is not symplectic.
     """
-    w = np.asarray(w, dtype=float)
+    try:
+        w = read_real(w, "w")
+    except ValueError:  # a nonzero imaginary part or a non-numeric entry: not a real symplectic matrix
+        return False
     if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 or not w.size:
         return False
     j = symplectic_form(w.shape[0] // 2)
@@ -224,7 +230,7 @@ def engineer_gibbs_target(
     It is also the isotropic pair (-I/2, alpha I) transported by S, and S is
     not inverted.  alpha must be >= 1, within the zero band of ``tol``.
     """
-    s = np.asarray(transform, dtype=float)
+    s = read_real(transform, "transform")
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
     if not within(1.0 - alpha, tol.eig_zero_band, 1.0):  # the vacuum bound alpha >= 1, of size 1
@@ -248,12 +254,11 @@ def engineer_covariant_target(
     S M S^T = Lambda and a pair with steady state Lambda is available, the
     output pair steers the system into M.
     """
-    s = np.asarray(transform, dtype=float)
+    s = read_real(transform, "transform")
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
-    lam = np.asarray(base_cm, dtype=float)
-    g0 = np.asarray(base_drift, dtype=float)
-    d0 = np.asarray(base_diffusion, dtype=float)
+    lam, g0, d0 = (read_real(base_cm, "base_cm"), read_real(base_drift, "base_drift"),
+                   read_real(base_diffusion, "base_diffusion"))
     res = np.abs(g0 @ lam + lam @ g0.T + d0).max()
     if not within(res, tol.residual_tol, np.abs(d0).max()):
         raise EngineeringError(

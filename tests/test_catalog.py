@@ -22,7 +22,7 @@ from lindlyap import (
     steady_covariance,
     thermal_bath,
 )
-from lindlyap.catalog import PARAM_NAMES, catalog_id
+from lindlyap.catalog import NONNEGATIVE_PARAMS, PARAM_NAMES, catalog_id
 
 from conftest import locate_flip
 
@@ -107,6 +107,39 @@ class TestFrozenMatrices:
         )
         assert np.allclose(dyn.drift_matrix, gamma, atol=1e-12)
         assert np.allclose(dyn.diffusion, np.diag([0.66, 0.6, 0.66, 0.6]), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_mode_matrices_are_their_block_formulas(self, seed):
+        """The Hessian of each two-mode family and the squeezing transform equal, bit for bit, their
+        ``np.block`` formulas at drawn parameters."""
+        rng = np.random.default_rng(seed)
+        z = np.zeros((2, 2))
+        diagonal = lambda qq, pp: np.block([[qq, z], [z, pp]])  # noqa: E731
+        off_diagonal = lambda c: np.block([[z, c], [c.T, z]])  # noqa: E731
+
+        def hessian(cid, formula):
+            cid = catalog_id(cid)
+            p = {name: float(rng.uniform(-2.0, 2.0)) for name in PARAM_NAMES[cid]}
+            p.update({name: abs(p[name]) for name in NONNEGATIVE_PARAMS[cid]})
+            return catalog_build(cid, p).hamiltonian.hessian, formula(p)
+
+        r = float(rng.uniform(-3.0, 3.0))
+        c, s = math.cosh(r), math.sinh(r)
+        pairs = [
+            hessian("TwoOscThermal", lambda p: diagonal(
+                np.array([[p["omega1"] + p["kappa"] / 2, -p["kappa"] / 2],
+                          [-p["kappa"] / 2, p["omega2"] + p["kappa"] / 2]]),
+                np.diag([p["omega1"], p["omega2"]]))),
+            hessian("TwoOscRWA", lambda p: diagonal(
+                *[np.array([[p["varpi"], p["Omega"]], [p["Omega"], p["varpi"]]])] * 2)),
+            hessian("CascadedOPO", lambda p: off_diagonal(
+                np.array([[p["epsilon1"] / 2, -p["kappa"] / 2], [p["kappa"] / 2, p["epsilon2"] / 2]]))),
+            hessian("OPOThermal", lambda p: off_diagonal(
+                np.array([[p["epsilon"] / 2, p["kappa"] / 2], [p["kappa"] / 2, p["epsilon"] / 2]]))),
+            (squeeze_transform(r), diagonal(np.array([[c, s], [s, c]]), np.array([[c, -s], [-s, c]]))),
+        ]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSteadyStateFormulas:

@@ -1,11 +1,14 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lindlyap
 from lindlyap import catalog_analytic, squeeze_transform
@@ -462,6 +465,25 @@ class TestCatalogDomain:
         assert cells[0] == "nan" and all(np.isfinite(float(c)) for c in cells[1:])
 
 
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(float).tolist()
+# signed zeros, NaNs, infinities, subnormals and ordinary values, as a whole column or cell by cell
+SPECIAL = [0.0, -0.0, math.nan, *NAN_PAYLOADS, math.inf, -math.inf, 5e-324, -2.225073858507201e-308,
+           0.1, -3.0, 1e300]
+
+
+@st.composite
+def csv_tables(draw):
+    """Tables of 1-40 rows by 1-30 columns; a column is constant or varies, and a varying column drawn
+    from a few values often has equal end rows."""
+    n_rows = draw(st.integers(1, 40))
+    column = st.one_of(
+        st.sampled_from(SPECIAL).map(lambda x: [x] * n_rows),
+        st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL)), min_size=n_rows, max_size=n_rows),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n_rows, max_size=n_rows),
+    )
+    return np.array(draw(st.lists(column, min_size=1, max_size=30)), dtype=float).T.copy()
+
+
 class TestEvolve:
     def test_terminal_state_matches_solver(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
@@ -481,19 +503,29 @@ class TestEvolve:
         assert len(lines) == 4  # header, t=0, t=0.5, t=1
         assert float(lines[-1].split(",")[0]) == pytest.approx(1.0)
 
-    def test_csv_rows_are_the_per_cell_format(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"catalog": "OPOThermal", "params": {"epsilon": 0.05, "kappa": 1.0, "zeta": 1.7, "nbar": 0.3}},
+            {**OPO_DOC, "xi": [0.3, -0.7]},  # driven: the means vary from row to row
+        ],
+        ids=["OPOThermal", "driven"],
+    )
+    def test_csv_rows_are_the_per_cell_format(self, capsys, tmp_path, monkeypatch, doc):
         """Each CSV row is the comma join of _fmt over t, the mean and the row-major covariance."""
         evolve, recorded = lindlyap.evolution.evolve, []
+        # a signed zero, a subnormal, the largest float and an integral value keep their text; in a
+        # column of zeros the signed zero makes the column vary
+        special = ["-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "3"]
 
         def recording(*args, **kwargs):
             traj = evolve(*args, **kwargs)
-            # a signed zero, a subnormal, the largest float and an integral value keep their text
-            traj.means[1] = [-0.0, 5e-324, -1.7976931348623157e308, 3.0]
+            traj.means[1] = [float(x) for x in special[: traj.means.shape[1]]]
             recorded.append(traj)
             return traj
 
         monkeypatch.setattr(lindlyap.evolution, "evolve", recording)
-        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        model = write_doc(tmp_path, "model.json", doc)
         rc, out, _ = run(capsys, "evolve", model, "--t-end", "30", "--stride", "100")
         assert rc == 0
         (traj,) = recorded
@@ -504,7 +536,14 @@ class TestEvolve:
         ]
         rows = out.splitlines()[1:]
         assert rows == want
-        assert rows[1].split(",")[1:5] == ["-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "3"]
+        dim = traj.means.shape[1]
+        assert rows[1].split(",")[1 : 1 + dim] == special[:dim]
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables())
+    def test_csv_rows_formats_every_cell(self, table):
+        """Formatting a constant column once gives the per-cell "%.17g" row, whatever the column holds."""
+        assert lindlyap.cli._csv_rows(table) == [",".join("%.17g" % x for x in row) for row in table.tolist()]
 
     def test_default_horizon_needs_stability(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPO", epsilon=1.2, kappa=1.0)
@@ -687,6 +726,15 @@ def test_document_tolerances_validated(capsys, tmp_path):
     doc = {"catalog": "OPO", "params": {"epsilon": 0.3, "kappa": 1.0}, "tolerances": {"residual_tol": -1}}
     rc, out, err = run(capsys, "steady", write_doc(tmp_path, "m.json", doc))
     assert rc == 1 and "residual_tol" in err and out == ""
+
+
+def test_module_runs_the_command_line():
+    """``python -m lindlyap`` runs the CLI from a source tree, without the console script."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lindlyap.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "lindlyap", "--help"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: lindlyap")
 
 
 def test_cli_import_loads_only_scipy_linalg():

@@ -113,8 +113,9 @@ class TestCovarianceTransform:
     def test_symplectic_flag_is_is_symplectic(self, w, symplectic):
         assert CovarianceTransform(w).is_symplectic == is_symplectic(w) == symplectic
 
-    @pytest.mark.parametrize("w", [np.eye(3), np.zeros((2, 4)), np.zeros(4), np.zeros((0, 0))],
-                             ids=["3x3", "2x4", "vector", "empty"])
+    @pytest.mark.parametrize("w", [np.eye(3), np.zeros((2, 4)), np.zeros(4), np.zeros((0, 0)),
+                                   (1 + 1j) * np.eye(2)],
+                             ids=["3x3", "2x4", "vector", "empty", "complex"])
     def test_not_2n_square_is_not_symplectic(self, w):
         assert is_symplectic(w) is False
 
