@@ -8,62 +8,42 @@ recovers them.  The state-route flips sit nearby but are not identical,
 which is the real message of this script.
 """
 
-import numpy as np
-from scipy.optimize import brentq
-
 from lindlyap import (
     Classicality,
     Partition,
     Separability,
-    catalog_build,
     catalog_analytic,
     environment_criterion,
     state_criterion,
-    steady_covariance,
 )
+from lindlyap.scan import ScanPoint, threshold
 
-EPS, KAPPA, NBAR = 0.05, 1.0, 0.3
+PARAMS = dict(epsilon=0.05, kappa=1.0, nbar=0.3)
 HALF = Partition(2, frozenset({1}))
 
-
-def model(zeta):
-    return catalog_build(
-        "OPOThermal", dict(epsilon=EPS, kappa=KAPPA, zeta=zeta, nbar=NBAR)
-    ).build()
-
-
-def env_min_eig(zeta, kind):
-    return environment_criterion(model(zeta), kind).spectrum.min()
-
-
-def state_min_eig(zeta, kind):
-    return state_criterion(steady_covariance(model(zeta)), kind).spectrum.min()
-
-
-edge = catalog_analytic("OPOThermal", "stability_edge", dict(epsilon=EPS, kappa=KAPPA, zeta=1.0, nbar=NBAR))
+edge = catalog_analytic("OPOThermal", "stability_edge", dict(PARAMS, zeta=1.0))
 lo, hi = 1.001 * edge, 12.0  # bisection bracket inside the stable window
 print(f"stable for zeta > {edge}")
 
 print("\nenvironment-route flips, bisection vs closed form:")
 for name, kind in (("classicality", Classicality()), ("separability", Separability(HALF))):
-    found = brentq(lambda z: env_min_eig(z, kind), lo, hi, xtol=1e-12)
-    form = catalog_analytic(
-        "OPOThermal", f"{name}_flip", dict(epsilon=EPS, kappa=KAPPA, zeta=1.0, nbar=NBAR)
-    )
+    found, _ = threshold("OPOThermal", PARAMS, ("zeta",), "env", kind, (lo, hi))  # (flip, None) or (nan, why not)
+    form = catalog_analytic("OPOThermal", f"{name}_flip", dict(PARAMS, zeta=1.0))
     print(f"  {name:<13s} bisected = {found:.12f}   closed form = {form:.12f}")
 
 print("\nstate-route flips, bisection only (no closed form here):")
-state_sep = brentq(lambda z: state_min_eig(z, Separability(HALF)), lo, hi, xtol=1e-12)
-state_cls = brentq(lambda z: state_min_eig(z, Classicality()), lo, hi, xtol=1e-12)
+state_sep, _ = threshold("OPOThermal", PARAMS, ("zeta",), "state", Separability(HALF), (lo, hi))
+state_cls, _ = threshold("OPOThermal", PARAMS, ("zeta",), "state", Classicality(), (lo, hi))
 print(f"  classicality  bisected = {state_cls:.12f}")
 print(f"  separability  bisected = {state_sep:.12f}")
 
-env_sep = catalog_analytic("OPOThermal", "separability_flip", dict(epsilon=EPS, kappa=KAPPA, zeta=1.0, nbar=NBAR))
+env_sep = catalog_analytic("OPOThermal", "separability_flip", dict(PARAMS, zeta=1.0))
 print(f"\nseparability flips differ: environment {env_sep:.12f} vs state {state_sep:.12f}")
 print("inside the gap the two routes disagree about separability:")
 for zeta in (1.666,):
-    e = environment_criterion(model(zeta), Separability(HALF))
-    s = state_criterion(steady_covariance(model(zeta)), Separability(HALF))
+    point = ScanPoint("OPOThermal", dict(PARAMS, zeta=zeta))
+    e = environment_criterion(point.dyn, Separability(HALF))
+    s = state_criterion(point.steady_cm, Separability(HALF))
     print(
         f"  zeta = {zeta}: environment {e.verdict.value} ({e.conclusion}),"
         f" state {s.verdict.value} ({s.conclusion})"
@@ -77,6 +57,6 @@ print(
 
 # a flip formula can also land outside the stable window; then the verdict
 # simply never changes while the model is stable
-steer = catalog_analytic("OPOThermal", "steerability_flip", dict(epsilon=EPS, kappa=KAPPA, zeta=1.0, nbar=NBAR))
+steer = catalog_analytic("OPOThermal", "steerability_flip", dict(PARAMS, zeta=1.0))
 print(f"\nsteerability flip formula gives {steer:.6f}, below the stability edge {edge}:")
 print("  no steering transition is reachable at these parameters")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
@@ -55,6 +56,7 @@ from .model import (
     require_stable,
     stability_check,
 )
+from .scan import ScanPoint, threshold
 from .williamson import EngineeringError
 
 EXIT_OK = 0
@@ -425,71 +427,9 @@ def _sweep_range(arg: str, flag: str) -> np.ndarray:
 
 # sweep quantities by column name: (quantity, criterion kind name or None)
 _QUANTITIES = {
-    "abscissa": ("abscissa", None),
-    "purity": ("purity", None),
-    "min_symplectic_eig": ("min_symplectic_eig", None),
+    **{q: (q, None) for q in ("abscissa", "purity", "min_symplectic_eig")},
     **{f"{level}_{kind}_min_eig": (level, kind) for level in ("state", "env") for kind in _KINDS},
 }
-
-
-class _SweepPoint:
-    """One sweep model, built and stability-checked once for all the columns of its row."""
-
-    def __init__(self, cid, params: dict, tol: Tolerances):
-        self.tol = tol
-        try:
-            self.dyn = catalog_mod.catalog_build(cid, params, tol).build(tol)
-            self.report = stability_check(self.dyn, tol)
-        except ValueError:  # parameters outside the family's domain
-            self.report = None
-
-    @functools.cached_property
-    def steady_cm(self) -> np.ndarray:
-        return lyapunov.steady_covariance(self.dyn, self.tol)
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray | None:
-        """Symplectic eigenvalues of the steady state, None where rounding hides them."""
-        return williamson.physical_spectrum(self.steady_cm, self.tol)
-
-    def value(self, quantity: str, kind=None) -> float:
-        """A column of ``_QUANTITIES`` (quantity or level, kind); nan where it is undefined."""
-        if self.report is None:
-            return math.nan
-        if quantity == "abscissa":
-            return self.report.spectral_abscissa
-        if not self.report.is_stable:
-            return math.nan
-        try:
-            if kind is None:
-                nu = self.spectrum
-                if nu is None:
-                    return math.nan
-                return float(1.0 / np.prod(nu)) if quantity == "purity" else float(nu[-1])
-            if quantity == "state":
-                return float(criteria_mod.state_criterion(self.steady_cm, kind, self.tol).spectrum[0])
-            return float(criteria_mod.environment_criterion(self.dyn, kind, self.tol).spectrum[0])
-        except ValueError:
-            return math.nan
-
-
-def _threshold(cid, params: dict, names, level: str, kind, bracket, tol: Tolerances) -> float:
-    """Value of the parameters ``names`` in ``bracket`` where the criterion's smallest eigenvalue
-    changes sign, by Brent's method; nan if the bracket holds no sign change or reaches a point
-    without a finite value (an unstable model, or one that cannot be built)."""
-    from scipy.optimize import brentq  # imported here: it slows every other command's start-up
-
-    def f(x):
-        val = _SweepPoint(cid, {**params, **dict.fromkeys(names, x)}, tol).value(level, kind)
-        if not math.isfinite(val):
-            raise ValueError(f"no finite value at {x}")
-        return val
-
-    try:
-        # xtol + rtol * |x| <= 1e-14 * max(1, |x|): stop once the bracket is that narrow
-        return brentq(f, *bracket, xtol=5e-15, rtol=5e-15)
-    except ValueError:
-        return math.nan
 
 
 def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str, ...]]:
@@ -509,14 +449,12 @@ def cmd_sweep(args) -> int:
     cid = info["catalog"]
     base_params = catalog_mod.resolve_params(cid, info["params"])
 
-    grid1 = _sweep_range(args.range, "--range")
-    names1 = catalog_mod.resolve_param(cid, args.param)
-    grid2, names2 = [None], ()
+    # (grid, parameter names it sets together) per swept axis, the first axis outermost
+    axes = [(_sweep_range(args.range, "--range"), catalog_mod.resolve_param(cid, args.param))]
     if args.param2 is not None:
         if args.range2 is None:
             raise ValueError("--param2 needs --range2")
-        grid2 = _sweep_range(args.range2, "--range2")
-        names2 = catalog_mod.resolve_param(cid, args.param2)
+        axes.append((_sweep_range(args.range2, "--range2"), catalog_mod.resolve_param(cid, args.param2)))
     elif args.range2 is not None:
         raise ValueError("--range2 needs --param2")
 
@@ -531,26 +469,17 @@ def cmd_sweep(args) -> int:
         [k for _, k in columns if k] + [k for k, _, _, _ in thresholds], args.partition, spec.n
     )
 
-    header = [args.param] + ([args.param2] if args.param2 is not None else [])
-    header += quantities
+    header = [args.param] + ([args.param2] if args.param2 is not None else []) + quantities
     header += [f"thr_{k}_{lvl}_{prm}" for (k, lvl, prm, _) in thresholds]
 
-    rows = [",".join(header)]
-    for v1 in grid1:
-        for v2 in grid2:
-            point = {**base_params, **dict.fromkeys(names1, float(v1))}
-            cells = [_fmt(v1)]
-            if v2 is not None:
-                point.update(dict.fromkeys(names2, float(v2)))
-                cells.append(_fmt(v2))
-            model = _SweepPoint(cid, point, tol)
-            cells += [_fmt(model.value(q, kinds.get(k))) for q, k in columns]
-            cells += [
-                _fmt(_threshold(cid, point, names, level, kinds[k], bracket, tol))
-                for k, level, _, names in thresholds
-            ]
-            rows.append(",".join(cells))
-    _emit("\n".join(rows), args.output)
+    table = []
+    for values in itertools.product(*(grid for grid, _ in axes)):
+        point = {**base_params, **{name: float(v) for (_, names), v in zip(axes, values) for name in names}}
+        model = ScanPoint(cid, point, tol)
+        row = [*values, *(model.value(q, kinds.get(k)) for q, k in columns)]
+        row += [threshold(cid, point, names, lvl, kinds[k], bracket, tol)[0] for k, lvl, _, names in thresholds]
+        table.append(row)
+    _emit("\n".join([",".join(header)] + _csv_rows(np.array(table))), args.output)
     return EXIT_OK
 
 

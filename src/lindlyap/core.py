@@ -46,23 +46,23 @@ def refuse_imaginary(given: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be real, got a nonzero imaginary part")
 
 
-def read_real(value, what: str) -> np.ndarray:
-    """``value`` as a float array: a nonzero imaginary part is refused by :func:`refuse_imaginary`,
-    naming ``what``, and a zero one is dropped."""
-    given = np.asarray(value)
+def read_real(value, what: str, form: str = "numeric") -> np.ndarray:
+    """``value`` as a float array; a refusal is a ValueError naming ``what`` (non-numeric input is
+    refused as not ``form``).  A complex value is read as its real part if its imaginary part is zero,
+    and refused by :func:`refuse_imaginary` otherwise."""
+    try:
+        given = np.asarray(value)
+        real = np.asarray(given.real if given.dtype.kind == "c" else value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be {form}: {exc}") from exc
     refuse_imaginary(given, what)
-    return np.asarray(given.real, dtype=float)
+    return real
 
 
 def read_matrix(value, what: str) -> np.ndarray:
-    """``value`` as a real 2n x 2n float array; a refusal is a ValueError naming ``what``.  A complex
-    value is read as its real part if its imaginary part is zero, and refused otherwise."""
-    try:
-        given = np.asarray(value)
-        m = np.asarray(given.real if given.dtype.kind == "c" else value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} must be a numeric matrix: {exc}") from exc
-    refuse_imaginary(given, what)
+    """``value`` as a real 2n x 2n float array, read by :func:`read_real`; a refusal is a ValueError
+    naming ``what``."""
+    m = read_real(value, what, "a numeric matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     if m.shape[0] % 2 or not m.size:

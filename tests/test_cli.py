@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -314,6 +315,29 @@ class TestSweep:
         model = write_doc(tmp_path, "opo.json", OPO_DOC)
         rc, _, err = run(capsys, "sweep", model, "--param", "epsilon", "--range", "0:0.5:3")
         assert rc == 1 and "catalog" in err
+
+    # sweeps of the README OPOThermal document and their exact stdout
+    PURITY_SWEEP = ["--range", "0.5:2:4", "--quantity", "purity", "--threshold-range", "0.5:40"]
+    PURITY_CSV = (
+        "zeta,purity,thr_separability_env_zeta\n"
+        "0.5,nan,nan\n"
+        "1,nan,nan\n"
+        "1.5,0.21588290358408602,nan\n"
+        "2,0.29256166786184701,nan\n"
+    )
+    README_SWEEP = ["--range", "1.1:3:40", "--quantity", "env_separability_min_eig", "--threshold-range", "1.1:40"]
+    README_MD5 = "d9fdee41991f6d6febdc1af688795a3b"
+
+    @pytest.mark.parametrize("options", [PURITY_SWEEP, README_SWEEP], ids=["purity", "readme"])
+    def test_pinned_sweeps_are_byte_identical(self, capsys, tmp_path, options):
+        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+        rc, out, err = run(capsys, "sweep", model, "--param", "zeta", *options, "--threshold", "separability:env:zeta")
+        assert (rc, err) == (0, "")
+        if options is self.PURITY_SWEEP:
+            assert out == self.PURITY_CSV
+        else:
+            assert hashlib.md5(out.encode()).hexdigest() == self.README_MD5
+            assert {line.rsplit(",", 1)[1] for line in out.splitlines()[1:]} == {"1.6666666666666656"}
 
 
 class TestEngineer:

@@ -19,8 +19,10 @@ from lindlyap import (
     QuadraticHamiltonian,
     Tolerances,
     Uncertainty,
+    catalog_build,
     engineer_covariant_target,
     engineer_gibbs_target,
+    evolve,
     local_rotation,
     physical_spectrum,
     realize_lindblad,
@@ -307,6 +309,21 @@ I2, HALF = np.eye(2), -0.5 * np.eye(2)  # the pair (-I/2, I) is stationary at I
 def test_complex_matrix_refused_by_name(call, what):
     """A nonzero imaginary part is refused, not dropped with a ComplexWarning."""
     with pytest.raises(ValueError, match=f"^{what} must be real, got a nonzero imaginary part$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda: QuadraticHamiltonian(I2, ["a", "b"]), "linear term xi"),
+        (lambda: realize_lindblad(HALF, [["a", "b"], ["c", "d"]]), "diffusion"),
+        (lambda: evolve(catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build(), ["a", "b"], I2, 1.0), "x0"),
+        (lambda: transform_triple(I2, I2, [["a", 0], [0, 1]]), "w"),
+    ],
+    ids=["QuadraticHamiltonian", "realize_lindblad", "evolve", "transform_triple"],
+)
+def test_non_numeric_array_refused_by_name(call, what):
+    with pytest.raises(ValueError, match=f"^{what} must be numeric: could not convert string to float: 'a'$"):
         call()
 
 
