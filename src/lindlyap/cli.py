@@ -37,7 +37,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import sys
@@ -46,8 +45,8 @@ import numpy as np
 
 from . import catalog as catalog_mod
 from . import criteria as criteria_mod
-from . import evolution, lyapunov, williamson
-from .core import Tolerances, check_hermitian, read_matrix, read_number, symplectic_form
+from . import evolution, lyapunov, scan, williamson
+from .core import Tolerances, check_hermitian, read_matrix, read_number
 from .model import (
     LindbladVector,
     ModelSpec,
@@ -56,7 +55,6 @@ from .model import (
     require_stable,
     stability_check,
 )
-from .scan import ScanPoint, threshold
 from .williamson import EngineeringError
 
 EXIT_OK = 0
@@ -234,6 +232,17 @@ def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
     return tol
 
 
+def _load_model(args, sweep: bool = False):
+    """(model, tolerances, catalog info) of the document ``args.model``, --tol applied.  The model
+    is built into its dynamics, except for a sweep, which builds one per grid point from the
+    catalog entry that its document must name; it gets the ModelSpec."""
+    spec, doc_tols, info = _parse_model(_load_json(args.model))
+    if sweep and not info:
+        raise ValueError("sweep needs a catalog model (named parameters to vary)")
+    tol = _resolve_tol(args, doc_tols)
+    return (spec if sweep else spec.build(tol)), tol, info
+
+
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
     if n < 2:
         raise ValueError("separability and steerability need at least two modes")
@@ -254,9 +263,7 @@ def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
 
 
 def cmd_steady(args) -> int:
-    spec, doc_tols, _ = _parse_model(_load_json(args.model))
-    tol = _resolve_tol(args, doc_tols)
-    dyn = spec.build(tol)
+    dyn, tol, _ = _load_model(args)
     abscissa = require_stable(dyn, "steady", tol).spectral_abscissa
     cm = lyapunov.steady_covariance(dyn, tol)
     res = lyapunov.residual(lyapunov.steady_state_problem(dyn), cm)
@@ -282,9 +289,7 @@ def cmd_steady(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    spec, doc_tols, _ = _parse_model(_load_json(args.model))
-    tol = _resolve_tol(args, doc_tols)
-    dyn = spec.build(tol)
+    dyn, tol, _ = _load_model(args)
     report = stability_check(dyn, tol)
     if args.json:
         payload = {
@@ -374,9 +379,7 @@ def _result_line(res: criteria_mod.CriterionResult) -> str:
 
 
 def cmd_criteria(args) -> int:
-    spec, doc_tols, _ = _parse_model(_load_json(args.model))
-    tol = _resolve_tol(args, doc_tols)
-    dyn = spec.build(tol)
+    dyn, tol, _ = _load_model(args)
     require_stable(dyn, "criteria", tol)  # before the partition is parsed: an unstable model exits 2
     names = _KIND_CHOICES[args.kind]
     if args.kind == "all" and dyn.n < 2:
@@ -442,21 +445,16 @@ def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str,
 
 
 def cmd_sweep(args) -> int:
-    spec, doc_tols, info = _parse_model(_load_json(args.model))
-    if not info:
-        raise ValueError("sweep needs a catalog model (named parameters to vary)")
-    tol = _resolve_tol(args, doc_tols)
+    spec, tol, info = _load_model(args, sweep=True)
     cid = info["catalog"]
     base_params = catalog_mod.resolve_params(cid, info["params"])
 
     # (grid, parameter names it sets together) per swept axis, the first axis outermost
     axes = [(_sweep_range(args.range, "--range"), catalog_mod.resolve_param(cid, args.param))]
+    if (args.param2 is None) != (args.range2 is None):
+        raise ValueError("--range2 needs --param2" if args.param2 is None else "--param2 needs --range2")
     if args.param2 is not None:
-        if args.range2 is None:
-            raise ValueError("--param2 needs --range2")
         axes.append((_sweep_range(args.range2, "--range2"), catalog_mod.resolve_param(cid, args.param2)))
-    elif args.range2 is not None:
-        raise ValueError("--range2 needs --param2")
 
     quantities = args.quantity or ["abscissa"]
     for q in quantities:
@@ -465,21 +463,13 @@ def cmd_sweep(args) -> int:
     columns = [_QUANTITIES[q] for q in quantities]
     thresholds = [_parse_threshold_spec(s, cid) for s in (args.threshold or [])]
     bracket = _fields(args.threshold_range, "--threshold-range", "A:B", (_finite, _finite))
-    kinds = _make_kinds(
-        [k for _, k in columns if k] + [k for k, _, _, _ in thresholds], args.partition, spec.n
-    )
+    kinds = _make_kinds([k for _, k in columns if k] + [k for k, _, _, _ in thresholds], args.partition, spec.n)
 
     header = [args.param] + ([args.param2] if args.param2 is not None else []) + quantities
     header += [f"thr_{k}_{lvl}_{prm}" for (k, lvl, prm, _) in thresholds]
-
-    table = []
-    for values in itertools.product(*(grid for grid, _ in axes)):
-        point = {**base_params, **{name: float(v) for (_, names), v in zip(axes, values) for name in names}}
-        model = ScanPoint(cid, point, tol)
-        row = [*values, *(model.value(q, kinds.get(k)) for q, k in columns)]
-        row += [threshold(cid, point, names, lvl, kinds[k], bracket, tol)[0] for k, lvl, _, names in thresholds]
-        table.append(row)
-    _emit("\n".join([",".join(header)] + _csv_rows(np.array(table))), args.output)
+    table, _ = scan.scan(cid, base_params, axes, [(q, kinds.get(k)) for q, k in columns],
+                         [(names, lvl, kinds[k]) for k, lvl, _, names in thresholds], bracket, tol)
+    _emit("\n".join([",".join(header)] + _csv_rows(table)), args.output)
     return EXIT_OK
 
 
@@ -524,8 +514,6 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
 def cmd_engineer(args) -> int:
     tol = _resolve_tol(args, None)
     reservoir = williamson.engineer_target(_load_target_cm(args, tol), tol)
-    target = reservoir.target
-    target_dev = float(np.abs(reservoir.steady_cm - target).max())
     realization = reservoir.realization
     vectors = [
         {"lambda_re": v.coupling.real, "lambda_im": v.coupling.imag} for v in realization.vectors
@@ -533,14 +521,14 @@ def cmd_engineer(args) -> int:
 
     if args.json:
         payload = {
-            "target": target,
-            "symplectic_spectrum": williamson.physical_spectrum(target, tol),
+            "target": reservoir.target,
+            "symplectic_spectrum": williamson.physical_spectrum(reservoir.target, tol),
             "drift_matrix": reservoir.drift_matrix,
             "diffusion": reservoir.diffusion,
             "hessian": realization.hamiltonian.hessian,
             "lindblad": vectors,
             "verification": {
-                "steady_cm_max_dev": target_dev,
+                "steady_cm_max_dev": reservoir.target_deviation,
                 "stationary_residual": reservoir.residual,
             },
         }
@@ -555,7 +543,7 @@ def cmd_engineer(args) -> int:
     lines.append(f"coupling vectors: {len(vectors)}")
     for k, v in enumerate(realization.vectors):
         lines.append(f"  lambda[{k}]: " + "  ".join(_fmt_complex(z) for z in v.coupling))
-    lines.append(f"steady-state deviation from target: {_fmt(target_dev)}")
+    lines.append(f"steady-state deviation from target: {_fmt(reservoir.target_deviation)}")
     lines.append(f"stationary residual of target: {_fmt(reservoir.residual)}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK
@@ -571,9 +559,7 @@ def cmd_evolve(args) -> int:
         raise ValueError(f"--v0-scale must be finite, got {args.v0_scale}")
     if args.v0_scale < 0:
         raise ValueError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
-    spec, doc_tols, _ = _parse_model(_load_json(args.model))
-    tol = _resolve_tol(args, doc_tols)
-    dyn = spec.build(tol)
+    dyn, tol, _ = _load_model(args)
     t_end = args.t_end
     if t_end is None:
         report = stability_check(dyn, tol)
@@ -618,34 +604,28 @@ def cmd_williamson(args) -> int:
     if args.cm:
         cm = _load_cm(args.cm, "covariance matrix", tol)
     elif args.model:
-        spec, doc_tols, _ = _parse_model(_load_json(args.model))
-        tol = _resolve_tol(args, doc_tols)
-        dyn = spec.build(tol)
+        dyn, tol, _ = _load_model(args)
         require_stable(dyn, "williamson", tol)
         cm = lyapunov.steady_covariance(dyn, tol)
     else:
         raise ValueError("williamson needs a model document or --cm FILE")
 
     decomp = williamson.williamson_decompose(cm, tol)
-    n = cm.shape[0] // 2
-    j = symplectic_form(n)
-    j_dev = float(np.abs(decomp.s @ j @ decomp.s.T - j).max())
-    m_dev = float(np.abs(decomp.s @ cm @ decomp.s.T - decomp.lambda_matrix).max())
     if args.json:
         payload = {
             "cm": cm,
             "symplectic_eigenvalues": decomp.mu,
             "s": decomp.s,
-            "dev_form": j_dev,
-            "dev_diag": m_dev,
+            "dev_form": decomp.form_deviation,
+            "dev_diag": decomp.diag_deviation,
         }
         _emit(json.dumps(_jsonify(payload), indent=2), args.output)
         return EXIT_OK
     lines = ["symplectic eigenvalues (ascending): " + "  ".join(_fmt(v) for v in decomp.mu)]
     lines.append("congruence S:")
     lines += _matrix_lines(decomp.s)
-    lines.append(f"|S J S^T - J|_max: {_fmt(j_dev)}")
-    lines.append(f"|S M S^T - Lambda|_max: {_fmt(m_dev)}")
+    lines.append(f"|S J S^T - J|_max: {_fmt(decomp.form_deviation)}")
+    lines.append(f"|S M S^T - Lambda|_max: {_fmt(decomp.diag_deviation)}")
     _emit("\n".join(lines), args.output)
     return EXIT_OK
 
@@ -724,7 +704,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evolve", help="propagate the moment equations exactly, CSV output")
     add_common(p)
     p.add_argument("--t-end", type=float, default=None, help="final time (default 40/|abscissa|)")
-    p.add_argument("--dt", type=float, default=None, help="time grid step (the propagation is exact for any step)")
+    p.add_argument("--dt", type=float, default=None, help=(
+        "time grid step (the propagation is exact for any step); default min(1e-3, 0.05/||drift||_2), "
+        f"but at least t_end/{evolution.MAX_DEFAULT_STEPS}"))
     p.add_argument("--v0-scale", type=float, default=5.0, help="initial covariance scale s >= 0 in s*I")
     p.add_argument("--stride", type=int, default=200, help="record every N-th step in the CSV (N >= 1)")
     p.set_defaults(func=cmd_evolve)

@@ -31,6 +31,9 @@ from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
 
+# the default grid has no more than about this many steps over the horizon, whatever the rate scale
+MAX_DEFAULT_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -72,10 +75,12 @@ def evolve(
     """Propagate the moments exactly from (x0, v0) up to t_end.
 
     The grid step is h = t_end / ceil(t_end / dt), with dt defaulting to
-    min(1e-3, 0.05 / ||Gamma||_2).  It only sets the grid: states are
-    recorded at the grid times k h with k a multiple of `record_every` (the
-    final state is always recorded), and each one is the exact flow of the
-    moment equations from an earlier recorded state, over a power of two
+    min(1e-3, 0.05 / ||Gamma||_2) but not below t_end / MAX_DEFAULT_STEPS, so
+    a slow model's long default horizon does not grow its step count past
+    about MAX_DEFAULT_STEPS.  The step only sets the grid: states are recorded
+    at the grid times k h with k a multiple of `record_every` (the final state
+    is always recorded), and each one is the exact flow of the moment
+    equations from an earlier recorded state, over a power of two
     strides.  A map whose square would not be finite (a growing mode over a
     long time) is not squared further, but applied block by block, so an
     unexcited unstable mode does not poison the trajectory.  t_end and dt
@@ -101,6 +106,7 @@ def evolve(
 
     if dt is None:
         dt = min(1e-3, 0.05 / max(np.linalg.norm(dyn.drift_matrix, 2), 1e-12))
+        dt = max(dt, t_end / MAX_DEFAULT_STEPS)
     steps = max(1, math.ceil(t_end / dt))
     h = t_end / steps
 

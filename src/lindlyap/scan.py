@@ -1,7 +1,9 @@
-"""Parameter scans of catalog models: one point's values, and where a verdict flips.
+"""Parameter scans of catalog models: one point's values, where a verdict flips, and grids of both.
 
 :class:`ScanPoint` builds a catalog model at one parameter point and checks its stability once;
 every value read from it shares that build, the steady covariance and its symplectic spectrum.
+:func:`scan` walks one or two parameter grids and tabulates point values and thresholds, each
+cell with the reason it is nan, if it is.
 
 :func:`threshold` finds where a criterion's smallest eigenvalue changes sign as parameters move
 through a bracket [a, b].  The bracket rule: the value must be finite at every point the search
@@ -15,6 +17,7 @@ solve failed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +26,7 @@ from . import catalog as catalog_mod, criteria as criteria_mod, lyapunov, willia
 from .core import DEFAULT_TOL, Tolerances
 from .model import stability_check
 
-__all__ = ["ScanPoint", "threshold"]
+__all__ = ["ScanPoint", "threshold", "scan"]
 
 
 class ScanPoint:
@@ -53,14 +56,8 @@ class ScanPoint:
 
     def value(self, quantity: str, kind=None) -> float:
         """``quantity`` "abscissa", "purity" or "min_symplectic_eig", or the smallest eigenvalue of
-        criterion ``kind`` at level ``quantity`` "state" or "env"; nan where it is undefined."""
-        try:
-            return self._value(quantity, kind)
-        except ValueError:
-            return math.nan
-
-    def _value(self, quantity: str, kind) -> float:
-        """As :meth:`value`, with a ValueError saying why where the value is undefined."""
+        criterion ``kind`` at level ``quantity`` "state" or "env".  Where it is undefined, a
+        ValueError says why: outside the family's domain, not stable, or a failed solve."""
         if self.report is None:
             raise ValueError(self.failure)
         if quantity == "abscissa":
@@ -98,7 +95,7 @@ def threshold(cid, params: dict, names, level: str, kind, bracket,
 
     def f(x):
         try:
-            val = ScanPoint(cid, {**params, **dict.fromkeys(names, x)}, tol)._value(level, kind)
+            val = ScanPoint(cid, {**params, **dict.fromkeys(names, x)}, tol).value(level, kind)
         except ValueError as exc:
             raise _Undefined(f"{label} = {x:.17g}: {exc}") from exc
         if not math.isfinite(val):
@@ -114,3 +111,37 @@ def threshold(cid, params: dict, names, level: str, kind, bracket,
         (a, b), (fa, fb) = bracket, values
         return math.nan, (f"no sign change: smallest eigenvalue {fa:.17g} at {label} = {a:.17g}, "
                           f"{fb:.17g} at {label} = {b:.17g}")
+
+
+def scan(cid, params: dict, axes, columns=(), thresholds=(), bracket=None,
+         tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, list[list[str | None]]]:
+    """Point values and thresholds over one or two parameter grids, the first axis outermost.
+
+    ``axes`` holds (grid, names) pairs: each grid value sets the parameters ``names`` (a tuple)
+    together, over the others held at ``params``; all are the family's own parameter names, as
+    :func:`lindlyap.catalog.resolve_param` gives them for an alias.  Each grid point contributes one
+    row: its axis values, then :meth:`ScanPoint.value` for each (quantity, kind) of ``columns``,
+    then :func:`threshold` over ``bracket`` for each (names, level, kind) of ``thresholds``.  A
+    search depends only on the parameters it does not override, so it runs once for each distinct
+    set of them, compared bit for bit, and its result fills every such cell; a threshold over a
+    swept parameter is one search.
+
+    Returns the float table and, for each of its cells, None or the reason the cell is nan.
+    """
+    rows, searches = [], {}
+    for values in itertools.product(*(grid for grid, _ in axes)):
+        point = {**params, **{name: float(v) for (_, names), v in zip(axes, values) for name in names}}
+        model = ScanPoint(cid, point, tol)
+        row = [(v, None) for v in values]  # (value, reason) per cell
+        for quantity, kind in columns:
+            try:
+                row.append((model.value(quantity, kind), None))
+            except ValueError as exc:
+                row.append((math.nan, str(exc)))
+        for j, (names, level, kind) in enumerate(thresholds):
+            key = (j, *(float(v).hex() for k, v in point.items() if k not in names))  # -0.0 is not 0.0
+            if key not in searches:
+                searches[key] = threshold(cid, point, names, level, kind, bracket, tol)
+            row.append(searches[key])
+        rows.append(row)
+    return np.array([[value for value, _ in row] for row in rows]), [[why for _, why in row] for row in rows]

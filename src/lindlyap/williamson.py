@@ -119,10 +119,13 @@ def is_symplectic(w: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class WilliamsonDecomposition:
-    """Symplectic congruence S with S M S^T = diag(mu, mu), mu ascending."""
+    """Symplectic congruence S with S M S^T = diag(mu, mu), mu ascending, and the max-norm
+    deviations of both identities as verified."""
 
     s: np.ndarray
     mu: np.ndarray
+    diag_deviation: float  # |S M S^T - Lambda|_max
+    form_deviation: float  # |S J S^T - J|_max
 
     @property
     def lambda_matrix(self) -> np.ndarray:
@@ -141,14 +144,14 @@ def williamson_decompose(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Willia
     j = symplectic_form(m.shape[0] // 2)
     mu, u, t = _symplectic_eigh(m)
     u = np.sqrt(2 * mu) * u
-    dec = WilliamsonDecomposition(s=np.concatenate([u.imag, u.real], axis=1).T @ t, mu=mu)
-    err_m = np.abs(dec.s @ m @ dec.s.T - dec.lambda_matrix).max()
-    err_j = np.abs(dec.s @ j @ dec.s.T - j).max()
+    s = np.concatenate([u.imag, u.real], axis=1).T @ t
+    err_m = float(np.abs(s @ m @ s.T - np.diag(np.concatenate([mu, mu]))).max())
+    err_j = float(np.abs(s @ j @ s.T - j).max())
     rtol = 1e3 * tol.residual_tol  # S J S^T is compared with J, of size max|J| = 1
     if not (within(err_m, rtol, np.abs(m).max()) and within(err_j, rtol, 1.0)):
         raise ValueError(f"decomposition validation failed: |S M S^T - Lambda| = {err_m:.3e}, "
                          f"|S J S^T - J| = {err_j:.3e}")
-    return dec
+    return WilliamsonDecomposition(s=s, mu=mu, diag_deviation=err_m, form_deviation=err_j)
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,7 @@ class EngineeredReservoir:
     realization: LindbladRealization
     residual: float  # stationary-equation residual of target under the pair
     steady_cm: np.ndarray  # the pair's stationary covariance, solved to check it meets target
+    target_deviation: float  # |steady_cm - target|_max
 
 
 def _finish_engineering(
@@ -175,7 +179,7 @@ def _finish_engineering(
         raise EngineeringError(f"engineering infeasible: {exc}") from exc
     problem = lyapunov.LyapunovProblem(form, d)
     cm = lyapunov.solve(problem, tol=tol)
-    dev = np.abs(cm - target).max()
+    dev = float(np.abs(cm - target).max())
     if not within(dev, 1e3 * tol.residual_tol, np.abs(target).max()):
         raise EngineeringError(f"engineered pair misses the target by {dev:.3e}")
     return EngineeredReservoir(
@@ -185,6 +189,7 @@ def _finish_engineering(
         realization=realization,
         residual=lyapunov.residual(problem, target),
         steady_cm=cm,
+        target_deviation=dev,
     )
 
 

@@ -108,6 +108,16 @@ class TestRecording:
         traj = evolve(dyn, np.zeros(2), 4.0 * np.eye(2), t_end=0.5, record_every=100)
         assert np.all(np.isfinite(traj.final_cm))
 
+    def test_default_grid_is_bounded_by_the_horizon(self):
+        """At rates of 1e-9 the absolute step 1e-3 would cut t_end = 1e4 into 1e7 steps; the
+        floor t_end / MAX_DEFAULT_STEPS keeps it at 1e6, so every 1e5th step gives 11 records."""
+        dyn = raw_pair_dynamics(-1e-9 * np.eye(2), 2e-9 * np.eye(2))
+        traj = evolve(dyn, np.zeros(2), 4.0 * np.eye(2), t_end=1e4, record_every=10**5)
+        assert evolution.MAX_DEFAULT_STEPS == 10**6
+        assert len(traj.times) == 11
+        assert traj.times[-1] == 1e4
+        assert np.abs(traj.final_cm - (np.eye(2) + 3.0 * np.exp(-2e-5) * np.eye(2))).max() <= 1e-14
+
 
 class TestValidation:
     def test_divergence_aborts_with_step_index(self):

@@ -93,6 +93,13 @@ class TestWilliamson:
             assert np.allclose(dec.s @ j @ dec.s.T, j, atol=1e-9)
             assert np.allclose(np.sort(dec.mu), np.sort(symplectic_spectrum(m)), atol=1e-9)
 
+    def test_carries_the_deviations_it_verified(self):
+        m = random_pd(np.random.default_rng(5), 2)
+        dec = williamson_decompose(m)
+        j = symplectic_form(2)
+        assert dec.diag_deviation == np.abs(dec.s @ m @ dec.s.T - dec.lambda_matrix).max()
+        assert dec.form_deviation == np.abs(dec.s @ j @ dec.s.T - j).max()
+
     def test_lambda_matrix(self):
         dec = williamson_decompose(np.diag([4.0, 1.0]))
         assert np.allclose(dec.lambda_matrix, 2.0 * np.eye(2), atol=1e-12)
@@ -373,7 +380,7 @@ class TestEngineeredPairSolvedOnce:
     def test_reservoir_carries_its_solved_covariance(self, method):
         res = ENGINEERED[method]()
         assert np.array_equal(res.steady_cm, solve(res.drift_matrix, res.diffusion))
-        assert np.abs(res.steady_cm - res.target).max() < 1e-12
+        assert res.target_deviation == np.abs(res.steady_cm - res.target).max() < 1e-12
 
 
 @pytest.fixture
