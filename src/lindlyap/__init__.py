@@ -68,6 +68,7 @@ from .symmetry import (
 )
 from .williamson import (
     EngineeredReservoir,
+    EngineeredTarget,
     EngineeringError,
     WilliamsonDecomposition,
     engineer_covariant_target,

@@ -522,7 +522,7 @@ def cmd_engineer(args) -> int:
     if args.json:
         payload = {
             "target": reservoir.target,
-            "symplectic_spectrum": williamson.physical_spectrum(reservoir.target, tol),
+            "symplectic_spectrum": reservoir.symplectic_spectrum,
             "drift_matrix": reservoir.drift_matrix,
             "diffusion": reservoir.diffusion,
             "hessian": realization.hamiltonian.hessian,

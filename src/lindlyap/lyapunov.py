@@ -5,11 +5,14 @@ The primary solver follows Bartels and Stewart (CACM 15(9), 1972): one Schur
 factorization A = U T U^dag (a :class:`~lindlyap.model.SchurForm`) both
 certifies stability (the spectral abscissa is read off T) and reduces the
 equation to the triangular Sylvester system T X + X T^dag = -U^dag Q U,
-solved by LAPACK ``trsyl``, with P = U X U^dag.  Cost is O(n^3) time and
+solved by LAPACK ``trsyl`` (taken from scipy's compiled wrapper module, see
+:mod:`lindlyap._lapack`), with P = U X U^dag.  Cost is O(n^3) time and
 O(n^2) memory.  A generator may be given as its Schur form, so a model's
 cached form (or one shared with a stability gate) is not factorized again;
 a real form meeting a complex source is converted by ``rsf2csf``, not
-refactorized.  An independent solver evaluates the integral representation
+refactorized.  ``rsf2csf`` and ``expm`` are imported from ``scipy.linalg`` at
+first use, so only the routes that need them pay for that package's import.
+An independent solver evaluates the integral representation
 P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
 finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
 matrix exponential of a Van Loan block (Van Loan, IEEE TAC 23(3), 1978)
@@ -27,8 +30,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, get_lapack_funcs, rsf2csf
 
+from ._lapack import flapack
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part, within
 from .model import (
     GaussianDynamics,
@@ -114,9 +117,11 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     t, u = form.t, form.u
     real = np.isrealobj(t) and np.isrealobj(q)
     if np.isrealobj(t) and not real:
+        from scipy.linalg import rsf2csf  # imported here: at module level it would slow the start-up
+
         t, u = rsf2csf(t, u, check_finite=False)
     c = -(u.conj().T @ q @ u)
-    (trsyl,) = get_lapack_funcs(("trsyl",), (t, c))
+    trsyl = flapack.dtrsyl if real else flapack.ztrsyl  # the prefix get_lapack_funcs picks for (t, c)
     x, scale, info = trsyl(t, t, c, tranb="T" if real else "C")
     if info < 0:
         raise ValueError(f"LAPACK trsyl rejected argument {-info}")
@@ -141,6 +146,8 @@ def _flow(a: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarra
     unless ||A s|| is small, so the pair is built over s = t / 2^m with ||A s||_1 < 1 and
     squared m times.
     """
+    from scipy.linalg import expm  # imported here: at module level it would slow the start-up
+
     m = max(0, int(np.frexp(t * np.linalg.norm(a, 1))[1]))
     dim = len(a)
     gen = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a, q))

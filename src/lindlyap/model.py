@@ -9,7 +9,8 @@ xbar' = Gamma xbar + drive and the covariance matrix obeys
 V' = Gamma V + V Gamma^T + D.
 
 A drift matrix is factorized once, into a Schur form Gamma = U T U^dag
-(:func:`schur_form`).  Its spectrum is read off T, so the same record
+(:func:`schur_form`, by LAPACK ``gees`` from scipy's compiled wrapper module,
+:mod:`lindlyap._lapack`).  Its spectrum is read off T, so the same record
 certifies stability and feeds the Bartels-Stewart solve of
 :mod:`lindlyap.lyapunov`; a model caches the record of its drift.
 """
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, schur
 
+from ._lapack import flapack
 from .core import (
     DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_real, symplectic_form, within, zero_band,
 )
@@ -239,19 +240,31 @@ class SchurForm:
         return StabilityReport(stable, a, self.spectrum, rtol * self.size, marginal)
 
 
+def _gees_of(dtype: np.dtype):
+    """LAPACK ``gees`` for a double precision dtype, the routine ``get_lapack_funcs`` picks."""
+    return flapack.zgees if dtype.kind == "c" else flapack.dgees
+
+
 @cache
 def _schur_lwork(dtype: np.dtype, size: int) -> int:
     """The optimal LAPACK ``gees`` workspace for a size x size matrix of dtype, the one that
     ``scipy.linalg.schur`` asks for before each factorization.  The query reads the size alone, not
     the entries, so it is made once per (dtype, size) in a process."""
-    (gees,) = get_lapack_funcs(("gees",), dtype=dtype)
-    return int(gees(lambda *_: None, np.zeros((size, size), dtype), lwork=-1)[-2][0].real)
+    return int(_gees_of(dtype)(lambda *_: None, np.zeros((size, size), dtype), lwork=-1)[-2][0].real)
+
+
+def _gees(a: np.ndarray, lwork: int) -> tuple:
+    """LAPACK ``gees`` of a with the arguments ``scipy.linalg.schur`` passes (no sorting, a kept):
+    the tuple (t, sdim, eigenvalues, u, work, info).  :func:`schur_form` factorizes through this
+    call alone."""
+    return _gees_of(a.dtype)(lambda *_: None, a, lwork=lwork, overwrite_a=False, sort_t=0)
 
 
 def schur_form(matrix: np.ndarray) -> SchurForm:
-    """Factorize a finite square matrix once, by ``scipy.linalg.schur`` in double precision.
+    """Factorize a finite square matrix once, by LAPACK ``gees`` in double precision.
 
-    The form is real for a real matrix and complex otherwise.  The eigenvalues
+    The form is real for a real matrix and complex otherwise, the bits that
+    ``scipy.linalg.schur`` gives, and a failure raises the same errors.  The eigenvalues
     are the diagonal of t, except that each standardized 2 x 2 block
     [[a, b], [c, a]] of a real form holds the pair a +- i sqrt(-b c).  As
     with ``numpy.linalg.eigvals``, the spectrum of a real matrix is real
@@ -262,9 +275,14 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     _require_finite(("drift matrix", a))
     if not a.size:
         raise ValueError(f"drift matrix is empty, got shape {a.shape}")
-    # floored at 1: schur refuses a matrix that is not square before LAPACK runs
-    lwork = _schur_lwork(a.dtype, max((1, *a.shape)))
-    t, u = schur(a, output="real" if real else "complex", lwork=lwork, check_finite=False)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    result = _gees(a, _schur_lwork(a.dtype, len(a)))
+    t, u, info = result[0], result[-3], result[-1]
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     eig = np.diag(t)
     k = np.flatnonzero(np.diag(t, -1))  # the first row of each 2 x 2 block; a complex t has none
     if k.size:

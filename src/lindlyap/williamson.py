@@ -28,6 +28,7 @@ __all__ = [
     "EngineeringError",
     "WilliamsonDecomposition",
     "EngineeredReservoir",
+    "EngineeredTarget",
     "symplectic_spectrum",
     "williamson_decompose",
     "is_symplectic",
@@ -167,6 +168,14 @@ class EngineeredReservoir:
     target_deviation: float  # |steady_cm - target|_max
 
 
+@dataclass(frozen=True)
+class EngineeredTarget(EngineeredReservoir):
+    """An :func:`engineer_target` reservoir, which keeps the target's symplectic spectrum as its
+    physicality gate computed it: descending, or None where rounding hides it."""
+
+    symplectic_spectrum: np.ndarray | None = None
+
+
 def _finish_engineering(
     target: np.ndarray, gamma: np.ndarray, d: np.ndarray, tol: Tolerances
 ) -> EngineeredReservoir:
@@ -218,13 +227,15 @@ def physical_spectrum(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.n
     return nu[::-1] if within(err, tol.eig_zero_band, nu[-1]) else None
 
 
-def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EngineeredReservoir:
+def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> EngineeredTarget:
     """Reservoir whose unique steady state is the covariance matrix ``target``: exactly the pair
-    (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD iff V is physical (:func:`physical_spectrum`).
+    (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD iff V is physical (:func:`physical_spectrum`,
+    whose value the result keeps).
     """
     v = check_hermitian(read_matrix(target, "target covariance matrix"), tol, what="target covariance matrix")
-    physical_spectrum(v, tol)
-    return _finish_engineering(v, np.diag(np.full(len(v), -0.5)), v, tol)
+    nu = physical_spectrum(v, tol)
+    reservoir = _finish_engineering(v, np.diag(np.full(len(v), -0.5)), v, tol)
+    return EngineeredTarget(**vars(reservoir), symplectic_spectrum=nu)
 
 
 def engineer_gibbs_target(

@@ -1,12 +1,10 @@
-import sys
-
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import lindlyap.model
 from lindlyap import (
     LindbladVector,
     QuadraticHamiltonian,
@@ -28,21 +26,19 @@ settings.load_profile("ci")
 
 @pytest.fixture
 def drift_factorizations(monkeypatch):
-    """Names of the eigensolvers run from here on: ``numpy.linalg.eigvals`` anywhere, and
-    ``scipy.linalg.schur`` where a lindlyap module calls it (each one factorizes a matrix)."""
+    """Names of the eigensolvers run from here on: ``numpy.linalg.eigvals`` anywhere, and as
+    ``"schur"`` each LAPACK ``gees`` call of ``schur_form`` (each one factorizes a matrix)."""
     calls = []
 
-    def counting(fn):
+    def counting(name, fn):
         def counted(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append(name)
             return fn(*args, **kwargs)
 
         return counted
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting(np.linalg.eigvals))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("lindlyap") and getattr(module, "schur", None) is scipy.linalg.schur:
-            monkeypatch.setattr(module, "schur", counting(scipy.linalg.schur))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(lindlyap.model, "_gees", counting("schur", lindlyap.model._gees))
     return calls
 
 

@@ -411,6 +411,18 @@ class TestEngineer:
         assert rc == 1 and "symmetric" in err
 
 
+def test_engineer_computes_the_symplectic_spectrum_once(capsys, monkeypatch):
+    """engineer --json prints the spectrum that the physicality gate computed."""
+    calls = []
+    spectrum = lindlyap.williamson.physical_spectrum
+    monkeypatch.setattr(lindlyap.williamson, "physical_spectrum", lambda *a: calls.append(1) or spectrum(*a))
+    rc, out, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2", "--json")
+    assert (rc, err) == (0, "")
+    assert len(calls) == 1
+    data = json.loads(out)
+    assert np.array_equal(data["symplectic_spectrum"], spectrum(np.array(data["target"])))
+
+
 class TestEngineerTolerance:
     """--tol sets the band of engineer's physicality test."""
 
@@ -773,6 +785,41 @@ def test_cli_import_loads_only_scipy_linalg():
     loaded = {name for name in proc.stdout.split() if not name.startswith("_")}
     assert "optimize" not in loaded
     assert loaded <= {"linalg", "version"}
+
+
+# the start-up test's script: the commands that need no matrix exponential leave the scipy.linalg
+# package unimported, and evolve imports it for expm
+NO_EXPM_SCRIPT = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from lindlyap.cli import main
+model = sys.argv[2]
+for argv in (["steady", model], ["stability", model], ["criteria", model, "--json"], ["williamson", model],
+             ["engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2"],
+             ["sweep", model, "--param", "epsilon", "--range", "0:0.5:3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    assert "scipy.linalg" not in sys.modules, argv
+assert main(["evolve", model, "--t-end", "1", "--dt", "0.01", "--stride", "50"]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+OPO_EVOLVE_CSV = (
+    "t,x0,x1,V_0_0,V_0_1,V_1_0,V_1_1\n"
+    "0,0,0,5,0,0,5\n"
+    "0.5,0,0,3.9453146061382625,0,0,2.977885978604299\n"
+    "1,0,0,3.2020903706836057,0,0,1.922249893605438\n"
+)
+
+
+def test_only_evolve_imports_scipy_linalg(tmp_path):
+    """steady, stability, criteria, williamson, engineer and a threshold-free sweep run on
+    scipy's compiled LAPACK module alone; evolve then imports scipy.linalg for expm."""
+    src = os.path.dirname(os.path.dirname(lindlyap.__file__))
+    model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
+    proc = subprocess.run([sys.executable, "-c", NO_EXPM_SCRIPT, src, model], capture_output=True, text=True,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == OPO_EVOLVE_CSV
 
 
 class TestNonFiniteDocuments:
