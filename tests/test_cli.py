@@ -1069,6 +1069,68 @@ def test_refusal_table_documents_are_valid_unspoiled(capsys, tmp_path, doc):
     assert (rc, err) == (0, "")
 
 
+CASCADE = {"catalog": "CascadedOPO", "params": {"epsilon1": 0.3, "epsilon2": -0.2, "kappa": 1.0}}
+TWO_OSC = {"catalog": "TwoOscThermal", "params": {"omega": 0.5, "kappa": 1.0, "zeta": 0.7, "nbar": 0.3}}
+THRESHOLD_SWEEP = ["--param", "zeta", "--range", "1.1:2:3", "--quantity", "purity", "--quantity",
+                   "env_separability_min_eig", "--threshold", "separability:env:zeta", "--threshold-range", "1.1:40"]
+
+
+def golden(name, argv, doc, md5, code=0):
+    return pytest.param(argv, doc, code, md5, id=name)
+
+
+# the stdout of every subcommand, in text and --json where offered, pinned by its md5
+GOLDEN = [
+    golden("steady", ["steady", DOC], FULL_DOC, "317af864e704c64b9c074f74c1470128"),
+    golden("steady-json", ["steady", DOC, "--json"], FULL_DOC, "e1a587f40453099c82af9a5adeb0ca26"),
+    golden("steady-json-catalog", ["steady", DOC, "--json"], FULL_CATALOG_DOC, "30bd59abf8880eddbdc16442646ec5c6"),
+    golden("stability", ["stability", DOC], TWO_OSC, "a954a24ad385c8af8c4341c0da9d4a95"),
+    golden("stability-json", ["stability", DOC, "--json"], TWO_OSC, "7126a109b947a1908608fc4809cd9505"),
+    golden("stability-unstable", ["stability", DOC], UNSTABLE, "46a9150a9aafa0c0b1fdc86903b2a2b7", code=2),
+    golden("stability-unstable-json", ["stability", DOC, "--json"], UNSTABLE, "96bacb19a05a71d3e6e2ec8287a8adc5",
+           code=2),
+    golden("criteria", ["criteria", DOC], CASCADE, "6dbafdb600dec803cae66ad2aa5c7cf6"),
+    golden("criteria-json", ["criteria", DOC, "--json"], CASCADE, "8a7787cbdd87bb5dcde0f38f5a751877"),
+    golden("criteria-steerability-json",
+           ["criteria", DOC, "--kind", "steerability", "--level", "env", "--partition", "1", "--json"],
+           FULL_CATALOG_DOC, "441425a39a8081958e34eb0407c52127"),
+    golden("sweep-threshold", ["sweep", DOC, *THRESHOLD_SWEEP], FULL_CATALOG_DOC, "b156ea0370c0f5bad9b393c128bdcb2e"),
+    golden("sweep-two-parameters",
+           ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--param2", "nbar", "--range2", "0.1:0.3:2"],
+           FULL_CATALOG_DOC, "7459c3d7d1d94ad05bfc2cf4b7e21f63"),
+    golden("engineer", ["engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2"], {},
+           "022496b59d6b0809b5f6916d1b7eea32"),
+    golden("engineer-json", ["engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2", "--json"], {},
+           "c6942436ca11be94080fbe9654b5064b"),
+    golden("engineer-json-null-spectrum", ["engineer", "--catalog", "TMTSS", "--params", "r=17,nbar=0.2", "--json"],
+           {}, "24172aaf76a094a0c248d5b7d09f0e27"),
+    golden("engineer-target-json", ["engineer", "--target", DOC, "--json"],
+           {"cm": np.diag([3.0, 1.0, 3.0, 1.0]).tolist()}, "6c091c1ae07c45ca4a90c74ebe4024dc"),
+    golden("evolve", ["evolve", DOC, "--t-end", "0.05", "--stride", "7"], FULL_CATALOG_DOC,
+           "28a65a28ee4a57b3999fb906fbfdc051"),
+    golden("evolve-json", ["evolve", DOC, "--t-end", "0.05", "--json"], FULL_CATALOG_DOC,
+           "125676dddaafe7eade1fa2af0a53db17"),
+    golden("evolve-json-driven", ["evolve", DOC, "--t-end", "1", "--dt", "0.01", "--stride", "50", "--json"],
+           {**FULL_DOC, "xi": [0.3, -0.7]}, "49d619c48468ee326116d6087df7b364"),
+    golden("williamson", ["williamson", DOC], CASCADE, "7b452a0f308bd61ccb54f7861a30e048"),
+    golden("williamson-json", ["williamson", DOC, "--json"], CASCADE, "cc6931d768c6bd72f941357c1ef39795"),
+    golden("williamson-cm-json", ["williamson", "--cm", DOC, "--json"], {"cm": [[4.0, 0.5], [0.5, 1.0]]},
+           "f8f4dc0b2477810fbf0ac3636c15c0ef"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, code, md5", GOLDEN)
+def test_golden_output(capsys, tmp_path, argv, doc, code, md5):
+    """Each run prints its pinned stdout and nothing on stderr; --output FILE writes those bytes to
+    FILE and none to stdout, also for `stability` on an unstable model, which exits 2."""
+    argv = [write_doc(tmp_path, "doc.json", doc) if arg == DOC else arg for arg in argv]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err, hashlib.md5(out.encode()).hexdigest()) == (code, "", md5)
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(path)) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+
+
 class TestInProcessEntryPoint:
     """main(argv) returns the exit code and can be called again: one parser serves every call of a process."""
 
