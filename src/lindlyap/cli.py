@@ -22,7 +22,8 @@ the pair (-I/2, V) after refusing an unphysical V; its symplectic_spectrum
 is null, and sweep's purity and min_symplectic_eig cells are nan, where
 rounding does not resolve the spectrum within the zero band.  All floats
 are printed with 17 significant digits; CSV output is deterministic for fixed
-inputs.
+inputs.  Output goes to stdout, or with --output FILE to FILE, which gets exactly the
+bytes stdout would; a FILE that cannot be written exits 1.
 
 Exit codes: 0 success, 1 invalid input, 2 stability refusal (the requested
 computation needs an asymptotically stable model), 3 engineering failure.
@@ -101,30 +102,14 @@ def _csv_rows(table: np.ndarray) -> list[str]:
     return [row_format % tuple(row) for row in varying.tolist()]
 
 
-def _jsonify(obj):
+def _json_default(obj):
+    """What json.dumps writes for a numpy value: a real array as nested lists, a complex one as
+    {"re", "im"}, a scalar as its Python number."""
     if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
-        return obj.tolist()
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool is a subclass of int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return {"re": obj.real.tolist(), "im": obj.imag.tolist()} if np.iscomplexobj(obj) else obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
@@ -227,20 +212,19 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
 
 def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
     tol = doc_tols or Tolerances()
-    if getattr(args, "tol", None) is not None:
+    if getattr(args, "tol", None) is None:
+        return tol
+    try:
         return dataclasses.replace(tol, eig_zero_band=args.tol, residual_tol=args.tol)
-    return tol
+    except ValueError as exc:
+        raise ValueError(f"--tol: {exc}") from exc
 
 
-def _load_model(args, sweep: bool = False):
-    """(model, tolerances, catalog info) of the document ``args.model``, --tol applied.  The model
-    is built into its dynamics, except for a sweep, which builds one per grid point from the
-    catalog entry that its document must name; it gets the ModelSpec."""
-    spec, doc_tols, info = _parse_model(_load_json(args.model))
-    if sweep and not info:
-        raise ValueError("sweep needs a catalog model (named parameters to vary)")
+def _load_model(args):
+    """(dynamics, tolerances) of the model document ``args.model``, --tol applied."""
+    spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
-    return (spec if sweep else spec.build(tol)), tol, info
+    return spec.build(tol), tol
 
 
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
@@ -256,19 +240,22 @@ def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
         if any(k < 1 or k > n for k in indices):
             raise ValueError(f"--partition modes must lie in 1..{n}")
         flipped = frozenset(k - 1 for k in indices)
-    return criteria_mod.Partition(n, flipped)
+    try:
+        return criteria_mod.Partition(n, flipped)
+    except ValueError as exc:
+        raise ValueError(f"--partition: {exc}") from exc
 
 
 # ---------------------------------------------------------------- steady
 
 
-def cmd_steady(args) -> int:
-    dyn, tol, _ = _load_model(args)
+def cmd_steady(args) -> tuple[int, str | dict]:
+    dyn, tol = _load_model(args)
     abscissa = require_stable(dyn, "steady", tol).spectral_abscissa
     cm = lyapunov.steady_covariance(dyn, tol)
     res = lyapunov.residual(lyapunov.steady_state_problem(dyn), cm)
     if args.json:
-        payload = {
+        return EXIT_OK, {
             "n": dyn.n,
             "spectral_abscissa": abscissa,
             "drift_matrix": dyn.drift_matrix,
@@ -276,39 +263,34 @@ def cmd_steady(args) -> int:
             "steady_cm": cm,
             "residual": res,
         }
-        _emit(json.dumps(_jsonify(payload), indent=2), args.output)
-        return EXIT_OK
     lines = [f"modes: {dyn.n}", f"spectral abscissa: {_fmt(abscissa)}", "steady covariance matrix:"]
     lines += _matrix_lines(cm)
     lines.append(f"residual: {_fmt(res)}")
-    _emit("\n".join(lines), args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------- stability
 
 
-def cmd_stability(args) -> int:
-    dyn, tol, _ = _load_model(args)
+def cmd_stability(args) -> tuple[int, str | dict]:
+    dyn, tol = _load_model(args)
     report = stability_check(dyn, tol)
+    code = EXIT_OK if report.is_stable else EXIT_STABILITY  # the report is written either way
     if args.json:
-        payload = {
+        return code, {
             "is_stable": report.is_stable,
             "spectral_abscissa": report.spectral_abscissa,
             "spectrum": report.spectrum,
         }
-        _emit(json.dumps(_jsonify(payload), indent=2), args.output)
-    else:
-        lines = [
-            f"asymptotically stable: {'yes' if report.is_stable else 'no'}",
-            f"spectral abscissa: {_fmt(report.spectral_abscissa)}",
-            "drift spectrum:",
-        ]
-        lines += ["  " + _fmt_complex(z) for z in report.spectrum]
-        if report.is_marginal:
-            lines.append("note: marginally stable, no unique steady state")
-        _emit("\n".join(lines), args.output)
-    return EXIT_OK if report.is_stable else EXIT_STABILITY
+    lines = [
+        f"asymptotically stable: {'yes' if report.is_stable else 'no'}",
+        f"spectral abscissa: {_fmt(report.spectral_abscissa)}",
+        "drift spectrum:",
+    ]
+    lines += ["  " + _fmt_complex(z) for z in report.spectrum]
+    if report.is_marginal:
+        lines.append("note: marginally stable, no unique steady state")
+    return code, "\n".join(lines)
 
 
 # ---------------------------------------------------------------- criteria
@@ -378,8 +360,8 @@ def _result_line(res: criteria_mod.CriterionResult) -> str:
     )
 
 
-def cmd_criteria(args) -> int:
-    dyn, tol, _ = _load_model(args)
+def cmd_criteria(args) -> tuple[int, str | list]:
+    dyn, tol = _load_model(args)
     require_stable(dyn, "criteria", tol)  # before the partition is parsed: an unstable model exits 2
     names = _KIND_CHOICES[args.kind]
     if args.kind == "all" and dyn.n < 2:
@@ -395,10 +377,8 @@ def cmd_criteria(args) -> int:
             results.append(criteria_mod.environment_criterion(dyn, kind, tol))
 
     if args.json:
-        _emit(json.dumps(_jsonify([_result_dict(r) for r in results]), indent=2), args.output)
-    else:
-        _emit("\n".join(_result_line(r) for r in results), args.output)
-    return EXIT_OK
+        return EXIT_OK, [_result_dict(r) for r in results]
+    return EXIT_OK, "\n".join(_result_line(r) for r in results)
 
 
 # ---------------------------------------------------------------- sweep
@@ -444,8 +424,12 @@ def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str,
     return kind_name, level, param, catalog_mod.resolve_param(cid, param)
 
 
-def cmd_sweep(args) -> int:
-    spec, tol, info = _load_model(args, sweep=True)
+def cmd_sweep(args) -> tuple[int, str]:
+    # a model is built per grid point from the catalog entry, which the document must name
+    spec, doc_tols, info = _parse_model(_load_json(args.model))
+    if not info:
+        raise ValueError("sweep needs a catalog model (named parameters to vary)")
+    tol = _resolve_tol(args, doc_tols)
     cid = info["catalog"]
     base_params = catalog_mod.resolve_params(cid, info["params"])
 
@@ -469,8 +453,7 @@ def cmd_sweep(args) -> int:
     header += [f"thr_{k}_{lvl}_{prm}" for (k, lvl, prm, _) in thresholds]
     table, _ = scan.scan(cid, base_params, axes, [(q, kinds.get(k)) for q, k in columns],
                          [(names, lvl, kinds[k]) for k, lvl, _, names in thresholds], bracket, tol)
-    _emit("\n".join([",".join(header)] + _csv_rows(table)), args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join([",".join(header)] + _csv_rows(table))
 
 
 # ---------------------------------------------------------------- engineer
@@ -511,7 +494,7 @@ def _load_target_cm(args, tol: Tolerances) -> np.ndarray:
     raise ValueError("engineer needs --target FILE or --catalog ID --params ...")
 
 
-def cmd_engineer(args) -> int:
+def cmd_engineer(args) -> tuple[int, str | dict]:
     tol = _resolve_tol(args, None)
     reservoir = williamson.engineer_target(_load_target_cm(args, tol), tol)
     realization = reservoir.realization
@@ -520,7 +503,7 @@ def cmd_engineer(args) -> int:
     ]
 
     if args.json:
-        payload = {
+        return EXIT_OK, {
             "target": reservoir.target,
             "symplectic_spectrum": reservoir.symplectic_spectrum,
             "drift_matrix": reservoir.drift_matrix,
@@ -532,8 +515,6 @@ def cmd_engineer(args) -> int:
                 "stationary_residual": reservoir.residual,
             },
         }
-        _emit(json.dumps(_jsonify(payload), indent=2), args.output)
-        return EXIT_OK
     lines = ["engineered drift matrix:"]
     lines += _matrix_lines(reservoir.drift_matrix)
     lines.append("engineered diffusion matrix:")
@@ -545,21 +526,23 @@ def cmd_engineer(args) -> int:
         lines.append(f"  lambda[{k}]: " + "  ".join(_fmt_complex(z) for z in v.coupling))
     lines.append(f"steady-state deviation from target: {_fmt(reservoir.target_deviation)}")
     lines.append(f"stationary residual of target: {_fmt(reservoir.residual)}")
-    _emit("\n".join(lines), args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------- evolve
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple[int, str | dict]:
     if args.stride < 1:
         raise ValueError(f"--stride must be at least 1, got {args.stride}")
     if not math.isfinite(args.v0_scale):
         raise ValueError(f"--v0-scale must be finite, got {args.v0_scale}")
     if args.v0_scale < 0:
         raise ValueError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
-    dyn, tol, _ = _load_model(args)
+    for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
+    dyn, tol = _load_model(args)
     t_end = args.t_end
     if t_end is None:
         report = stability_check(dyn, tol)
@@ -576,13 +559,11 @@ def cmd_evolve(args) -> int:
         raise ValueError(str(exc)) from exc
 
     if args.json:
-        payload = {
+        return EXIT_OK, {
             "t_end": traj.times[-1],
             "final_mean": traj.final_mean,
             "final_cm": traj.final_cm,
         }
-        _emit(json.dumps(_jsonify(payload), indent=2), args.output)
-        return EXIT_OK
     header = ["t"] + [f"x{i}" for i in range(dim)] + [
         f"V_{i}_{j}" for i in range(dim) for j in range(dim)
     ]
@@ -590,21 +571,20 @@ def cmd_evolve(args) -> int:
     # undriven model started at 0, is formatted once
     table = np.column_stack([traj.times, traj.means, traj.cms.reshape(len(traj.times), -1)])
     rows = [",".join(header)] + _csv_rows(table)
-    _emit("\n".join(rows), args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(rows)
 
 
 # ---------------------------------------------------------------- williamson
 
 
-def cmd_williamson(args) -> int:
+def cmd_williamson(args) -> tuple[int, str | dict]:
     tol = _resolve_tol(args, None)
     if args.cm and args.model:
         raise ValueError("give either a model document or --cm, not both")
     if args.cm:
         cm = _load_cm(args.cm, "covariance matrix", tol)
     elif args.model:
-        dyn, tol, _ = _load_model(args)
+        dyn, tol = _load_model(args)
         require_stable(dyn, "williamson", tol)
         cm = lyapunov.steady_covariance(dyn, tol)
     else:
@@ -612,22 +592,19 @@ def cmd_williamson(args) -> int:
 
     decomp = williamson.williamson_decompose(cm, tol)
     if args.json:
-        payload = {
+        return EXIT_OK, {
             "cm": cm,
             "symplectic_eigenvalues": decomp.mu,
             "s": decomp.s,
             "dev_form": decomp.form_deviation,
             "dev_diag": decomp.diag_deviation,
         }
-        _emit(json.dumps(_jsonify(payload), indent=2), args.output)
-        return EXIT_OK
     lines = ["symplectic eigenvalues (ascending): " + "  ".join(_fmt(v) for v in decomp.mu)]
     lines.append("congruence S:")
     lines += _matrix_lines(decomp.s)
     lines.append(f"|S J S^T - J|_max: {_fmt(decomp.form_deviation)}")
     lines.append(f"|S M S^T - Lambda|_max: {_fmt(decomp.diag_deviation)}")
-    _emit("\n".join(lines), args.output)
-    return EXIT_OK
+    return EXIT_OK, "\n".join(lines)
 
 
 # ---------------------------------------------------------------- parser
@@ -723,6 +700,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     """The command line as an in-process entry point: parse argv, run it, return the exit code.
 
+    Each command returns its exit code and its output, text or a JSON document, and this is the
+    one place that writes the output: with a final newline, to stdout or to the --output file.
     It never exits the interpreter and is safe to call repeatedly; every call in a
     process shares one parser, built on the first.
     """
@@ -732,7 +711,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help or usage error
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
+        code, output = args.func(args)
+        text = output if isinstance(output, str) else json.dumps(output, indent=2, default=_json_default)
+        text = text if text.endswith("\n") else text + "\n"
+        if args.output:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ValueError(f"cannot write --output {args.output}: {exc}") from exc
+        else:
+            sys.stdout.write(text)
+        return code
     except UnstableDriftError as exc:
         kind = "marginally stable" if exc.report.is_marginal else "unstable"
         sys.stderr.write(

@@ -1,4 +1,5 @@
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -586,21 +587,6 @@ class TestEvolve:
         rc, _, err = run(capsys, "evolve", model)
         assert rc == 1 and "--t-end" in err
 
-    @pytest.mark.parametrize(
-        "flags, field",
-        [
-            (["--t-end", "inf"], "t_end"),
-            (["--dt", "0"], "dt"),
-            (["--dt", "-1"], "dt"),
-            (["--v0-scale", "nan"], "--v0-scale"),
-        ],
-    )
-    def test_bad_input_exits_one(self, capsys, tmp_path, flags, field):
-        model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
-        rc, out, err = run(capsys, "evolve", model, *flags)
-        assert rc == 1 and out == ""
-        assert err.startswith(f"error: {field} must be finite")
-
     def test_divergence_exits_one(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPO", epsilon=1.5, kappa=1.0)
         rc, out, err = run(capsys, "evolve", model, "--t-end", "2000", "--dt", "0.1")
@@ -854,6 +840,11 @@ class TestEvolveFlags:
             (["--v0-scale", "-1"], "--v0-scale must be nonnegative, got -1.0"),
             (["--v0-scale", "inf"], "--v0-scale must be finite, got inf"),
             (["--v0-scale", "nan"], "--v0-scale must be finite, got nan"),
+            *[
+                ([flag, value], f"{flag} must be finite and positive, got {float(value)}")
+                for flag in ("--t-end", "--dt")
+                for value in ("0", "-1", "nan", "inf")
+            ],
         ],
     )
     def test_bad_flag_exits_one(self, capsys, tmp_path, flags, message):
@@ -1017,6 +1008,22 @@ REFUSALS = [
              "--threshold-range must be A:B: endpoint 'nan' is not finite"),
         )
     ],
+    # --partition and --tol refusals of the library name the flag
+    *[
+        pytest.param([*argv, "--partition", value], FULL_CATALOG_DOC, 1,
+                     "--partition: part two must be a nonempty proper subset of the modes", id=f"{argv[0]}:--partition={value}")
+        for argv in (["criteria", DOC], ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--quantity",
+                                         "env_separability_min_eig"])
+        for value in ("1,2", ",")
+    ],
+    *[
+        pytest.param([*argv, "--tol", value], FULL_CATALOG_DOC, 1,
+                     f"--tol: tolerance eig_zero_band must be finite and nonnegative, got {float(value)}",
+                     id=f"{argv[0]}:--tol={value}")
+        for argv in (["steady", DOC], ["sweep", DOC, "--param", "zeta", "--range", "1:2:2"],
+                     ["engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2"])
+        for value in ("-1", "nan")
+    ],
     # exit 2: the computation needs an asymptotically stable model; `stability` reports on stdout
     *[
         pytest.param([command, DOC], doc, 2, line, id=f"{command}:{name}")
@@ -1117,6 +1124,20 @@ GOLDEN = [
     golden("williamson-cm-json", ["williamson", "--cm", DOC, "--json"], {"cm": [[4.0, 0.5], [0.5, 1.0]]},
            "f8f4dc0b2477810fbf0ac3636c15c0ef"),
 ]
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("missing/out.txt", FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))),
+     (".", IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))],
+    ids=["missing-directory", "directory"],
+)
+def test_unwritable_output_exits_one(capsys, tmp_path, target, error):
+    """An --output path that cannot be written is refused on stderr, naming the flag, and main returns 1."""
+    path = str(tmp_path / target)
+    error.filename = path
+    rc, out, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", FULL_DOC), "--output", path)
+    assert (rc, out, err) == (1, "", f"error: cannot write --output {path}: {error}\n")
 
 
 @pytest.mark.parametrize("argv, doc, code, md5", GOLDEN)
