@@ -212,7 +212,7 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
 
 def _resolve_tol(args, doc_tols: Tolerances | None) -> Tolerances:
     tol = doc_tols or Tolerances()
-    if getattr(args, "tol", None) is None:
+    if args.tol is None:
         return tol
     try:
         return dataclasses.replace(tol, eig_zero_band=args.tol, residual_tol=args.tol)

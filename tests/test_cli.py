@@ -1011,9 +1011,10 @@ REFUSALS = [
     # --partition and --tol refusals of the library name the flag
     *[
         pytest.param([*argv, "--partition", value], FULL_CATALOG_DOC, 1,
-                     "--partition: part two must be a nonempty proper subset of the modes", id=f"{argv[0]}:--partition={value}")
-        for argv in (["criteria", DOC], ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--quantity",
-                                         "env_separability_min_eig"])
+                     "--partition: part two must be a nonempty proper subset of the modes",
+                     id=f"{argv[0]}:--partition={value}")
+        for argv in (["criteria", DOC],
+                     ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--quantity", "env_separability_min_eig"])
         for value in ("1,2", ",")
     ],
     *[
@@ -1126,20 +1127,6 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize(
-    "target, error",
-    [("missing/out.txt", FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))),
-     (".", IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))],
-    ids=["missing-directory", "directory"],
-)
-def test_unwritable_output_exits_one(capsys, tmp_path, target, error):
-    """An --output path that cannot be written is refused on stderr, naming the flag, and main returns 1."""
-    path = str(tmp_path / target)
-    error.filename = path
-    rc, out, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", FULL_DOC), "--output", path)
-    assert (rc, out, err) == (1, "", f"error: cannot write --output {path}: {error}\n")
-
-
 @pytest.mark.parametrize("argv, doc, code, md5", GOLDEN)
 def test_golden_output(capsys, tmp_path, argv, doc, code, md5):
     """Each run prints its pinned stdout and nothing on stderr; --output FILE writes those bytes to
@@ -1150,6 +1137,16 @@ def test_golden_output(capsys, tmp_path, argv, doc, code, md5):
     path = tmp_path / "out.txt"
     assert run(capsys, *argv, "--output", str(path)) == (code, "", "")
     assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("target, code", [("missing/out.txt", errno.ENOENT), (".", errno.EISDIR)],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_one(capsys, tmp_path, target, code):
+    """An --output path that cannot be written is refused on stderr, naming the flag, and main returns 1."""
+    path = str(tmp_path / target)
+    rc, out, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", FULL_DOC), "--output", path)
+    assert (rc, out) == (1, "")
+    assert err == f"error: cannot write --output {path}: [Errno {code}] {os.strerror(code)}: {path!r}\n"
 
 
 class TestInProcessEntryPoint:
