@@ -49,10 +49,11 @@ for zeta in (1.666,):
         f" state {s.verdict.value} ({s.conclusion})"
     )
 print(
-    "the drift matrix is symmetric here, so both answers are conclusive; they"
-    "\nanswer different questions.  The environment route certifies the noise"
-    "\nfeeding the mode pair, the state route certifies the steady state itself."
-    "\nAlways bisect the route whose verdict you care about."
+    "the drift matrix is symmetric here but does not commute with the shifted"
+    "\ndiffusion, so the environment test is only sufficient: its violation is"
+    "\ninconclusive and does not contradict the state.  The environment route"
+    "\ncertifies the noise feeding the mode pair, the state route certifies the"
+    "\nsteady state itself.  Always bisect the route whose verdict you care about."
 )
 
 # a flip formula can also land outside the stable window; then the verdict

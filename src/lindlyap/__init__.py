@@ -9,7 +9,6 @@ and engineer reservoirs that prepare prescribed Gaussian targets.
 
 from .core import (
     DEFAULT_TOL,
-    Definiteness,
     InertiaIndex,
     Tolerances,
     symplectic_form,

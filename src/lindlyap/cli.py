@@ -228,9 +228,9 @@ def _load_model(args):
 
 
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
-    if n < 2:
-        raise ValueError("separability and steerability need at least two modes")
     if arg is None:
+        if n < 2:
+            raise ValueError("separability and steerability need at least two modes")
         flipped = frozenset({n - 1})
     else:
         try:
@@ -315,8 +315,10 @@ _KIND_CHOICES = {
 
 
 def _make_kinds(names, partition_arg: str | None, n: int) -> dict:
-    """Criterion kinds of the named table entries, by name; the partition is parsed once, if needed."""
-    partition = _parse_partition(partition_arg, n) if any(_KINDS[k][0] for k in names) else None
+    """Criterion kinds of the named table entries, by name; the partition is parsed once, if it is
+    given or needed, so that a --partition no kind reads is still refused when it is invalid."""
+    needed = partition_arg is not None or any(_KINDS[k][0] for k in names)
+    partition = _parse_partition(partition_arg, n) if needed else None
     return {k: _KINDS[k][1](partition) for k in names}
 
 
@@ -714,7 +716,7 @@ def main(argv=None) -> int:
         code, output = args.func(args)
         text = output if isinstance(output, str) else json.dumps(output, indent=2, default=_json_default)
         text = text if text.endswith("\n") else text + "\n"
-        if args.output:
+        if args.output is not None:
             try:
                 with open(args.output, "w") as fh:
                     fh.write(text)

@@ -1,7 +1,7 @@
-"""Shared linear-algebra primitives: the symplectic form, inertia counts and
-definiteness verdicts of a spectrum, the one scale rule of every tolerance, and
-the readers that turn outside input into a number, a real array or a 2n x 2n
-matrix, refusing it with a ValueError that names the field.
+"""Shared linear-algebra primitives: the symplectic form, the inertia counts of
+a spectrum, the one scale rule of every tolerance, and the readers that turn
+outside input into a number, a real array or a 2n x 2n matrix, refusing it
+with a ValueError that names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.
@@ -10,7 +10,6 @@ positions first, then all momenta.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import math
 from dataclasses import dataclass, fields
@@ -21,7 +20,6 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "InertiaIndex",
-    "Definiteness",
     "symplectic_form",
     "hermitian_part",
     "check_hermitian",
@@ -171,24 +169,13 @@ class InertiaIndex:
     zero: int
     negative: int
 
-    @property
-    def total(self) -> int:
-        return self.positive + self.zero + self.negative
-
     def __str__(self) -> str:
         return f"(+{self.positive}, 0:{self.zero}, -{self.negative})"
 
 
-class Definiteness(enum.Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    POSITIVE_SEMIDEFINITE_MARGINAL = "positive_semidefinite_marginal"
-    INDEFINITE = "indefinite"
-
-
-def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) -> tuple[InertiaIndex, Definiteness]:
-    """Inertia and definiteness of a Hermitian matrix from its eigenvalues, by the zero band
-    (:func:`zero_band`, of eig and ``sizes``): an eigenvalue inside the band counts as zero, and a
-    spectrum with none below the band but at least one inside it is marginal.
+def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) -> InertiaIndex:
+    """The inertia of a Hermitian matrix from its eigenvalues: how many lie above, inside and below
+    the zero band (:func:`zero_band`, of eig and ``sizes``), inside which an eigenvalue counts as zero.
 
     The eigenvalues may come in any order: sortedness is not assumed.  They are read as the Python
     floats of one ``eig.tolist()``, sorted, and counted by bisection, which for the few eigenvalues of
@@ -204,9 +191,4 @@ def classify_spectrum(eig: np.ndarray, tol: Tolerances = DEFAULT_TOL, *sizes) ->
     # every comparison with a NaN or infinite band is false, so bisection then counts nothing beyond it
     negative = bisect.bisect_left(vals, -band)
     positive = len(vals) - bisect.bisect_right(vals, band)
-    idx = InertiaIndex(positive=positive, zero=len(vals) - positive - negative, negative=negative)
-    if idx.negative > 0:
-        return idx, Definiteness.INDEFINITE
-    if idx.zero > 0:
-        return idx, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
-    return idx, Definiteness.POSITIVE_DEFINITE
+    return InertiaIndex(positive=positive, zero=len(vals) - positive - negative, negative=negative)

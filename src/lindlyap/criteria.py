@@ -3,10 +3,11 @@ generate them.
 
 Every test has the same shape: a Hermitian test matrix Xi is fixed by the
 criterion kind, and one asks whether V + Xi >= 0 (state level) or whether the
-correspondingly shifted diffusion matrix is PSD (environment level).  State
-level verdicts are two-sided; environment level verdicts are two-sided only
-when the drift matrix is symmetric, otherwise positivity is merely sufficient
-and a violated test is inconclusive.
+correspondingly shifted diffusion matrix D^ is PSD (environment level).  Both
+levels read the verdict off the inertia of the tested matrix, in one place.
+State level verdicts are two-sided; environment level verdicts are two-sided
+only when the drift matrix is symmetric and commutes with D^, otherwise
+positivity is merely sufficient and a violated test is inconclusive.
 
 Partitions split the n modes into part one and part two; part two is the set
 whose momenta are flipped by the partial time reversal entering separability
@@ -17,13 +18,12 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .core import (
     DEFAULT_TOL,
-    Definiteness,
     InertiaIndex,
     Tolerances,
     check_hermitian,
@@ -181,29 +181,34 @@ class CriterionResult:
         return self.verdict.value
 
 
-_VERDICTS = {
-    Definiteness.POSITIVE_DEFINITE: Verdict.HOLDS,
-    Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL: Verdict.MARGINAL,
-    Definiteness.INDEFINITE: Verdict.VIOLATED,
-}
+def _result(
+    kind: CriterionKind, level: Level, tested: np.ndarray, concl: Conclusiveness, tol: Tolerances, size: float
+) -> CriterionResult:
+    """The result of the test ``tested`` >= 0, from one eigensolve.
 
-
-def _verdict_of(tested: np.ndarray, tol: Tolerances, size: float) -> tuple[Verdict, np.ndarray, InertiaIndex]:
-    # one eigensolve: spectrum, inertia and verdict; size is that of the shift's terms, which can cancel
+    The verdict is read off the inertia (:func:`classify_spectrum`, whose zero band also spans
+    ``size``, that of the shift's terms, which can cancel): violated if an eigenvalue lies below the
+    band, otherwise marginal if one lies inside it, otherwise holds.
+    """
     spectrum = np.linalg.eigvalsh(tested)
-    idx, definiteness = classify_spectrum(spectrum, tol, size)
-    return _VERDICTS[definiteness], spectrum, idx
-
-
-def _ppt_label(kind: CriterionKind, verdict: Verdict) -> str:
+    idx = classify_spectrum(spectrum, tol, size)
+    verdict = Verdict.VIOLATED if idx.negative else Verdict.MARGINAL if idx.zero else Verdict.HOLDS
     # a passed transposition test on a many-vs-many split does not exclude bound entanglement
-    if (
+    ppt = (
         isinstance(kind, Separability)
         and verdict is Verdict.HOLDS
         and min(len(kind.partition.part_one), len(kind.partition.part_two)) > 1
-    ):
-        return "PPT (separable or bound entangled)"
-    return ""
+    )
+    return CriterionResult(
+        kind=kind,
+        level=level,
+        tested_matrix=tested,
+        spectrum=spectrum,
+        inertia=idx,
+        verdict=verdict,
+        conclusiveness=concl,
+        label="PPT (separable or bound entangled)" if ppt else "",
+    )
 
 
 def state_criterion(
@@ -214,17 +219,8 @@ def state_criterion(
     n = v.shape[0] // 2
     # exactly Hermitian, with no second check: v is, and Xi's entries are 0, +-1 or +-1/2 times i
     tested = v + xi_matrix(kind, n)
-    verdict, spectrum, idx = _verdict_of(tested, tol, 1.0)  # 1 is max|Xi|, the same for every kind
-    return CriterionResult(
-        kind=kind,
-        level=Level.STATE,
-        tested_matrix=tested,
-        spectrum=spectrum,
-        inertia=idx,
-        verdict=verdict,
-        conclusiveness=Conclusiveness.IFF,
-        label=_ppt_label(kind, verdict),
-    )
+    # 1 is max|Xi|, the same for every kind
+    return _result(kind, Level.STATE, tested, Conclusiveness.IFF, tol, 1.0)
 
 
 def environment_criterion(
@@ -233,11 +229,13 @@ def environment_criterion(
     """Evaluate a criterion directly on the model, without solving for the state.
 
     The tested matrix is the diffusion matrix shifted by the criterion's Xi,
-    D - Xi Gamma^T - Gamma Xi.  For a symmetric drift matrix the test is
-    two-sided; otherwise positivity is sufficient for the state-level property
-    but a violation proves nothing.  The uncertainty kind reduces to twice the
-    conjugate noise Gram matrix, which is PSD for every model, so its verdict
-    is always "holds".
+    D^ = D - Xi Gamma^T - Gamma Xi.  For any stable drift matrix Gamma, D^ >= 0
+    implies V + Xi >= 0.  The test is two-sided only when Gamma is symmetric
+    and commutes with D^: then V + Xi = D^ (-2 Gamma)^-1, a product of
+    commuting factors with -2 Gamma > 0.  Otherwise a violation proves nothing.
+    The uncertainty kind reduces to twice the conjugate noise Gram matrix,
+    which is PSD for every model, so its verdict is always "holds" and its
+    test two-sided.
     """
     require_stable(dyn, "environment criterion", tol)
     n = dyn.n
@@ -255,23 +253,20 @@ def environment_criterion(
                 f"internal inconsistency: shifted diffusion deviates from twice the "
                 f"conjugate noise Gram matrix by {dev:.3e}"
             )
-        concl = Conclusiveness.IFF
+        two_sided = True
     else:
-        symmetric = within(dyn._drift_asymmetry, tol.residual_tol, dyn.drift_schur.size)  # both measured once
-        concl = Conclusiveness.IFF if symmetric else Conclusiveness.SUFFICIENT_ONLY
+        two_sided = within(dyn._drift_asymmetry, tol.residual_tol, dyn.drift_schur.size)  # both measured once
+        if two_sided:
+            # G - G^dag with G = Gamma D^ is the commutator [Gamma, D^] of a symmetric Gamma
+            g = gamma @ tested
+            dev = np.abs(g - g.conj().T).max()
+            two_sided = within(dev, tol.residual_tol, dyn.drift_schur.size * np.abs(tested).max())
+    concl = Conclusiveness.IFF if two_sided else Conclusiveness.SUFFICIENT_ONLY
     # the shift's terms Xi Gamma^T and Gamma Xi have the size of Gamma, as max|Xi| = 1
-    verdict, spectrum, idx = _verdict_of(tested, tol, dyn.drift_schur.size)
+    res = _result(kind, Level.ENVIRONMENT, tested, concl, tol, dyn.drift_schur.size)
     if isinstance(kind, Uncertainty):
-        if idx.negative:
+        if res.inertia.negative:
             raise RuntimeError("noise Gram matrix has a negative eigenvalue beyond the zero band")
-        verdict = Verdict.HOLDS  # a marginal Gram matrix still satisfies the uncertainty relation
-    return CriterionResult(
-        kind=kind,
-        level=Level.ENVIRONMENT,
-        tested_matrix=tested,
-        spectrum=spectrum,
-        inertia=idx,
-        verdict=verdict,
-        conclusiveness=concl,
-        label=_ppt_label(kind, verdict),
-    )
+        # a marginal Gram matrix still satisfies the uncertainty relation
+        res = replace(res, verdict=Verdict.HOLDS)
+    return res

@@ -1017,6 +1017,13 @@ REFUSALS = [
                      ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--quantity", "env_separability_min_eig"])
         for value in ("1,2", ",")
     ],
+    # a given --partition is parsed also where no criterion kind reads it
+    *[
+        pytest.param([*argv, "--partition", "9"], FULL_CATALOG_DOC, 1, "--partition modes must lie in 1..2",
+                     id=f"{argv[0]}:--partition-unread")
+        for argv in (["criteria", DOC, "--kind", "uncertainty", "--level", "env"],
+                     ["sweep", DOC, "--param", "zeta", "--range", "1:2:2"])
+    ],
     *[
         pytest.param([*argv, "--tol", value], FULL_CATALOG_DOC, 1,
                      f"--tol: tolerance eig_zero_band must be finite and nonnegative, got {float(value)}",
@@ -1099,9 +1106,11 @@ GOLDEN = [
            code=2),
     golden("criteria", ["criteria", DOC], CASCADE, "6dbafdb600dec803cae66ad2aa5c7cf6"),
     golden("criteria-json", ["criteria", DOC, "--json"], CASCADE, "8a7787cbdd87bb5dcde0f38f5a751877"),
+    # OPOThermal's drift is symmetric but does not commute with the shifted diffusion of either
+    # steering direction, so both verdicts are sufficient_only
     golden("criteria-steerability-json",
            ["criteria", DOC, "--kind", "steerability", "--level", "env", "--partition", "1", "--json"],
-           FULL_CATALOG_DOC, "441425a39a8081958e34eb0407c52127"),
+           FULL_CATALOG_DOC, "650d4f8c49fca7f78561eab4d76999f9"),
     golden("sweep-threshold", ["sweep", DOC, *THRESHOLD_SWEEP], FULL_CATALOG_DOC, "b156ea0370c0f5bad9b393c128bdcb2e"),
     golden("sweep-two-parameters",
            ["sweep", DOC, "--param", "zeta", "--range", "1:2:2", "--param2", "nbar", "--range2", "0.1:0.3:2"],
@@ -1139,11 +1148,12 @@ def test_golden_output(capsys, tmp_path, argv, doc, code, md5):
     assert path.read_bytes() == out.encode()
 
 
-@pytest.mark.parametrize("target, code", [("missing/out.txt", errno.ENOENT), (".", errno.EISDIR)],
-                         ids=["missing-directory", "directory"])
+@pytest.mark.parametrize("target, code", [("missing/out.txt", errno.ENOENT), (".", errno.EISDIR), (None, errno.ENOENT)],
+                         ids=["missing-directory", "directory", "empty"])
 def test_unwritable_output_exits_one(capsys, tmp_path, target, code):
-    """An --output path that cannot be written is refused on stderr, naming the flag, and main returns 1."""
-    path = str(tmp_path / target)
+    """An --output path that cannot be written, the empty one included, is refused on stderr, naming
+    the flag, and main returns 1."""
+    path = "" if target is None else str(tmp_path / target)
     rc, out, err = run(capsys, "steady", write_doc(tmp_path, "doc.json", FULL_DOC), "--output", path)
     assert (rc, out) == (1, "")
     assert err == f"error: cannot write --output {path}: [Errno {code}] {os.strerror(code)}: {path!r}\n"

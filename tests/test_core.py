@@ -2,8 +2,10 @@ import ast
 import importlib
 import inspect
 import math
+import pkgutil
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from hypothesis.extra import numpy as hnp
 import lindlyap
 from lindlyap import (
     Classicality,
-    Definiteness,
+    Conclusiveness,
     InertiaIndex,
+    Level,
     QuadraticHamiltonian,
     Tolerances,
     Uncertainty,
+    Verdict,
     catalog_build,
     engineer_covariant_target,
     engineer_gibbs_target,
@@ -106,7 +110,7 @@ class TestHermitianHelpers:
 
 def three_sum_classification(eig, tol):
     """The counting rule classify_spectrum once used: one reduction per sign class, with the
-    band eig_zero_band * max |eig|."""
+    band eig_zero_band * max |eig|; and the verdict of that inertia."""
     band = tol.eig_zero_band * (np.abs(eig).max() if eig.size else 0.0)
     idx = InertiaIndex(
         positive=int(np.sum(eig > band)),
@@ -114,10 +118,20 @@ def three_sum_classification(eig, tol):
         negative=int(np.sum(eig < -band)),
     )
     if idx.negative > 0:
-        return idx, Definiteness.INDEFINITE
+        return idx, Verdict.VIOLATED
     if idx.zero > 0:
-        return idx, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
-    return idx, Definiteness.POSITIVE_DEFINITE
+        return idx, Verdict.MARGINAL
+    return idx, Verdict.HOLDS
+
+
+def classified(eig, tol, size=0.0):
+    """The inertia of eig and the verdict that the criteria's one builder reads off a tested matrix
+    with that spectrum and a shift of the given size (0 adds nothing to the zero band)."""
+    idx = classify_spectrum(eig, tol, size)
+    with mock.patch.object(np.linalg, "eigvalsh", return_value=eig):
+        res = lindlyap.criteria._result(Classicality(), Level.STATE, None, Conclusiveness.IFF, tol, size)
+    assert res.inertia == idx
+    return idx, res.verdict
 
 
 class TestClassifySpectrum:
@@ -135,17 +149,17 @@ class TestClassifySpectrum:
             eig = rng.choice(pool, size=int(rng.integers(1, 12)))
             eig[0] = rng.choice([top, -top])  # fixes max |eig|, so the band is the one above
             rng.shuffle(eig)
-            assert classify_spectrum(eig, tol) == three_sum_classification(eig, tol)
+            assert classified(eig, tol) == three_sum_classification(eig, tol)
 
     @pytest.mark.parametrize(
         "eig, zero_band, expected",
         [
-            ([], 1e-9, (InertiaIndex(0, 0, 0), Definiteness.POSITIVE_DEFINITE)),
-            ([3.0, -1.0, 0.0, 2.0], 1e-9, (InertiaIndex(2, 1, 1), Definiteness.INDEFINITE)),
-            ([1e9, 1e-3], 1e-9, (InertiaIndex(1, 1, 0), Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL)),
-            ([1.0, 1e-3], 1e-9, (InertiaIndex(2, 0, 0), Definiteness.POSITIVE_DEFINITE)),
-            ([1.0, 1e-12], 1e-9, (InertiaIndex(1, 1, 0), Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL)),
-            ([1.0, 1e-12], 1e-14, (InertiaIndex(2, 0, 0), Definiteness.POSITIVE_DEFINITE)),
+            ([], 1e-9, (InertiaIndex(0, 0, 0), Verdict.HOLDS)),
+            ([3.0, -1.0, 0.0, 2.0], 1e-9, (InertiaIndex(2, 1, 1), Verdict.VIOLATED)),
+            ([1e9, 1e-3], 1e-9, (InertiaIndex(1, 1, 0), Verdict.MARGINAL)),
+            ([1.0, 1e-3], 1e-9, (InertiaIndex(2, 0, 0), Verdict.HOLDS)),
+            ([1.0, 1e-12], 1e-9, (InertiaIndex(1, 1, 0), Verdict.MARGINAL)),
+            ([1.0, 1e-12], 1e-14, (InertiaIndex(2, 0, 0), Verdict.HOLDS)),
         ],
         ids=["empty", "mixed signs", "1e-3 next to 1e9", "1e-3 next to 1", "1e-12 in the band",
              "1e-12 past a narrower band"],
@@ -154,7 +168,7 @@ class TestClassifySpectrum:
         """The band is relative: 1e-3 counts as zero next to 1e9 but not next to 1; and
         eig_zero_band alone decides whether a small eigenvalue makes the spectrum marginal."""
         eig, tol = np.array(eig), Tolerances(eig_zero_band=zero_band)
-        assert classify_spectrum(eig, tol) == expected == three_sum_classification(eig, tol)
+        assert classified(eig, tol) == expected == three_sum_classification(eig, tol)
 
     def test_inertia_str_format(self):
         assert str(InertiaIndex(2, 1, 1)) == "(+2, 0:1, -1)"
@@ -179,9 +193,9 @@ class TestClassifySpectrum:
         """A NaN makes the band NaN, wherever it sits in the spectrum, and an infinity makes it
         infinite (NaN with no band), so every eigenvalue counts as zero and the verdict is marginal."""
         eig = np.array(eig)
-        idx, definiteness = classify_spectrum(eig, Tolerances(eig_zero_band=zero_band), 1.0)
+        idx, verdict = classified(eig, Tolerances(eig_zero_band=zero_band), 1.0)
         assert idx == InertiaIndex(positive=0, zero=eig.size, negative=0)
-        assert definiteness is Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL
+        assert verdict is Verdict.MARGINAL
 
 
 class TestTolerances:
@@ -325,6 +339,17 @@ def test_complex_matrix_refused_by_name(call, what):
 def test_non_numeric_array_refused_by_name(call, what):
     with pytest.raises(ValueError, match=f"^{what} must be numeric: could not convert string to float: 'a'$"):
         call()
+
+
+def test_every_name_in_a_module_all_exists():
+    """Every name in the __all__ of a public module is defined there, so a name deleted from a module
+    cannot stay listed, where ``from lindlyap.<module> import *`` would fail on it."""
+    names = [m.name for m in pkgutil.iter_modules(lindlyap.__path__) if not m.name.startswith("_")]
+    modules = [importlib.import_module(f"lindlyap.{name}") for name in names]
+    assert [m.__name__ for m in modules if not hasattr(m, "__all__")] == ["lindlyap.cli"]
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}, which it does not define"
 
 
 def test_package_exports_are_in_their_modules_all():

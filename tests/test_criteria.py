@@ -12,7 +12,6 @@ from conftest import locate_flip, random_physical_cm, random_stable_model
 from lindlyap import (
     Classicality,
     Conclusiveness,
-    Definiteness,
     Level,
     Partition,
     Separability,
@@ -24,6 +23,7 @@ from lindlyap import (
     environment_criterion,
     local_rotation,
     mean_fixed_point,
+    realize_lindblad,
     stability_check,
     state_criterion,
     steady_covariance,
@@ -170,9 +170,14 @@ class TestEnvironmentCriteria:
             assert np.allclose(res.tested_matrix, 2.0 * dyn.noise_gram.conj(), atol=1e-12)
 
     def test_symmetric_drift_gives_two_sided_tests(self):
+        """A symmetric drift gives a two-sided test where it also commutes with the shifted diffusion
+        D^: for classicality (Xi = -I, so D^ = D + 2 Gamma), but not for separability here."""
         dyn = opo_thermal(1.5)
+        assert environment_criterion(dyn, Classicality()).conclusiveness is Conclusiveness.IFF
         res = environment_criterion(dyn, Separability(HALF))
-        assert res.conclusiveness is Conclusiveness.IFF
+        g = dyn.drift_matrix @ res.tested_matrix
+        assert np.abs(g - g.conj().T).max() == pytest.approx(0.075, abs=1e-12)  # [Gamma, D^] != 0
+        assert res.conclusiveness is Conclusiveness.SUFFICIENT_ONLY
         assert np.allclose(res.spectrum, [0.1, 1.7, 3.1, 4.7], atol=1e-12)
         assert res.verdict is Verdict.HOLDS
 
@@ -300,15 +305,19 @@ class TestThresholds:
         """Thin band just below the environment flip where the state is already separable.
 
         The environment-level separability flip sits at 5/3 while the solved
-        state flips at 1.6658851; in between, the two-sided environment reading
-        and the state-level verdict disagree.  Frozen regression for that band.
+        state flips at 1.6658851; in between, the environment test is violated
+        while the state is separable.  The drift is symmetric but does not commute
+        with the shifted diffusion, so the environment test is one-sided and its
+        violation is inconclusive: it does not contradict the state.  Frozen
+        regression for that band.
         """
         z = 1.666
         dyn = opo_thermal(z, epsilon=0.05, kappa=1.0, nbar=0.3)
         env = environment_criterion(dyn, Separability(HALF))
         state = state_criterion(steady_covariance(dyn), Separability(HALF))
         assert env.verdict is Verdict.VIOLATED
-        assert env.conclusiveness is Conclusiveness.IFF
+        assert env.conclusiveness is Conclusiveness.SUFFICIENT_ONLY
+        assert env.conclusion == "inconclusive"
         assert state.verdict is Verdict.HOLDS
 
         def state_min(zeta):
@@ -380,22 +389,21 @@ class TestOneSpectrumPerVerdict:
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
-        "offset, definiteness, verdict, zeros",
+        "offset, verdict, zeros",
         [
-            (2.0, Definiteness.POSITIVE_DEFINITE, Verdict.HOLDS, 0),
-            (0.5, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL, Verdict.MARGINAL, 1),
-            (-0.5, Definiteness.POSITIVE_SEMIDEFINITE_MARGINAL, Verdict.MARGINAL, 1),
-            (-2.0, Definiteness.INDEFINITE, Verdict.VIOLATED, 0),
+            (2.0, Verdict.HOLDS, 0),
+            (0.5, Verdict.MARGINAL, 1),
+            (-0.5, Verdict.MARGINAL, 1),
+            (-2.0, Verdict.VIOLATED, 0),
         ],
     )
-    def test_verdict_agrees_with_classify_spectrum(self, offset, definiteness, verdict, zeros):
+    def test_verdict_agrees_with_classify_spectrum(self, offset, verdict, zeros):
         # one eigenvalue just inside or just outside the zero band (eig_zero_band * max |eig|)
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
         m = q @ np.diag([1.0, 0.5, 0.25, offset * 1e-9]) @ q.T
         m = 0.5 * (m + m.T)
         res = state_criterion(m + np.eye(4), Classicality())  # tests m + I - I
-        idx, got = classify_spectrum(np.linalg.eigvalsh(m))
-        assert got is definiteness
+        idx = classify_spectrum(np.linalg.eigvalsh(m))
         assert res.verdict is verdict
         assert idx == res.inertia
         assert res.inertia.zero == zeros
@@ -484,18 +492,20 @@ class TestHermitianChecksPerVerdict:
 
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.name)
     @pytest.mark.parametrize(
-        "model, symmetric",
+        "model, two_sided",
         [
-            (lambda: opo_thermal(1.5), True),
-            (lambda: catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build(), False),
+            # the symmetric drift commutes with the shifted diffusion D + 2 Gamma of classicality only
+            (lambda: opo_thermal(1.5), ("uncertainty", "classicality")),
+            (lambda: catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build(),
+             ("uncertainty",)),
         ],
         ids=["symmetric drift", "non-symmetric drift"],
     )
-    def test_environment_criterion_keeps_its_checks(self, monkeypatch, kind, model, symmetric):
+    def test_environment_criterion_keeps_its_checks(self, monkeypatch, kind, model, two_sided):
         dyn = model()
         calls = count_hermitian_checks(monkeypatch)
         res = environment_criterion(dyn, kind)
-        assert (res.conclusiveness is Conclusiveness.IFF) == (symmetric or isinstance(kind, Uncertainty))
+        assert (res.conclusiveness is Conclusiveness.IFF) == (kind.name in two_sided)
         # the diffusion and the shift, on either route: the shifted source is Hermitian with them,
         # and its terms can cancel below its own size, so it is not measured again
         assert calls == ["diffusion", "shift"]
@@ -632,3 +642,57 @@ def test_local_rotation_leaves_separability_and_steering_verdicts(case):
             band = DEFAULT_TOL.eig_zero_band * max(1.0, scale)
             if abs(abs(before.spectrum[0]) - band) > 1e-3 * max(1.0, scale):
                 assert (after.verdict, after.conclusiveness) == (before.verdict, before.conclusiveness)
+
+
+@st.composite
+def symmetric_drift_models(draw, structures=("scalar", "commuting", "generic")):
+    """A stable model realized from a symmetric drift Gamma = -Q diag(g) Q^T and a PSD diffusion D,
+    with every criterion kind on its modes.  Gamma is -g I, or D shares Gamma's eigenvectors (so
+    Gamma commutes with classicality's D^ = D + 2 Gamma), or D is generic, raised by a multiple of the
+    identity to keep the pair physical: D + i (Gamma J + J Gamma^T) >= 0."""
+    n = draw(st.integers(1, 3))
+    structure = draw(st.sampled_from(structures))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n, 2 * n)))
+    if structure == "scalar":
+        gamma = -rng.uniform(0.2, 2.0) * np.eye(2 * n)
+    else:
+        gamma = -(q * rng.uniform(0.2, 2.0, 2 * n)) @ q.T
+        gamma = 0.5 * (gamma + gamma.T)
+    j = symplectic_form(n)
+    noise = 1j * (gamma @ j + j @ gamma.T)
+    if structure == "commuting":
+        d = (q * (np.linalg.norm(noise, 2) + rng.uniform(0.0, 3.0, 2 * n))) @ q.T
+    else:
+        a = rng.uniform(0.0, 3.0) * rng.normal(size=(2 * n, 2 * n))
+        d = a @ a.T
+        d += max(0.0, -np.linalg.eigvalsh(d + noise)[0]) * rng.uniform(1.0, 1.5) * np.eye(2 * n)
+    dyn = realize_lindblad(gamma, 0.5 * (d + d.T)).spec.build()
+    kinds = [Uncertainty(), Classicality()]
+    if n > 1:
+        part = Partition(n, draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        kinds += [Separability(part), Steerability(part, 1), Steerability(part, 2)]
+    return dyn, kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_drift_models())
+def test_two_sided_environment_verdict_agrees_with_the_state(case):
+    """Where the drift is symmetric and commutes with D^, V + Xi = D^ (-2 Gamma)^-1 is a product of
+    commuting factors with -2 Gamma > 0, so an "iff" environment verdict is the state verdict
+    wherever neither lies in its zero band."""
+    dyn, kinds = case
+    cm = steady_covariance(dyn)
+    for kind in kinds:
+        env, state = environment_criterion(dyn, kind), state_criterion(cm, kind)
+        if env.conclusiveness is Conclusiveness.IFF and Verdict.MARGINAL not in (env.verdict, state.verdict):
+            assert env.verdict is state.verdict, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_drift_models(structures=("scalar",)))
+def test_scalar_drift_keeps_every_environment_verdict_two_sided(case):
+    """Gamma = -g I commutes with every D^, so every kind stays two-sided for any PSD diffusion."""
+    dyn, kinds = case
+    for kind in kinds:
+        assert environment_criterion(dyn, kind).conclusiveness is Conclusiveness.IFF, kind

@@ -22,11 +22,12 @@ state-route flips, bisection only (no closed form here):
 
 separability flips differ: environment 1.666666666667 vs state 1.665885118893
 inside the gap the two routes disagree about separability:
-  zeta = 1.666: environment violated (violated), state holds (holds)
-the drift matrix is symmetric here, so both answers are conclusive; they
-answer different questions.  The environment route certifies the noise
-feeding the mode pair, the state route certifies the steady state itself.
-Always bisect the route whose verdict you care about.
+  zeta = 1.666: environment violated (inconclusive), state holds (holds)
+the drift matrix is symmetric here but does not commute with the shifted
+diffusion, so the environment test is only sufficient: its violation is
+inconclusive and does not contradict the state.  The environment route
+certifies the noise feeding the mode pair, the state route certifies the
+steady state itself.  Always bisect the route whose verdict you care about.
 
 steerability flip formula gives 0.510310, below the stability edge 1.05:
   no steering transition is reachable at these parameters
