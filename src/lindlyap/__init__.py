@@ -48,7 +48,6 @@ from .model import (
     StabilityReport,
     UnstableDriftError,
     build_dynamics,
-    mean_fixed_point,
     realize_lindblad,
     schur_form,
     stability_check,
@@ -59,10 +58,7 @@ from .symmetry import (
     StructureTemplate,
     gibbs_condition,
     invariance_check,
-    local_rotation,
     match_template,
-    rotation_from_unitary,
-    symplectic_rotation,
     transform_triple,
 )
 from .williamson import (

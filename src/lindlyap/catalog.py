@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, read_number
+from .core import DEFAULT_TOL, Tolerances, read_integer, read_number
 from .model import LindbladVector, ModelSpec, QuadraticHamiltonian
 from .williamson import engineer_gibbs_target
 
@@ -110,22 +110,20 @@ def thermal_bath(n: int, mode: int, rate: float, occupation: float) -> list[Lind
     Returns the loss vector (weight rate * (occupation + 1)) and, for nonzero
     occupation, the gain vector (weight rate * occupation).
     """
+    n, mode = read_integer(n, "mode count"), read_integer(mode, "bath mode")
     if not 0 <= mode < n:
         raise ValueError(f"mode index {mode} out of range for {n} modes")
-    if rate < 0 or occupation < 0:
-        raise ValueError("bath rate and occupation must be nonnegative")
+    for what, value in (("rate", rate), ("occupation", occupation)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"bath {what} must be finite and nonnegative, got {value!r}")
     out = []
-    c_loss = math.sqrt(rate * (occupation + 1.0) / 2.0)
-    lam = np.zeros(2 * n, dtype=complex)
-    lam[mode] = 1j * c_loss
-    lam[n + mode] = -c_loss
-    out.append(LindbladVector(lam))
-    if occupation > 0:
-        c_gain = math.sqrt(rate * occupation / 2.0)
-        lam = np.zeros(2 * n, dtype=complex)
-        lam[mode] = -1j * c_gain
-        lam[n + mode] = -c_gain
-        out.append(LindbladVector(lam))
+    # the loss couples (i c, -c) to the mode's (q, p) slots, the gain (-i c, -c); c = sqrt(rate * weight / 2)
+    for weight, q_phase in ((occupation + 1.0, 1j), (occupation, -1j)):
+        if weight > 0:
+            c = math.sqrt(rate * weight / 2.0)
+            lam = np.zeros(2 * n, dtype=complex)
+            lam[mode], lam[n + mode] = q_phase * c, -c
+            out.append(LindbladVector(lam))
     return out
 
 

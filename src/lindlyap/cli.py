@@ -324,8 +324,7 @@ def _make_kinds(names, partition_arg: str | None, n: int) -> dict:
 
 def _kind_label(kind) -> str:
     if isinstance(kind, criteria_mod.Steerability):
-        steered = kind.partition.part_one if kind.steered_part == 1 else kind.partition.part_two
-        modes = ",".join(str(m + 1) for m in steered)
+        modes = ",".join(str(m + 1) for m in kind.steered)
         return f"steerability(steered part {kind.steered_part}: modes {modes})"
     if isinstance(kind, criteria_mod.Separability):
         modes = ",".join(str(m + 1) for m in kind.partition.part_two)

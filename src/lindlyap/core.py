@@ -1,7 +1,7 @@
 """Shared linear-algebra primitives: the symplectic form, the inertia counts of
 a spectrum, the one scale rule of every tolerance, and the readers that turn
-outside input into a number, a real array or a 2n x 2n matrix, refusing it
-with a ValueError that names the field.
+outside input into a number, an integer, a real array or a 2n x 2n matrix,
+refusing it with a ValueError that names the field.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.
@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -35,6 +36,16 @@ def read_number(value, what: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a number, got {value!r}") from exc
+
+
+def read_integer(value, what: str, least: int | None = None) -> int:
+    """``int(value)`` for a ``numbers.Integral`` that is not a bool (so ``np.int64`` passes) and is at least
+    ``least``, if that is given; anything else is refused by a ValueError naming ``what``."""
+    # a plain int skips the numbers.Integral test, an ABC lookup that costs some ten times more
+    integral = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    if not integral or (least is not None and value < least):
+        raise ValueError(f"{what} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
+    return int(value)
 
 
 def refuse_imaginary(given: np.ndarray, what: str) -> None:

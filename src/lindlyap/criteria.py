@@ -28,6 +28,7 @@ from .core import (
     Tolerances,
     check_hermitian,
     classify_spectrum,
+    read_integer,
     read_matrix,
     symplectic_form,
     within,
@@ -75,7 +76,8 @@ class Partition:
     flipped_modes: frozenset[int]
 
     def __post_init__(self):
-        flipped = frozenset(int(k) for k in self.flipped_modes)
+        read_integer(self.mode_count, "mode_count")
+        flipped = frozenset(read_integer(k, "flipped_modes entry") for k in self.flipped_modes)
         if not flipped or len(flipped) >= self.mode_count:
             raise ValueError("part two must be a nonempty proper subset of the modes")
         if any(k < 0 or k >= self.mode_count for k in flipped):
@@ -89,13 +91,6 @@ class Partition:
     @property
     def part_two(self) -> tuple[int, ...]:
         return tuple(sorted(self.flipped_modes))
-
-    def time_reversal(self) -> np.ndarray:
-        """Diagonal matrix flipping the momenta of part two."""
-        t = np.ones(2 * self.mode_count)
-        for k in self.flipped_modes:
-            t[self.mode_count + k] = -1.0
-        return np.diag(t)
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,13 @@ class Steerability:
     name: str = field(default="steerability", init=False)
 
     def __post_init__(self):
-        if self.steered_part not in (1, 2):
+        if read_integer(self.steered_part, "steered_part") not in (1, 2):
             raise ValueError(f"steered_part must be 1 or 2, got {self.steered_part}")
+
+    @property
+    def steered(self) -> tuple[int, ...]:
+        """The modes of the steered part."""
+        return self.partition.part_one if self.steered_part == 1 else self.partition.part_two
 
 
 CriterionKind = Uncertainty | Classicality | Separability | Steerability
@@ -133,6 +133,12 @@ CriterionKind = Uncertainty | Classicality | Separability | Steerability
 @functools.lru_cache(maxsize=64)
 def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     """Hermitian test matrix of a criterion on n modes.
+
+    Uncertainty tests i J and classicality -I.  Separability and steering test
+    i J with the rows of each mode k (its q and p rows) weighted by w_k:
+    separability sets w_k = -1 on part two and +1 elsewhere, the partial time
+    reversal T J T; steering sets w_k = 1 on the steered modes and 0
+    elsewhere, (J + T J T) / 2 with T flipping the momenta of the other part.
 
     The result is built once per (kind, n) and shared by every caller, so it
     is read-only; copy it before modifying it.
@@ -146,14 +152,11 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
         if part.mode_count != n:
             raise ValueError(f"partition is over {part.mode_count} modes, expected {n}")
         if isinstance(kind, Separability):
-            t = part.time_reversal()
-            xi = 1j * (t @ symplectic_form(n) @ t)
+            w = np.where(np.isin(np.arange(n), part.part_two), -1.0, 1.0)
         else:
-            # (J + T J T) / 2 with T flipping the momenta of the part that is not steered
-            steered = part.part_one if kind.steered_part == 1 else part.part_two
-            t = Partition(n, frozenset(range(n)) - frozenset(steered)).time_reversal()
-            j = symplectic_form(n)
-            xi = 1j * (0.5 * (j + t @ j @ t))
+            w = np.isin(np.arange(n), kind.steered) * 1.0
+        # + 0.0 clears the signed zeros that 0 * -1 leaves
+        xi = 1j * (symplectic_form(n) * np.tile(w, 2)[:, None] + 0.0)
     else:
         raise TypeError(f"unknown criterion kind {kind!r}")
     xi.flags.writeable = False
@@ -217,7 +220,8 @@ def state_criterion(
     """Evaluate a criterion on a covariance matrix: tested matrix is cm + Xi."""
     v = check_hermitian(read_matrix(cm, "covariance matrix"), tol, what="covariance matrix")
     n = v.shape[0] // 2
-    # exactly Hermitian, with no second check: v is, and Xi's entries are 0, +-1 or +-1/2 times i
+    # exactly Hermitian, with no second check: v is, and Xi's entries are 0 or +-i, or -1 on the diagonal
+    # for classicality
     tested = v + xi_matrix(kind, n)
     # 1 is max|Xi|, the same for every kind
     return _result(kind, Level.STATE, tested, Conclusiveness.IFF, tol, 1.0)

@@ -20,13 +20,12 @@ covariance is re-symmetrized at every recorded state.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lyapunov
-from .core import read_real
+from .core import read_integer, read_real
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -91,8 +90,7 @@ def evolve(
     for name, value in (("t_end", t_end), ("dt", dt)):
         if value is not None and not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
-    if isinstance(record_every, bool) or not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise ValueError(f"record_every must be an integer >= 1, got {record_every!r}")
+    record_every = read_integer(record_every, "record_every", 1)
     x, v = read_real(x0, "x0"), read_real(v0, "v0")
     dim = dyn.drift_matrix.shape[0]
     if x.shape != (dim,):

@@ -41,7 +41,6 @@ __all__ = [
     "stability_check",
     "require_stable",
     "UnstableDriftError",
-    "mean_fixed_point",
     "realize_lindblad",
 ]
 
@@ -343,15 +342,6 @@ def require_stable(
     if not (report := stability_check(target, tol)).is_stable:
         raise UnstableDriftError(what, report)
     return report
-
-
-def mean_fixed_point(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Stationary mean vector, the solution of drift_matrix x + drive = 0.
-
-    Requires an asymptotically stable drift matrix.
-    """
-    require_stable(dyn, "mean fixed point", tol)
-    return np.linalg.solve(dyn.drift_matrix, -dyn.drive)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,6 @@ __all__ = [
     "invariance_check",
     "match_template",
     "gibbs_condition",
-    "symplectic_rotation",
-    "local_rotation",
-    "rotation_from_unitary",
 ]
 
 
@@ -183,33 +180,3 @@ def gibbs_condition(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> flo
                 f"deviates from alpha I by {dev:.3e}"
             )
     return float(alpha)
-
-
-def symplectic_rotation(y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Build the orthogonal symplectic matrix [[Y, Z], [-Z, Y]].
-
-    Requires Y Y^T + Z Z^T = I and Y Z^T symmetric, i.e. Y + i Z unitary, within STRUCTURE_TOL.
-    """
-    y, z = read_real(y, "Y"), read_real(z, "Z")
-    if y.shape != z.shape or y.ndim != 2 or y.shape[0] != y.shape[1]:
-        raise ValueError("Y and Z must be square matrices of equal shape")
-    n = y.shape[0]
-    dev = max(
-        np.abs(y @ y.T + z @ z.T - np.eye(n)).max(),
-        np.abs(y @ z.T - z @ y.T).max(),
-    )
-    if not within(dev, STRUCTURE_TOL, 1.0, np.abs(y).max(), np.abs(z).max()):  # 1 is max|I|
-        raise ValueError(f"Y + iZ is not unitary, deviation {dev:.3e}")
-    return np.block([[y, z], [-z, y]])
-
-
-def local_rotation(angles) -> np.ndarray:
-    """Independent phase rotation of each mode (diagonal Y and Z blocks)."""
-    angles = np.atleast_1d(read_real(angles, "angles"))
-    return symplectic_rotation(np.diag(np.cos(angles)), np.diag(np.sin(angles)))
-
-
-def rotation_from_unitary(u: np.ndarray) -> np.ndarray:
-    """Orthogonal symplectic matrix corresponding to an n x n unitary."""
-    u = np.asarray(u, dtype=complex)
-    return symplectic_rotation(u.real, u.imag)

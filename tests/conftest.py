@@ -9,8 +9,6 @@ from lindlyap import (
     LindbladVector,
     QuadraticHamiltonian,
     build_dynamics,
-    local_rotation,
-    rotation_from_unitary,
     squeeze_transform,
     stability_check,
     thermal_bath,
@@ -67,6 +65,17 @@ def haar_unitary(rng, n):
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def local_rotation(angles):
+    """Independent phase rotation of each mode, [[diag cos, diag sin], [-diag sin, diag cos]]."""
+    c, s = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+    return np.block([[c, s], [-s, c]])
+
+
+def rotation_from_unitary(u):
+    """Orthogonal symplectic matrix [[Re U, Im U], [-Im U, Re U]] of an n x n unitary U."""
+    return np.block([[u.real, u.imag], [-u.imag, u.real]])
 
 
 def two_mode_symplectic(max_squeeze, max_factors):

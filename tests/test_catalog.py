@@ -48,6 +48,24 @@ class TestThermalBath:
         with pytest.raises(ValueError, match="nonnegative"):
             thermal_bath(1, 0, -0.5, 0.0)
 
+    @pytest.mark.parametrize("rate, occupation, what", [
+        (float("nan"), 0.1, "rate"), (float("inf"), 0.1, "rate"),
+        (1.0, float("nan"), "occupation"), (1.0, float("inf"), "occupation"),
+    ])
+    def test_non_finite_rate_or_occupation_refused_by_name(self, rate, occupation, what):
+        with pytest.raises(ValueError, match=f"^bath {what} must be finite and nonnegative"):
+            thermal_bath(2, 0, rate, occupation)
+
+    @pytest.mark.parametrize("n, mode, what", [
+        (2, 0.5, "bath mode"), (2, True, "bath mode"), (2.0, 0, "mode count"),
+    ])
+    def test_non_integral_mode_refused_by_name(self, n, mode, what):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer"):
+            thermal_bath(n, mode, 1.0, 0.1)
+
+    def test_numpy_integer_mode(self):
+        assert len(thermal_bath(np.int64(2), np.int64(1), 0.8, 0.4)) == 2
+
 
 class TestParamHandling:
     def test_alias_fans_out(self):

@@ -27,7 +27,6 @@ from lindlyap import (
     engineer_covariant_target,
     engineer_gibbs_target,
     evolve,
-    local_rotation,
     physical_spectrum,
     realize_lindblad,
     residual,
@@ -35,7 +34,6 @@ from lindlyap import (
     stability_check,
     state_criterion,
     symplectic_form,
-    symplectic_rotation,
     transform_triple,
     williamson_decompose,
 )
@@ -307,9 +305,6 @@ I2, HALF = np.eye(2), -0.5 * np.eye(2)  # the pair (-I/2, I) is stationary at I
         (lambda: QuadraticHamiltonian(I2, [1, 1j]), "linear term xi"),
         (lambda: realize_lindblad(HALF, I2 + 1j * np.array([[0.0, 3.0], [-3.0, 0.0]])), "diffusion"),
         (lambda: transform_triple(HALF, I2, (1 + 0.5j) * I2), "w"),
-        (lambda: symplectic_rotation(I2 * (1 + 1j), 0 * I2), "Y"),
-        (lambda: symplectic_rotation(I2, 1j * I2), "Z"),
-        (lambda: local_rotation([0.3, 1j]), "angles"),
         (lambda: engineer_gibbs_target((1 + 1j) * I2, 1.0), "transform"),
         (lambda: engineer_covariant_target(I2, HALF, I2, (1 + 1j) * I2), "transform"),
         (lambda: engineer_covariant_target(COMPLEX, HALF, I2, I2), "base_cm"),
@@ -317,7 +312,7 @@ I2, HALF = np.eye(2), -0.5 * np.eye(2)  # the pair (-I/2, I) is stationary at I
         (lambda: engineer_covariant_target(I2, HALF, COMPLEX, I2), "base_diffusion"),
     ],
     ids=["state_criterion", "williamson_decompose", "QuadraticHamiltonian", "linear-array", "linear-list",
-         "realize_lindblad", "transform_triple", "Y", "Z", "angles", "engineer_gibbs_target",
+         "realize_lindblad", "transform_triple", "engineer_gibbs_target",
          "engineer_covariant_target", "base_cm", "base_drift", "base_diffusion"],
 )
 def test_complex_matrix_refused_by_name(call, what):

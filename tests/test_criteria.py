@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import locate_flip, random_physical_cm, random_stable_model
+from conftest import local_rotation, locate_flip, random_physical_cm, random_stable_model
 from lindlyap import (
     Classicality,
     Conclusiveness,
@@ -21,8 +21,6 @@ from lindlyap import (
     catalog_analytic,
     catalog_build,
     environment_criterion,
-    local_rotation,
-    mean_fixed_point,
     realize_lindblad,
     stability_check,
     state_criterion,
@@ -48,18 +46,37 @@ class TestPartition:
         assert part.part_one == (1,)
         assert part.part_two == (0, 2)
 
-    def test_time_reversal_flips_part_two_momenta(self):
-        t = Partition(3, frozenset({1})).time_reversal()
-        assert np.array_equal(np.diag(t), [1, 1, 1, 1, -1, 1])
+    @pytest.mark.parametrize(
+        "count, flip, what",
+        [
+            (2, frozenset(), "part two"),
+            (2, frozenset({0, 1}), "part two"),
+            (2, frozenset({5}), "mode indices"),
+            (2, frozenset({0.7}), "flipped_modes"),
+            (2, frozenset({True}), "flipped_modes"),
+            (2.0, frozenset({1}), "mode_count"),
+            (True, frozenset({0}), "mode_count"),
+        ],
+        ids=["flip0", "flip1", "flip2", "float-mode", "bool-mode", "float-count", "bool-count"],
+    )
+    def test_invalid_partitions(self, count, flip, what):
+        with pytest.raises(ValueError, match=what):
+            Partition(count, flip)
 
-    @pytest.mark.parametrize("flip", [frozenset(), frozenset({0, 1}), frozenset({5})])
-    def test_invalid_partitions(self, flip):
-        with pytest.raises(ValueError):
-            Partition(2, flip)
+    def test_numpy_integers_are_mode_indices(self):
+        part = Partition(np.int64(3), frozenset({np.int64(1)}))
+        assert part.part_one == (0, 2)
+        assert part.part_two == (1,)
 
     def test_steered_part_validated(self):
-        with pytest.raises(ValueError, match="steered_part"):
-            Steerability(HALF, steered_part=3)
+        for steered_part in (3, 0, True, 1.0):
+            with pytest.raises(ValueError, match="steered_part"):
+                Steerability(HALF, steered_part=steered_part)
+
+    def test_steered_modes(self):
+        part = Partition(3, frozenset({0, 2}))
+        assert Steerability(part, 1).steered == (1,)
+        assert Steerability(part, np.int64(2)).steered == (0, 2)
 
 
 class TestXiMatrix:
@@ -411,21 +428,19 @@ class TestOneSpectrumPerVerdict:
 
 class TestCachedDriftSpectrum:
     def test_one_drift_eigensolve_per_model(self, drift_factorizations):
-        """The stability check, every environment verdict, the steady state and the mean share
-        one factorization of the drift."""
+        """The stability check, every environment verdict and the steady state share one
+        factorization of the drift."""
         dyn = opo_thermal(1.5)
         assert stability_check(dyn).is_stable
         for kind in TestOneSpectrumPerVerdict.KINDS:
             environment_criterion(dyn, kind)
         steady_covariance(dyn)
-        mean_fixed_point(dyn)
         assert drift_factorizations == ["schur"]
 
     @pytest.mark.parametrize(
         "refuse, what",
         [
             (lambda dyn: environment_criterion(dyn, Classicality()), "environment criterion"),
-            (mean_fixed_point, "mean fixed point"),
             (steady_covariance, "Lyapunov solve"),
         ],
     )
@@ -590,9 +605,9 @@ def momentum_flip_form(n, flip):
     return 0.5 * (j + tmat @ j @ tmat), tmat @ j @ tmat
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_xi_matrix_bits_for_every_partition(n):
-    """Separability and both steering test matrices, for every bipartition of n <= 4 modes,
+    """Separability and both steering test matrices, for every bipartition of n <= 6 modes,
     equal bit for bit the ones built from an in-test momentum flip."""
     for size in range(1, n):
         for flipped in itertools.combinations(range(n), size):

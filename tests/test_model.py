@@ -13,7 +13,6 @@ from lindlyap import (
     UnstableDriftError,
     build_dynamics,
     catalog_build,
-    mean_fixed_point,
     realize_lindblad,
     stability_check,
     symplectic_form,
@@ -174,27 +173,6 @@ class TestUnstableDriftError:
     def test_stable_model_gets_its_report(self):
         dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()
         assert require_stable(dyn, "anything") == stability_check(dyn)
-
-
-class TestMeanFixedPoint:
-    def test_linear_drive(self):
-        xi = np.array([1.0, 2.0])
-        dyn = build_dynamics(
-            QuadraticHamiltonian(np.array([[0.0, 0.15], [0.15, 0.0]]), linear=xi),
-            [LindbladVector(np.sqrt(0.5) * np.array([1j, -1.0]))],
-        )
-        xbar = mean_fixed_point(dyn)
-        # drift is diag(-0.35, -0.65); J-rotated drive lands on the same axes
-        assert np.allclose(dyn.drift_matrix @ xbar, -dyn.drive, atol=1e-13)
-
-    def test_requires_stability(self):
-        dyn = catalog_build("OPO", dict(epsilon=1.2, kappa=1.0)).build()
-        with pytest.raises(ValueError, match="stable"):
-            mean_fixed_point(dyn)
-
-    def test_zero_drive_zero_mean(self):
-        dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()
-        assert np.allclose(mean_fixed_point(dyn), 0.0)
 
 
 class TestRealizeLindblad:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, random_stable_model, two_mode_symplectic
+from conftest import haar_unitary, local_rotation, random_stable_model, rotation_from_unitary, two_mode_symplectic
 from lindlyap import (
     CovarianceTransform,
     GaussianDynamics,
@@ -13,15 +13,12 @@ from lindlyap import (
     gibbs_condition,
     invariance_check,
     is_symplectic,
-    local_rotation,
     match_template,
-    rotation_from_unitary,
     solve,
     squeeze_transform,
     stability_check,
     steady_covariance,
     symplectic_form,
-    symplectic_rotation,
     thermal_bath,
     transform_triple,
 )
@@ -238,22 +235,3 @@ class TestGibbsCondition:
             dict(omega=0.5, kappa=1.0, zeta=0.9, nbar1=0.8, nbar2=0.2),
         )
         assert gibbs_condition(spec.build()) is None
-
-
-class TestRotations:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_unitary_lift_is_orthogonal_symplectic(self, n):
-        rng = np.random.default_rng(n + 40)
-        r = rotation_from_unitary(haar_unitary(rng, n))
-        assert np.allclose(r @ r.T, np.eye(2 * n), atol=1e-12)
-        j = symplectic_form(n)
-        assert np.allclose(r @ j @ r.T, j, atol=1e-12)
-
-    def test_local_rotation_adds_angles(self):
-        a, b = 0.3, 1.1
-        combined = local_rotation([a]) @ local_rotation([b])
-        assert np.allclose(combined, local_rotation([a + b]), atol=1e-12)
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            symplectic_rotation(np.eye(2), np.eye(2))
