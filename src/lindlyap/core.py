@@ -117,14 +117,15 @@ def zero_band(eig: np.ndarray, tol: Tolerances, *sizes: float) -> float:
     return tol.eig_zero_band * max(float(np.abs(eig).max()) if eig.size else 0.0, *sizes, _SMALLEST_NORMAL)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2 and pass unread
 def symplectic_form(n: int) -> np.ndarray:
     """Return the 2n x 2n symplectic form J = [[0, I], [-I, 0]] (block layout).
 
     The result is built once per n and shared by every caller, so it is
-    read-only; copy it before modifying it.
+    read-only; copy it before modifying it.  A mode count that is not a positive integer is refused
+    by a ValueError.
     """
-    if n < 1:
+    if read_integer(n, "mode count") < 1:
         raise ValueError(f"need at least one mode, got n={n}")
     z = np.zeros((n, n))
     i = np.eye(n)
@@ -148,28 +149,42 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
 
     The deviation ||m - m^dag||_inf is judged relative to ||m||_inf (:func:`within`).
     An empty matrix is refused, and one with a NaN or infinite entry is rejected as not finite.
+    """
+    part, dev, scale = hermitian_deviation(m, what)
+    require_hermitian(dev, scale, tol, what)
+    return part if dev else part.copy()  # the fast gate hands back m itself
 
-    Fast gate: a nonempty, finite float or complex m that equals m^dag entry for entry passes every
-    test below and is its own Hermitian part, so ``m.copy()`` is returned after one comparison and one
-    finiteness pass, bit for bit the result of the full path.
+
+def hermitian_deviation(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, float, float]:
+    """(Hermitian part, ||m - m^dag||_inf, ||m||_inf) of a square, nonempty, finite ``m``: what
+    :func:`check_hermitian` measures before it judges.  Other input is refused by a ValueError naming
+    ``what``.
+
+    Fast gate: a float or complex m that equals m^dag entry for entry is its own Hermitian part, so
+    ``(m, 0.0, 0.0)``, with m itself and not a copy, is returned after one comparison and one finiteness
+    pass, bit for bit the part of the full path; a zero deviation passes at any scale.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     kind = m.dtype.kind
     if m.size and kind in "fc" and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all():
-        return m.copy()
+        return m, 0.0, 0.0
     if not m.size:
         raise ValueError(f"{what} is empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
-    dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    return hermitian_part(m), float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
+
+
+def require_hermitian(dev: float, scale: float, tol: Tolerances, what: str) -> None:
+    """Refuse, by a ValueError naming ``what``, a deviation ``dev`` from Hermiticity beyond
+    ``tol.residual_tol`` times ``scale`` (:func:`within`)."""
     if not within(dev, tol.residual_tol, scale):
         raise ValueError(
             f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
             f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"
         )
-    return hermitian_part(m)
 
 
 @dataclass(frozen=True)

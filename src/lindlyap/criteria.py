@@ -30,6 +30,7 @@ from .core import (
     classify_spectrum,
     read_integer,
     read_matrix,
+    require_hermitian,
     symplectic_form,
     within,
 )
@@ -77,7 +78,12 @@ class Partition:
 
     def __post_init__(self):
         read_integer(self.mode_count, "mode_count")
-        flipped = frozenset(read_integer(k, "flipped_modes entry") for k in self.flipped_modes)
+        try:
+            entries = iter(self.flipped_modes)
+        except TypeError:
+            raise ValueError(f"flipped_modes (part two) must be a set of mode indices, "
+                             f"got {self.flipped_modes!r}") from None
+        flipped = frozenset(read_integer(k, "flipped_modes entry") for k in entries)
         if not flipped or len(flipped) >= self.mode_count:
             raise ValueError("part two must be a nonempty proper subset of the modes")
         if any(k < 0 or k >= self.mode_count for k in flipped):
@@ -130,7 +136,7 @@ class Steerability:
 CriterionKind = Uncertainty | Classicality | Separability | Steerability
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2 and pass unread
 def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     """Hermitian test matrix of a criterion on n modes.
 
@@ -141,8 +147,10 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     elsewhere, (J + T J T) / 2 with T flipping the momenta of the other part.
 
     The result is built once per (kind, n) and shared by every caller, so it
-    is read-only; copy it before modifying it.
+    is read-only; copy it before modifying it.  A mode count that is not an integer is refused by a
+    ValueError.
     """
+    n = read_integer(n, "mode count")
     if isinstance(kind, Uncertainty):
         xi = 1j * symplectic_form(n)
     elif isinstance(kind, Classicality):
@@ -247,8 +255,10 @@ def environment_criterion(
     xi = xi_matrix(kind, n)
 
     # exactly Hermitian, as the checked diffusion is, and not measured against its own size, which
-    # cancellation can shrink
-    tested = shifted_source(check_hermitian(dyn.diffusion, tol, what="diffusion"), gamma, xi, tol)
+    # cancellation can shrink; the diffusion is measured once per model and judged here against tol
+    diffusion, dev, scale = dyn._diffusion_hermitian
+    require_hermitian(dev, scale, tol, "diffusion")
+    tested = shifted_source(diffusion, gamma, xi, tol)
     if isinstance(kind, Uncertainty):
         gram_twice = 2.0 * dyn.noise_gram.conj()
         dev = np.abs(tested - gram_twice).max()

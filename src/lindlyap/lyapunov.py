@@ -10,13 +10,16 @@ solved by LAPACK ``trsyl`` (taken from scipy's compiled wrapper module, see
 O(n^2) memory.  A generator may be given as its Schur form, so a model's
 cached form (or one shared with a stability gate) is not factorized again;
 a real form meeting a complex source is converted by ``rsf2csf``, not
-refactorized.  ``rsf2csf`` and ``expm`` are imported from ``scipy.linalg`` at
-first use, so only the routes that need them pay for that package's import.
+refactorized.  ``rsf2csf`` is the one function imported from the ``scipy.linalg``
+package, at first use: only an API call that pairs a real Schur form with a
+complex source reaches it, and no CLI command does.
 An independent solver evaluates the integral representation
 P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
 finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
 matrix exponential of a Van Loan block (Van Loan, IEEE TAC 23(3), 1978)
-taken over a short time and squared up to T.  It is kept deliberately
+taken over a short time and squared up to T; the exponential is scipy's
+``expm`` run on its compiled kernels (:func:`_expm`), so this route imports no
+scipy package either.  It is kept deliberately
 separate so the two routes can cross-check each other: apart from its
 stability gate it never touches the Schur form or ``trsyl``.  The same
 exact flow (E, W) = (exp(A t), W(t)) propagates the moments in
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._lapack import flapack
+from ._lapack import flapack, load
 from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part, within
 from .model import (
     GaussianDynamics,
@@ -146,18 +149,70 @@ def _flow(a: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarra
     unless ||A s|| is small, so the pair is built over s = t / 2^m with ||A s||_1 < 1 and
     squared m times.
     """
-    from scipy.linalg import expm  # imported here: at module level it would slow the start-up
-
     m = max(0, int(np.frexp(t * np.linalg.norm(a, 1))[1]))
     dim = len(a)
     gen = np.zeros((2 * dim, 2 * dim), dtype=np.result_type(a, q))
     gen[:dim, :dim], gen[:dim, dim:], gen[dim:, dim:] = -a, q, a.conj().T
-    block = expm(t / 2**m * gen)
+    block = _expm(t / 2**m * gen)
     e = block[dim:, dim:].conj().T
     flow = e, e @ block[:dim, dim:]
     for _ in range(m):
         flow = _square(*flow)
     return flow
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square float or complex matrix, bit for bit ``scipy.linalg.expm(a)``.
+
+    This is the 2-D body of scipy 1.17's ``expm`` on its compiled kernels ``pick_pade_structure`` and
+    ``pade_UV_calc``, which pick a Pade degree and a scaling 2^-s and evaluate the approximant (Al-Mohy
+    and Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009).  The result is squared s times; for a
+    triangular matrix, each squaring recomputes the diagonal and first off-diagonal from their closed
+    forms (their Code Fragment 2.1).  A diagonal matrix is exponentiated entrywise.
+    """
+    if a.shape == (1, 1):
+        return np.exp(a)
+    lower, upper = np.tril(a, -1).any(), np.triu(a, 1).any()  # scipy's bandwidth, read as zero or not
+    if not (lower or upper):
+        return np.diag(np.exp(np.diag(a)))
+    kernels = load("linalg", "_matfuncs_expm")
+    am = np.empty((5, *a.shape), dtype=a.dtype)  # the kernels' workspace; am[0] holds a, then the result
+    am[0] = a
+    m, s = kernels.pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while trying to compute "
+                          f"the Pade structure (error code {m}).")
+    info = kernels.pade_UV_calc(am, m)
+    if info <= -11:
+        raise MemoryError("scipy.linalg.expm could not allocate sufficient memory while trying to compute "
+                          f"the exponential (error code {info}).")
+    if info != 0:
+        raise RuntimeError("scipy.linalg.expm got an internal LAPACK error during the exponential "
+                           f"computation (error code {info})")
+    e = am[0]
+    if lower and upper:
+        for _ in range(s):
+            e = e @ e
+        return e
+    if s:
+        diag, sd = np.diag(a), np.diag(a, k=-1 if lower else 1)
+        np.einsum("ii->i", e)[:] = np.exp(diag * 2**(-s))
+        for i in range(s - 1, -1, -1):
+            e = e @ e
+            np.einsum("ii->i", e)[:] = np.exp(diag * 2.0**(-i))
+            exp_sd = _exp_sinch(diag * 2.0**(-i)) * (sd * 2**(-i))
+            np.einsum("ii->i", e[1:, :-1] if lower else e[:-1, 1:])[:] = exp_sd
+    return np.tril(e) if lower else np.triu(e)
+
+
+def _exp_sinch(x: np.ndarray) -> np.ndarray:
+    """(exp(x[k+1]) - exp(x[k])) / (x[k+1] - x[k]), or exp(x[k]) where the two are equal (Higham's (10.42))."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.0
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
 
 
 def _square(e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

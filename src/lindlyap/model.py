@@ -25,7 +25,15 @@ import numpy as np
 
 from ._lapack import flapack
 from .core import (
-    DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_real, symplectic_form, within, zero_band,
+    DEFAULT_TOL,
+    Tolerances,
+    check_hermitian,
+    hermitian_deviation,
+    read_matrix,
+    read_real,
+    symplectic_form,
+    within,
+    zero_band,
 )
 
 __all__ = [
@@ -168,6 +176,15 @@ class GaussianDynamics:
         """max|Gamma - Gamma^T| of drift_matrix, measured once per model; its scale is drift_schur.size."""
         gamma = self.drift_matrix
         return float(np.abs(gamma - gamma.T).max())
+
+    @cached_property
+    def _diffusion_hermitian(self) -> tuple[np.ndarray, float, float]:
+        """(Hermitian part, max|D - D^dag|, max|D|) of diffusion, measured once per model; the
+        deviation is judged against a tolerance by each reader.  The part is read-only, and it is
+        diffusion itself where that is exactly Hermitian."""
+        part, dev, scale = hermitian_deviation(self.diffusion, "diffusion")
+        part.flags.writeable = False
+        return part, dev, scale
 
 
 def _moment_pair(

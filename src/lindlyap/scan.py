@@ -8,7 +8,8 @@ cell with the reason it is nan, if it is.
 :func:`threshold` finds where a criterion's smallest eigenvalue changes sign as parameters move
 through a bracket [a, b].  The bracket rule: the value must be finite at every point the search
 evaluates, the endpoints included, and of opposite signs at a and b.  The search is Brent's method
-(``scipy.optimize.brentq``) with xtol = rtol = 5e-15, so it stops once the bracket is narrower than
+(the compiled kernel of ``scipy.optimize.brentq``, loaded without the ``scipy.optimize`` package by
+:mod:`lindlyap._lapack`) with xtol = rtol = 5e-15, so it stops once the bracket is narrower than
 about 1e-14 * max(1, |x|).  Where the rule fails the result is nan, together with the reason:
 no sign change in the bracket, or a point that is unstable, outside the family's domain, or whose
 solve failed.
@@ -23,6 +24,7 @@ import math
 import numpy as np
 
 from . import catalog as catalog_mod, criteria as criteria_mod, lyapunov, williamson
+from ._lapack import load
 from .core import DEFAULT_TOL, Tolerances
 from .model import stability_check
 
@@ -88,8 +90,6 @@ def threshold(cid, params: dict, names, level: str, kind, bracket,
     as the parameters ``names`` (a tuple, set together) move through ``bracket`` (a, b), the
     others held at ``params``.  Returns (value, None), or (nan, reason) where the bracket rule of
     this module fails."""
-    from scipy.optimize import brentq  # imported here: at module level it would slow the CLI's start-up
-
     label = ",".join(names)
     values = []  # f at each point evaluated, the endpoints first
 
@@ -104,7 +104,10 @@ def threshold(cid, params: dict, names, level: str, kind, bracket,
         return val
 
     try:
-        return brentq(f, *bracket, xtol=5e-15, rtol=5e-15), None
+        # brentq(f, a, b, xtol=5e-15, rtol=5e-15) without the scipy.optimize package: its kernel, given the
+        # arguments brentq passes it (no args, no full output, raise on non-convergence); brentq's NaN guard
+        # is not needed, as f raises _Undefined on any value that is not finite
+        return load("optimize", "_zeros")._brentq(f, *bracket, 5e-15, 5e-15, 100, (), False, True), None
     except _Undefined as exc:
         return math.nan, str(exc)
     except ValueError:  # brentq's refusal of f(a) and f(b) of one sign

@@ -773,21 +773,22 @@ def test_cli_import_loads_only_scipy_linalg():
     assert loaded <= {"linalg", "version"}
 
 
-# the start-up test's script: the commands that need no matrix exponential leave the scipy.linalg
-# package unimported, and evolve imports it for expm
-NO_EXPM_SCRIPT = """
+# the start-up test's script: every command, evolve and a threshold sweep included, runs on scipy's
+# compiled modules alone and leaves the scipy.linalg and scipy.optimize packages unimported
+NO_SCIPY_PACKAGE_SCRIPT = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from lindlyap.cli import main
-model = sys.argv[2]
+model, thermal = sys.argv[2:]
 for argv in (["steady", model], ["stability", model], ["criteria", model, "--json"], ["williamson", model],
              ["engineer", "--catalog", "TMTSS", "--params", "r=0.5,nbar=0.2"],
-             ["sweep", model, "--param", "epsilon", "--range", "0:0.5:3"]):
-    with contextlib.redirect_stdout(io.StringIO()):
+             ["sweep", thermal, "--param", "nbar", "--range", "0.2:0.4:2",
+              "--threshold", "separability:env:zeta", "--threshold-range", "1.1:40"]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0, argv
-    assert "scipy.linalg" not in sys.modules, argv
+    assert "nan" not in out.getvalue(), argv
 assert main(["evolve", model, "--t-end", "1", "--dt", "0.01", "--stride", "50"]) == 0
-assert "scipy.linalg" in sys.modules
+assert not {"scipy.linalg", "scipy.optimize"} & set(sys.modules), sorted(sys.modules)
 """
 OPO_EVOLVE_CSV = (
     "t,x0,x1,V_0_0,V_0_1,V_1_0,V_1_1\n"
@@ -797,13 +798,14 @@ OPO_EVOLVE_CSV = (
 )
 
 
-def test_only_evolve_imports_scipy_linalg(tmp_path):
-    """steady, stability, criteria, williamson, engineer and a threshold-free sweep run on
-    scipy's compiled LAPACK module alone; evolve then imports scipy.linalg for expm."""
+def test_no_command_imports_a_scipy_package(tmp_path):
+    """steady, stability, criteria, williamson, engineer, evolve and a sweep with a threshold column run on
+    scipy's compiled modules alone: expm's and brentq's kernels load without their packages."""
     src = os.path.dirname(os.path.dirname(lindlyap.__file__))
     model = catalog_doc(tmp_path, "OPO", epsilon=0.3, kappa=1.0)
-    proc = subprocess.run([sys.executable, "-c", NO_EXPM_SCRIPT, src, model], capture_output=True, text=True,
-                          timeout=120)
+    thermal = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_PACKAGE_SCRIPT, src, model, thermal],
+                          capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == OPO_EVOLVE_CSV
 

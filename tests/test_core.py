@@ -66,6 +66,12 @@ class TestSymplecticForm:
         with pytest.raises(ValueError):
             symplectic_form(0)
 
+    @pytest.mark.parametrize("n", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_rejects_a_mode_count_that_is_not_an_integer(self, n):
+        symplectic_form(2)  # an equal key's cached entry must not let a non-integer through
+        with pytest.raises(ValueError, match="^mode count must be an integer"):
+            symplectic_form(n)
+
 
 class TestHermitianHelpers:
     def test_hermitian_part(self):

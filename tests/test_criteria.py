@@ -29,7 +29,9 @@ from lindlyap import (
     transform_triple,
     xi_matrix,
 )
-from lindlyap.core import DEFAULT_TOL, Tolerances, check_hermitian, classify_spectrum
+from lindlyap.core import (
+    DEFAULT_TOL, Tolerances, check_hermitian, classify_spectrum, hermitian_deviation, require_hermitian,
+)
 
 HALF = Partition(2, frozenset({1}))
 
@@ -56,8 +58,9 @@ class TestPartition:
             (2, frozenset({True}), "flipped_modes"),
             (2.0, frozenset({1}), "mode_count"),
             (True, frozenset({0}), "mode_count"),
+            (3, 1, "flipped_modes"),
         ],
-        ids=["flip0", "flip1", "flip2", "float-mode", "bool-mode", "float-count", "bool-count"],
+        ids=["flip0", "flip1", "flip2", "float-mode", "bool-mode", "float-count", "bool-count", "int-flip"],
     )
     def test_invalid_partitions(self, count, flip, what):
         with pytest.raises(ValueError, match=what):
@@ -128,6 +131,12 @@ class TestXiMatrix:
     def test_partition_size_must_match(self):
         with pytest.raises(ValueError, match="modes"):
             xi_matrix(Separability(HALF), 3)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"], ids=["float", "bool", "str"])
+    def test_mode_count_must_be_an_integer(self, n):
+        xi_matrix(Uncertainty(), 2)  # an equal key's cached entry must not let a non-integer through
+        with pytest.raises(ValueError, match="^mode count must be an integer"):
+            xi_matrix(Uncertainty(), n)
 
 
 class TestStateCriteria:
@@ -480,7 +489,8 @@ class TestSharedXi:
 
 
 def count_hermitian_checks(monkeypatch):
-    """Count check_hermitian calls made from the criteria and lyapunov modules."""
+    """Count the Hermiticity checks made from the criteria and lyapunov modules: check_hermitian calls,
+    and the judgements of a model's diffusion, which is measured once and judged on every call."""
     import lindlyap.criteria
     import lindlyap.lyapunov
 
@@ -490,8 +500,13 @@ def count_hermitian_checks(monkeypatch):
         calls.append(kwargs.get("what", "matrix"))
         return check_hermitian(*args, **kwargs)
 
+    def judged(dev, scale, tol, what):
+        calls.append(what)
+        return require_hermitian(dev, scale, tol, what)
+
     monkeypatch.setattr(lindlyap.criteria, "check_hermitian", counted)
     monkeypatch.setattr(lindlyap.lyapunov, "check_hermitian", counted)
+    monkeypatch.setattr(lindlyap.criteria, "require_hermitian", judged)
     return calls
 
 
@@ -544,6 +559,26 @@ class TestHermitianChecksPerVerdict:
             res = environment_criterion(skewed, Classicality(), loose)
             assert np.array_equal(res.tested_matrix, want.tested_matrix)
         assert calls == ["diffusion", "shift"] * 2
+
+    def test_diffusion_is_measured_once_per_model(self, monkeypatch):
+        """The diffusion's Hermitian part and deviation are measured on the model's first environment
+        verdict and kept; every later verdict reuses them.  An exactly symmetric diffusion is its own
+        part, so the model keeps no copy."""
+        import lindlyap.model
+
+        measured = []
+
+        def counted(m, what):
+            measured.append(what)
+            return hermitian_deviation(m, what)
+
+        monkeypatch.setattr(lindlyap.model, "hermitian_deviation", counted)
+        dyn = opo_thermal(1.5)
+        for kind in self.KINDS:
+            environment_criterion(dyn, kind)
+        assert measured == ["diffusion"]
+        part, dev, scale = dyn._diffusion_hermitian
+        assert part is dyn.diffusion and (dev, scale) == (0.0, 0.0)
 
     def test_drift_symmetry_is_measured_once_and_judged_per_call(self):
         """The drift's asymmetry is measured on the model's first environment verdict and kept;

@@ -45,6 +45,24 @@ def test_env_flips_match_closed_forms(eps, kappa, fraction):
         assert value == pytest.approx(form, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize(
+    "name, level, kind, bracket",
+    [("zeta", "env", Separability(HALF), (1.1, 40.0)), ("zeta", "state", Classicality(), (1.06, 40.0)),
+     ("nbar", "state", Separability(HALF), (0.01, 2.0))],
+)
+def test_search_is_scipys_brentq(name, level, kind, bracket):
+    """threshold's search is brentq(f, a, b, xtol=5e-15, rtol=5e-15), bit for bit, though it runs brentq's
+    compiled kernel without scipy.optimize."""
+    from scipy.optimize import brentq
+
+    def f(x):
+        return ScanPoint("OPOThermal", {**README, name: x}).value(level, kind)
+
+    value, reason = threshold("OPOThermal", README, (name,), level, kind, bracket)
+    assert reason is None
+    assert value.hex() == brentq(f, *bracket, xtol=5e-15, rtol=5e-15).hex()
+
+
 def test_cli_threshold_cell_is_the_api_value(capsys, tmp_path):
     path = readme_document(tmp_path)
     rc = main(["sweep", path, "--param", "nbar", "--range", "0.2:0.4:3", "--threshold", "separability:state:zeta",
