@@ -5,7 +5,9 @@ The Schur factorization and the Bartels-Stewart solve need two LAPACK routines, 
 ``scipy.linalg._flapack``, but ``import scipy.linalg`` also runs scipy's vendored
 ``array_api_compat.numpy``, which clones the numpy namespace and so loads ``numpy.f2py``,
 ``numpy.testing`` and ``numpy.ma``: about 0.3 s of a 0.5 s ``import lindlyap`` (``python -X
-importtime``, 2 vCPUs).  :data:`flapack` is loaded with this module.
+importtime``, 2 vCPUs).  :data:`flapack` is loaded with this module.  It is all the Lyapunov solve
+needs: a complex source on a real Schur form is solved as two real ``trsyl`` systems, not through
+``scipy.linalg.rsf2csf``, so no module of lindlyap imports the ``scipy.linalg`` package.
 
 Two more extension modules are loaded on first use, by :func:`load`:
 ``scipy.linalg._matfuncs_expm``, whose ``pick_pade_structure`` and ``pade_UV_calc`` are the

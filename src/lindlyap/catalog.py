@@ -113,9 +113,8 @@ def thermal_bath(n: int, mode: int, rate: float, occupation: float) -> list[Lind
     n, mode = read_integer(n, "mode count"), read_integer(mode, "bath mode")
     if not 0 <= mode < n:
         raise ValueError(f"mode index {mode} out of range for {n} modes")
-    for what, value in (("rate", rate), ("occupation", occupation)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"bath {what} must be finite and nonnegative, got {value!r}")
+    rate = read_number(rate, "bath rate", "nonnegative")
+    occupation = read_number(occupation, "bath occupation", "nonnegative")
     out = []
     # the loss couples (i c, -c) to the mode's (q, p) slots, the gain (-i c, -c); c = sqrt(rate * weight / 2)
     for weight, q_phase in ((occupation + 1.0, 1j), (occupation, -1j)):
@@ -128,7 +127,8 @@ def thermal_bath(n: int, mode: int, rate: float, occupation: float) -> list[Lind
 
 
 def squeeze_transform(r: float) -> np.ndarray:
-    """Two-mode squeezing symplectic: cosh/sinh mixing of the quadrature pairs."""
+    """Two-mode squeezing symplectic: cosh/sinh mixing of the quadrature pairs.  r must be finite."""
+    r = read_number(r, "squeezing r", "finite")
     try:
         c, s = math.cosh(r), math.sinh(r)
     except OverflowError:
@@ -166,9 +166,9 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
         for name in resolve_param(cid, key):
             if name in resolved:
                 raise ValueError(f"parameter {name!r} of {cid.value} given more than once")
-            resolved[name] = read_number(value, f"parameter {key!r} of {cid.value}")
-            if not math.isfinite(resolved[name]):
-                raise ValueError(f"parameter {key!r} of {cid.value} must be finite, got {value!r}")
+            what = f"parameter {key!r} of {cid.value}"
+            # text, as float() parses it, is read first: parameters may come from a document
+            resolved[name] = read_number(read_number(value, what), what, "finite")
             if resolved[name] < 0 and name in NONNEGATIVE_PARAMS[cid]:
                 raise ValueError(
                     f"parameter {key!r} of {cid.value} is a rate or occupation and must be >= 0, "

@@ -39,7 +39,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import criteria as criteria_mod
 from . import evolution, lyapunov, scan, williamson
-from .core import Tolerances, check_hermitian, read_matrix, read_number
+from .core import Tolerances, check_hermitian, read_matrix, read_number, read_vector, require_finite
 from .model import (
     LindbladVector,
     ModelSpec,
@@ -129,15 +128,8 @@ def _load_cm(path: str, what: str, tol: Tolerances) -> np.ndarray:
     return check_hermitian(read_matrix(data, what), tol, what=what)
 
 
-def _vector(value, what: str, dim: int) -> np.ndarray:
-    """A model document's real vector of length dim; a refusal names the field ``what``."""
-    try:
-        v = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} must be a numeric vector: {exc}") from exc
-    if v.shape != (dim,):
-        raise ValueError(f"{what} must have length {dim}, got shape {v.shape}")
-    return v
+# a model document's real vector of a given length, whose finiteness the model judges by its own name
+_vector = functools.partial(read_vector, finite=False, form="a numeric vector")
 
 
 def _parse_tolerances(doc) -> Tolerances | None:
@@ -177,7 +169,7 @@ def _parse_model(doc) -> tuple[ModelSpec, Tolerances | None, dict]:
     extra = set(doc) - {"n", "hessian", "xi", "h0", "lindblad", "tolerances"}
     if extra:
         raise ValueError(f"unknown keys in model document: {sorted(extra)}")
-    h = read_matrix(doc["hessian"], '"hessian"')
+    h = read_matrix(doc["hessian"], '"hessian"', finite=False)  # the model judges finiteness by its own name
     n = h.shape[0] // 2
     # a mode count that is not a whole number never equals n, so it is refused here too
     if "n" in doc and read_number(doc["n"], '"n"') != n:
@@ -397,8 +389,7 @@ def _fields(arg: str, flag: str, form: str, types) -> list:
 
 
 def _finite(text: str) -> float:
-    if not math.isfinite(x := float(text)):
-        raise ValueError(f"endpoint {text!r} is not finite")
+    require_finite(x := float(text), f"endpoint {text!r}")
     return x
 
 
@@ -536,13 +527,11 @@ def cmd_engineer(args) -> tuple[int, str | dict]:
 def cmd_evolve(args) -> tuple[int, str | dict]:
     if args.stride < 1:
         raise ValueError(f"--stride must be at least 1, got {args.stride}")
-    if not math.isfinite(args.v0_scale):
-        raise ValueError(f"--v0-scale must be finite, got {args.v0_scale}")
-    if args.v0_scale < 0:
+    if read_number(args.v0_scale, "--v0-scale", "finite") < 0:
         raise ValueError(f"--v0-scale must be nonnegative, got {args.v0_scale}")
     for flag, value in (("--t-end", args.t_end), ("--dt", args.dt)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
+        if value is not None:
+            read_number(value, flag, "positive")
     dyn, tol = _load_model(args)
     t_end = args.t_end
     if t_end is None:

@@ -1,7 +1,15 @@
 """Shared linear-algebra primitives: the symplectic form, the inertia counts of
-a spectrum, the one scale rule of every tolerance, and the readers that turn
-outside input into a number, an integer, a real array or a 2n x 2n matrix,
-refusing it with a ValueError that names the field.
+a spectrum, the one scale rule of every tolerance, and the input contract.
+
+Every public argument is read here, by one reader per shape, and refused with a
+ValueError whose message starts with the field's name: :func:`read_number` (a
+number, optionally finite with a lower bound), :func:`read_integer`,
+:func:`read_vector` (a real or complex vector of a given length),
+:func:`read_matrix` (a square matrix: a real 2n x 2n one, or any nonempty float
+or complex one) and :func:`require_finite`, with :func:`read_real`, the array
+conversion beneath them.  The refusal phrases ("must be a number", "must be
+finite", "is not finite", "must be numeric", "must be square", ...) are raised
+in this module alone.
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.
@@ -10,6 +18,7 @@ positions first, then all momenta.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import math
 import numbers
@@ -26,16 +35,35 @@ __all__ = [
     "check_hermitian",
     "classify_spectrum",
     "read_number",
+    "read_integer",
+    "read_vector",
     "read_matrix",
+    "require_finite",
 ]
 
 
-def read_number(value, what: str) -> float:
-    """``float(value)``: the same values are accepted, and a refusal is a ValueError naming ``what``."""
+_BOUNDS = {"finite": "finite", "nonnegative": "finite and nonnegative", "positive": "finite and positive"}
+
+
+def read_number(value, what: str, bound: str | None = None, *, real: bool = True) -> float | complex:
+    """``float(value)``, or ``complex(value)`` if not ``real``: the same values are accepted, and a refusal
+    is a ValueError naming ``what``.
+
+    With a ``bound``, "finite", "nonnegative" or "positive", the value is a Python argument that must be a
+    real number, finite and, for the last two, >= 0 or > 0; text, which ``float`` would parse, is refused
+    (a document's text is read first without a bound).  A Python scalar is tested by :mod:`math`.
+    """
+    requirement = bound and _BOUNDS[bound]
     try:
-        return float(value)
+        if requirement and isinstance(value, (str, bytes, bytearray)):
+            raise TypeError("text is not a number")
+        x = float(value) if real else complex(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a number, got {value!r}") from exc
+    below = x < 0 if bound == "nonnegative" else x <= 0 if bound == "positive" else False
+    if requirement and (below or not math.isfinite(x)):
+        raise ValueError(f"{what} must be {requirement}, got {x!r}")
+    return x
 
 
 def read_integer(value, what: str, least: int | None = None) -> int:
@@ -48,34 +76,69 @@ def read_integer(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
-def refuse_imaginary(given: np.ndarray, what: str) -> None:
-    """Refuse an array with a nonzero imaginary part by a ValueError naming ``what``: a float conversion
-    would drop that part with only a ComplexWarning.  A complex array whose imaginary part is zero passes."""
-    if given.dtype.kind == "c" and given.imag.any():
-        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite.  One BLAS sum of squares proves it, at half the cost of the
+    entrywise test, which runs only when that sum is not finite: an entry is not, or the sum overflowed."""
+    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-def read_real(value, what: str, form: str = "numeric") -> np.ndarray:
-    """``value`` as a float array; a refusal is a ValueError naming ``what`` (non-numeric input is
-    refused as not ``form``).  A complex value is read as its real part if its imaginary part is zero,
-    and refused by :func:`refuse_imaginary` otherwise."""
+def require_finite(value, what: str) -> None:
+    """Refuse a number or array with a NaN or infinity by a ValueError naming ``what``."""
+    # cmath on a plain number is some thirty times cheaper than a numpy round trip
+    if isinstance(value, np.ndarray):
+        if not _all_finite(value):
+            raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
+    elif not cmath.isfinite(value):
+        raise ValueError(f"{what} is not finite")
+
+
+def read_real(value, what: str, form: str = "numeric", real: bool = True) -> np.ndarray:
+    """``value`` as a float array, or, if not ``real``, as a float or complex one (complex if it is);
+    a refusal is a ValueError naming ``what`` (non-numeric input is refused as not ``form``).  A float64
+    array is not copied.  A complex value read as real is read as its real part if its imaginary part
+    is zero, and refused otherwise: a float conversion would drop that part with only a ComplexWarning."""
     try:
         given = np.asarray(value)
-        real = np.asarray(given.real if given.dtype.kind == "c" else value, dtype=float)
+        if given.dtype.kind == "c" and not real:
+            return np.asarray(given, dtype=complex)
+        out = np.asarray(given.real if given.dtype.kind == "c" else value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be {form}: {exc}") from exc
-    refuse_imaginary(given, what)
-    return real
+    if given.dtype.kind == "c" and given.imag.any():
+        raise ValueError(f"{what} must be real, got a nonzero imaginary part")
+    return out
 
 
-def read_matrix(value, what: str) -> np.ndarray:
-    """``value`` as a real 2n x 2n float array, read by :func:`read_real`; a refusal is a ValueError
-    naming ``what``."""
-    m = read_real(value, what, "a numeric matrix")
+def read_vector(
+    value, what: str, length: int | None = None, *, real: bool = True, finite: bool = True, form: str = "numeric"
+) -> np.ndarray:
+    """``value`` as a vector of ``length`` entries, or of 2n, n >= 1, if that is not given: a float array,
+    or, if not ``real``, a complex one.  It is read by :func:`read_real` and, if ``finite``, refused
+    with a NaN or infinite entry; a refusal is a ValueError naming ``what``."""
+    v = read_real(value, what, form, real).astype(float if real else complex, copy=False)
+    fits = v.shape == (length,) if length else v.ndim == 1 and v.size and not v.size % 2
+    if not fits:
+        raise ValueError(f"{what} must have length {length or '2n with n >= 1'}, got shape {v.shape}")
+    if finite:
+        require_finite(v, what)
+    return v
+
+
+def read_matrix(
+    value, what: str, *, phase_space: bool = True, finite: bool = True, form: str = "a numeric matrix"
+) -> np.ndarray:
+    """``value`` as a square matrix, read by :func:`read_real`: a real 2n x 2n float array if
+    ``phase_space``, otherwise a nonempty float or complex one of any size.  If ``finite``, a NaN or
+    infinite entry is refused.  A refusal is a ValueError naming ``what``; a float64 array is not copied."""
+    m = read_real(value, what, form, real=phase_space)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if m.shape[0] % 2 or not m.size:
+    if phase_space and (m.shape[0] % 2 or not m.size):
         raise ValueError(f"{what} must be 2n x 2n with n >= 1, got shape {m.shape}")
+    if not m.size:
+        raise ValueError(f"{what} is empty, got shape {m.shape}")
+    if finite:
+        require_finite(m, what)
     return m
 
 
@@ -96,10 +159,10 @@ class Tolerances:
 
     def __post_init__(self):
         for f in fields(self):
-            value = read_number(getattr(self, f.name), f"tolerance {f.name}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"tolerance {f.name} must be finite and nonnegative, got {value!r}")
-            object.__setattr__(self, f.name, value)
+            what = f"tolerance {f.name}"
+            # text, as float() parses it, is read first: a tolerance may come from a document
+            value = read_number(getattr(self, f.name), what)
+            object.__setattr__(self, f.name, read_number(value, what, "nonnegative"))
 
 
 DEFAULT_TOL = Tolerances()
@@ -125,8 +188,7 @@ def symplectic_form(n: int) -> np.ndarray:
     read-only; copy it before modifying it.  A mode count that is not a positive integer is refused
     by a ValueError.
     """
-    if read_integer(n, "mode count") < 1:
-        raise ValueError(f"need at least one mode, got n={n}")
+    read_integer(n, "mode count", 1)
     z = np.zeros((n, n))
     i = np.eye(n)
     j = np.block([[z, i], [-i, z]])
@@ -157,23 +219,19 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
 
 def hermitian_deviation(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, float, float]:
     """(Hermitian part, ||m - m^dag||_inf, ||m||_inf) of a square, nonempty, finite ``m``: what
-    :func:`check_hermitian` measures before it judges.  Other input is refused by a ValueError naming
-    ``what``.
+    :func:`check_hermitian` measures before it judges.  Other input is refused by :func:`read_matrix`,
+    by a ValueError naming ``what``.
 
     Fast gate: a float or complex m that equals m^dag entry for entry is its own Hermitian part, so
     ``(m, 0.0, 0.0)``, with m itself and not a copy, is returned after one comparison and one finiteness
     pass, bit for bit the part of the full path; a zero deviation passes at any scale.
     """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
-    kind = m.dtype.kind
-    if m.size and kind in "fc" and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all():
+    kind, shape = m.dtype.kind, m.shape
+    if (kind in "fc" and len(shape) == 2 and shape[0] == shape[1] and m.size
+            and (m == (m.conj() if kind == "c" else m).T).all() and _all_finite(m)):
         return m, 0.0, 0.0
-    if not m.size:
-        raise ValueError(f"{what} is empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
+    m = read_matrix(m, what, phase_space=False)
     return hermitian_part(m), float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
 
 

@@ -147,10 +147,10 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     elsewhere, (J + T J T) / 2 with T flipping the momenta of the other part.
 
     The result is built once per (kind, n) and shared by every caller, so it
-    is read-only; copy it before modifying it.  A mode count that is not an integer is refused by a
-    ValueError.
+    is read-only; copy it before modifying it.  A mode count that is not an integer >= 1 is refused by
+    a ValueError.
     """
-    n = read_integer(n, "mode count")
+    n = read_integer(n, "mode count", 1)
     if isinstance(kind, Uncertainty):
         xi = 1j * symplectic_form(n)
     elif isinstance(kind, Classicality):

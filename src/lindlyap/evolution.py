@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import read_integer, read_real
+from .core import read_integer, read_number, read_real, read_vector, require_finite
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -87,19 +87,15 @@ def evolve(
     finite and real (a zero imaginary part is dropped).  Aborts, naming the
     first recorded step, if a recorded moment stops being finite.
     """
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    t_end = read_number(t_end, "t_end", "positive")
+    if dt is not None:
+        dt = read_number(dt, "dt", "positive")
     record_every = read_integer(record_every, "record_every", 1)
-    x, v = read_real(x0, "x0"), read_real(v0, "v0")
     dim = dyn.drift_matrix.shape[0]
-    if x.shape != (dim,):
-        raise ValueError(f"x0 must have shape ({dim},), got {x.shape}")
+    x, v = read_vector(x0, "x0", dim), read_real(v0, "v0")
     if v.shape != (dim, dim):
         raise ValueError(f"v0 must have shape ({dim}, {dim}), got {v.shape}")
-    for name, value in (("x0", x), ("v0", v)):
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite")
+    require_finite(v, "v0")
     v = 0.5 * (v + v.T)
 
     if dt is None:

@@ -9,10 +9,9 @@ solved by LAPACK ``trsyl`` (taken from scipy's compiled wrapper module, see
 :mod:`lindlyap._lapack`), with P = U X U^dag.  Cost is O(n^3) time and
 O(n^2) memory.  A generator may be given as its Schur form, so a model's
 cached form (or one shared with a stability gate) is not factorized again;
-a real form meeting a complex source is converted by ``rsf2csf``, not
-refactorized.  ``rsf2csf`` is the one function imported from the ``scipy.linalg``
-package, at first use: only an API call that pairs a real Schur form with a
-complex source reaches it, and no CLI command does.
+a real form meeting a complex source is not refactorized either: as
+X -> T X + X T^T is a real map, the real and imaginary parts of the source are
+solved as two real systems on the same T.
 An independent solver evaluates the integral representation
 P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
 finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
@@ -28,22 +27,14 @@ exact flow (E, W) = (exp(A t), W(t)) propagates the moments in
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lapack import flapack, load
-from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part, within
-from .model import (
-    GaussianDynamics,
-    SchurForm,
-    UnstableDriftError,
-    _require_finite,
-    require_stable,
-    schur_form,
-)
+from .core import DEFAULT_TOL, Tolerances, check_hermitian, hermitian_part, read_matrix, read_number, within
+from .model import GaussianDynamics, SchurForm, UnstableDriftError, require_stable, schur_form
 
 __all__ = [
     "LyapunovProblem",
@@ -58,7 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LyapunovProblem:
-    """Data of A P + P A^dag + Q = 0: a stable, finite generator and a Hermitian source.
+    """Data of A P + P A^dag + Q = 0: a stable generator and a Hermitian source, both square, finite
+    and of one shape (:func:`~lindlyap.core.read_matrix`).
 
     The generator may be given as a SchurForm; generator is then its matrix
     and form the record, which the solve reads instead of factorizing.
@@ -69,18 +61,13 @@ class LyapunovProblem:
     form: SchurForm | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        q = read_matrix(self.source, "source", phase_space=False)
         if isinstance(self.generator, SchurForm):
             object.__setattr__(self, "form", self.generator)
-            object.__setattr__(self, "generator", self.generator.matrix)
-        a = np.asarray(self.generator)
-        q = np.asarray(self.source)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"generator must be square, got shape {a.shape}")
+        # a form's matrix was read when it was factorized
+        a = self.form.matrix if self.form else read_matrix(self.generator, "generator", phase_space=False)
         if q.shape != a.shape:
             raise ValueError(f"source shape {q.shape} does not match generator shape {a.shape}")
-        if not q.size:
-            raise ValueError(f"source is empty, got shape {q.shape}")
-        _require_finite(("generator", a))
         object.__setattr__(self, "generator", a)
         object.__setattr__(self, "source", q)
 
@@ -104,9 +91,9 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     generator may be given as its SchurForm.  The source must be Hermitian
     and the generator asymptotically stable, which is decided on the same
     Schur form that the solve uses: the given one, or one factorization of
-    the generator.  The form is real for a real generator; a complex source
-    needs a complex form (real ``trsyl`` cannot take a complex right-hand
-    side), to which a real form is converted by ``rsf2csf``.  The unique
+    the generator.  The form is real for a real generator.  A complex source on
+    a real form is solved as two real systems, one for the real and one for the
+    imaginary part of -U^T Q U, since X -> T X + X T^T is a real map.  The unique
     solution is returned Hermitian (real when the inputs are real), after an
     explicit residual check.
     """
@@ -118,17 +105,14 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise UnstableDriftError("Lyapunov solve", report)
 
     t, u = form.t, form.u
-    real = np.isrealobj(t) and np.isrealobj(q)
-    if np.isrealobj(t) and not real:
-        from scipy.linalg import rsf2csf  # imported here: at module level it would slow the start-up
-
-        t, u = rsf2csf(t, u, check_finite=False)
     c = -(u.conj().T @ q @ u)
-    trsyl = flapack.dtrsyl if real else flapack.ztrsyl  # the prefix get_lapack_funcs picks for (t, c)
-    x, scale, info = trsyl(t, t, c, tranb="T" if real else "C")
-    if info < 0:
-        raise ValueError(f"LAPACK trsyl rejected argument {-info}")
-    p = hermitian_part(u @ (x / scale) @ u.conj().T)
+    if np.isrealobj(t):
+        x = _trsyl(flapack.dtrsyl, t, c.real, "T")
+        if np.iscomplexobj(c):  # X -> T X + X T^T is a real map: the imaginary part is a second system
+            x = x + 1j * _trsyl(flapack.dtrsyl, t, c.imag, "T")
+    else:
+        x = _trsyl(flapack.ztrsyl, t, c, "C")
+    p = hermitian_part(u @ x @ u.conj().T)
 
     # the residual is judged against the size of the equation's terms, 2 |A| |P| + |Q|, the
     # normwise backward error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
@@ -139,6 +123,14 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not within(res, tol.residual_tol, scale):
         raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}")
     return p
+
+
+def _trsyl(trsyl, t: np.ndarray, c: np.ndarray, tranb: str) -> np.ndarray:
+    """X with T X + X op(T) = C, by LAPACK ``trsyl`` on the Schur factor T (op = ``tranb``)."""
+    x, scale, info = trsyl(t, t, c, tranb=tranb)
+    if info < 0:
+        raise ValueError(f"LAPACK trsyl rejected argument {-info}")
+    return x / scale
 
 
 def _flow(a: np.ndarray, q: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +227,8 @@ def solve_integral(
     ||exp(A T) Q exp(A^dag T)|| has not decayed at the horizon.  horizon must be finite and
     positive.  Independent of :func:`solve` by construction.
     """
-    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    if horizon is not None:
+        horizon = read_number(horizon, "horizon", "positive")
     prob = _as_problem(problem, source)
     a = prob.generator
     q = check_hermitian(prob.source, tol, what="source")
@@ -273,7 +265,8 @@ def steady_covariance(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> n
 
 
 def shifted_source(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Source matrix shifted by a Hermitian test matrix: Q - Xi A^dag - A Xi.
+    """Source matrix shifted by a Hermitian test matrix: Q - Xi A^dag - A Xi, of a square, finite Q and A
+    (:func:`~lindlyap.core.read_matrix`).
 
     Solving with the shifted source returns P + Xi, so positivity of the
     shifted source certifies P + Xi >= 0 for any stable generator.
@@ -286,8 +279,8 @@ def shifted_source(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> n
     subtractions, Q - G - G^dag, would round the mirrored entries in
     different orders and lose that.
     """
-    q = np.asarray(source)
-    a = np.asarray(generator)
-    xi = check_hermitian(np.asarray(shift), tol, what="shift")
+    q = read_matrix(source, "source", phase_space=False)
+    a = read_matrix(generator, "generator", phase_space=False)
+    xi = check_hermitian(shift, tol, what="shift")
     g = a @ xi
     return q - (g + g.conj().T)

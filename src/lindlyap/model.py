@@ -17,7 +17,6 @@ certifies stability and feeds the Bartels-Stewart solve of
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 
@@ -30,7 +29,10 @@ from .core import (
     check_hermitian,
     hermitian_deviation,
     read_matrix,
+    read_number,
     read_real,
+    read_vector,
+    require_finite,
     symplectic_form,
     within,
     zero_band,
@@ -53,14 +55,6 @@ __all__ = [
 ]
 
 
-def _require_finite(*named) -> None:
-    """Raise a ValueError naming the first (name, array or number) pair with a NaN or infinity."""
-    for what, value in named:
-        # cmath on a plain number is some thirty times cheaper than a numpy round trip
-        if not (np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)):
-            raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
-
-
 _HESSIAN_TOL = Tolerances(residual_tol=1e-12)
 
 
@@ -68,7 +62,7 @@ _HESSIAN_TOL = Tolerances(residual_tol=1e-12)
 class QuadraticHamiltonian:
     """Hamiltonian (1/2) x^T hessian x + linear^T x + offset in block (q, p) layout.
 
-    hessian must be real symmetric, 2n x 2n.  linear defaults to zero.  All
+    hessian must be real symmetric, 2n x 2n, and linear a real 2n vector (zero by default).  All
     entries must be finite.
     """
 
@@ -78,14 +72,12 @@ class QuadraticHamiltonian:
 
     def __post_init__(self):
         h = read_matrix(self.hessian, "hessian")
-        lin = self.linear
-        lin = np.zeros(h.shape[0]) if lin is None else read_real(lin, "linear term xi")
-        if lin.shape != (h.shape[0],):
-            raise ValueError(f"linear term must have length {h.shape[0]}, got {lin.shape}")
-        _require_finite(("hessian", h), ("linear term xi", lin), ("offset h0", self.offset))
-        h = check_hermitian(h, _HESSIAN_TOL, what="hessian")
-        object.__setattr__(self, "hessian", h)
+        lin = np.zeros(len(h)) if self.linear is None else read_vector(self.linear, "linear term xi", len(h))
+        offset = read_number(self.offset, "offset h0")
+        require_finite(offset, "offset h0")
+        object.__setattr__(self, "hessian", check_hermitian(h, _HESSIAN_TOL, what="hessian"))
         object.__setattr__(self, "linear", lin)
+        object.__setattr__(self, "offset", offset)
 
     @property
     def n(self) -> int:
@@ -100,11 +92,10 @@ class LindbladVector:
     offset: complex = 0j
 
     def __post_init__(self):
-        c = np.asarray(self.coupling, dtype=complex)
-        if c.ndim != 1 or c.shape[0] % 2:
-            raise ValueError(f"coupling must be a complex 2n vector, got shape {c.shape}")
-        _require_finite(("coupling lambda", c), ("offset mu", self.offset))
-        object.__setattr__(self, "coupling", c)
+        object.__setattr__(self, "coupling", read_vector(self.coupling, "coupling lambda", real=False))
+        offset = read_number(self.offset, "offset mu", real=False)
+        require_finite(offset, "offset mu")
+        object.__setattr__(self, "offset", offset)
 
     @property
     def n(self) -> int:
@@ -158,7 +149,7 @@ class GaussianDynamics:
     def __post_init__(self):
         for f in fields(self):
             arr = np.array(getattr(self, f.name))
-            _require_finite((f.name, arr))
+            require_finite(arr, f.name)
             arr.flags.writeable = False
             object.__setattr__(self, f.name, arr)
 
@@ -280,19 +271,15 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     """Factorize a finite square matrix once, by LAPACK ``gees`` in double precision.
 
     The form is real for a real matrix and complex otherwise, the bits that
-    ``scipy.linalg.schur`` gives, and a failure raises the same errors.  The eigenvalues
+    ``scipy.linalg.schur`` gives, and a failure raises the same errors; input that is not a
+    nonempty, finite, square numeric matrix is refused by :func:`~lindlyap.core.read_matrix`,
+    naming the "drift matrix".  The eigenvalues
     are the diagonal of t, except that each standardized 2 x 2 block
     [[a, b], [c, a]] of a real form holds the pair a +- i sqrt(-b c).  As
     with ``numpy.linalg.eigvals``, the spectrum of a real matrix is real
     when it has no such pair.
     """
-    real = np.isrealobj(matrix)
-    a = np.array(matrix, dtype=float if real else complex)
-    _require_finite(("drift matrix", a))
-    if not a.size:
-        raise ValueError(f"drift matrix is empty, got shape {a.shape}")
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected square matrix")
+    a = read_matrix(matrix, "drift matrix", phase_space=False).copy()  # the form makes its copy read-only
     result = _gees(a, _schur_lwork(a.dtype, len(a)))
     t, u, info = result[0], result[-3], result[-1]
     if info < 0:
@@ -403,7 +390,6 @@ def realize_lindblad(
     d = read_real(diffusion, "diffusion")
     if d.shape != gamma.shape:
         raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
-    _require_finite(("drift matrix", gamma))
     d = check_hermitian(d, tol, what="diffusion")
     n = gamma.shape[0] // 2
     j = symplectic_form(n)

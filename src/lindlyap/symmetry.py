@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lyapunov
-from .core import DEFAULT_TOL, Tolerances, read_matrix, read_real, symplectic_form, within
-from .model import GaussianDynamics, _require_finite, schur_form, stability_check
+from .core import DEFAULT_TOL, Tolerances, read_matrix, symplectic_form, within
+from .model import GaussianDynamics, schur_form, stability_check
 from .williamson import STRUCTURE_TOL, is_symplectic
 
 __all__ = [
@@ -36,6 +36,15 @@ def _close(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
     return within(np.linalg.norm(a - b), rtol, np.linalg.norm(b))
 
 
+def _invertible(w, what: str, form: str) -> np.ndarray:
+    """``w`` as a finite real 2n x 2n matrix (:func:`~lindlyap.core.read_matrix`) of full numerical rank,
+    so at any scale; other input is refused by a ValueError naming ``what``."""
+    w = read_matrix(w, what, form=form)
+    if np.linalg.matrix_rank(w) < len(w):
+        raise ValueError(f"{what} must be invertible")
+    return w
+
+
 @dataclass(frozen=True)
 class CovarianceTransform:
     """An invertible frame change (by numerical rank, so at any scale), with its
@@ -46,10 +55,7 @@ class CovarianceTransform:
     is_symplectic: bool = field(init=False)
 
     def __post_init__(self):
-        w = read_matrix(self.matrix, "transform")
-        _require_finite(("transform", w))
-        if np.linalg.matrix_rank(w) < len(w):
-            raise ValueError("transform must be invertible")
+        w = _invertible(self.matrix, "transform", "a numeric matrix")
         object.__setattr__(self, "matrix", w)
         object.__setattr__(self, "is_orthogonal", _close(w @ w.T, np.eye(len(w)), STRUCTURE_TOL))
         object.__setattr__(self, "is_symplectic", is_symplectic(w))
@@ -65,9 +71,9 @@ def transform_triple(
 
     Returns (W Gamma W^-1, W D W^T, W V W^T).  The stationary equation is
     covariant under this action: if V solves the original pair, W V W^T
-    solves the transformed one.
+    solves the transformed one.  W must be a finite, invertible real 2n x 2n matrix.
     """
-    w = read_real(w, "w")
+    w = _invertible(w, "w", "numeric")
     gamma_t = w @ gamma @ np.linalg.inv(w)
     diffusion_t = w @ diffusion @ w.T
     cm_t = None if cm is None else w @ cm @ w.T
@@ -125,7 +131,7 @@ def match_template(m: np.ndarray, template: StructureTemplate) -> bool:
 
     Deviations are measured in Frobenius norm, within STRUCTURE_TOL of ||m||_F.
     """
-    m = read_matrix(m, "matrix")
+    m = read_matrix(m, "matrix", finite=False)  # a NaN or infinite entry fits no template
     n = m.shape[0] // 2
     a, b = m[:n, :n], m[:n, n:]
     c, e = m[n:, :n], m[n:, n:]

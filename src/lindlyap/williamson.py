@@ -20,7 +20,8 @@ import numpy as np
 
 from . import lyapunov
 from .core import (
-    DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_real, symplectic_form, within, zero_band,
+    DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_number, read_real, symplectic_form, within,
+    zero_band,
 )
 from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
 
@@ -108,10 +109,8 @@ def is_symplectic(w: np.ndarray) -> bool:
     one included, is not symplectic.
     """
     try:
-        w = read_real(w, "w")
-    except ValueError:  # a nonzero imaginary part or a non-numeric entry: not a real symplectic matrix
-        return False
-    if w.ndim != 2 or w.shape[0] != w.shape[1] or w.shape[0] % 2 or not w.size:
+        w = read_matrix(w, "w")
+    except ValueError:  # not a finite real 2n x 2n matrix: not a real symplectic one
         return False
     j = symplectic_form(w.shape[0] // 2)
     dev = np.abs(w @ j @ w.T - j).max()
@@ -244,8 +243,12 @@ def engineer_gibbs_target(
     """The :func:`engineer_target` pair (-I/2, alpha S S^T) for a symplectic S.
 
     It is also the isotropic pair (-I/2, alpha I) transported by S, and S is
-    not inverted.  alpha must be >= 1, within the zero band of ``tol``.
+    not inverted.  alpha must be a finite number >= 1, within the zero band of ``tol``.
     """
+    try:
+        alpha = read_number(alpha, "alpha", "finite")
+    except ValueError as exc:
+        raise EngineeringError(str(exc)) from None
     s = read_real(transform, "transform")
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")

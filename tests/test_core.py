@@ -5,6 +5,7 @@ import math
 import pkgutil
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from lindlyap import (
     Conclusiveness,
     InertiaIndex,
     Level,
+    LindbladVector,
     QuadraticHamiltonian,
     Tolerances,
     Uncertainty,
@@ -30,13 +32,20 @@ from lindlyap import (
     physical_spectrum,
     realize_lindblad,
     residual,
+    schur_form,
+    shifted_source,
     solve,
+    solve_integral,
+    squeeze_transform,
     stability_check,
     state_criterion,
     symplectic_form,
+    thermal_bath,
     transform_triple,
     williamson_decompose,
+    xi_matrix,
 )
+from lindlyap.williamson import EngineeringError
 from lindlyap.core import (
     DEFAULT_TOL,
     check_hermitian,
@@ -340,6 +349,73 @@ def test_complex_matrix_refused_by_name(call, what):
 def test_non_numeric_array_refused_by_name(call, what):
     with pytest.raises(ValueError, match=f"^{what} must be numeric: could not convert string to float: 'a'$"):
         call()
+
+
+def opo_dynamics():
+    return catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()
+
+
+NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call, field, error",
+    [
+        pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), I2, "1"), "t_end", ValueError, id="evolve-t_end"),
+        pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), I2, 1.0, dt="0.1"), "dt", ValueError,
+                     id="evolve-dt"),
+        pytest.param(lambda: solve_integral(HALF, I2, horizon="5"), "horizon", ValueError, id="solve_integral"),
+        pytest.param(lambda: thermal_bath(1, 0, "1", 0.0), "bath rate", ValueError, id="thermal_bath"),
+        pytest.param(lambda: QuadraticHamiltonian(I2, None, "x"), "offset h0", ValueError, id="offset-h0"),
+        pytest.param(lambda: LindbladVector([1.0, 1j], "x"), "offset mu", ValueError, id="offset-mu"),
+        pytest.param(lambda: LindbladVector(["a", "b"]), "coupling lambda", ValueError, id="coupling-text"),
+        pytest.param(lambda: engineer_gibbs_target(squeeze_transform(0.3), "2"), "alpha", EngineeringError,
+                     id="alpha-text"),
+        pytest.param(lambda: engineer_gibbs_target(squeeze_transform(0.3), math.inf), "alpha", EngineeringError,
+                     id="alpha-inf"),
+        pytest.param(lambda: schur_form([["a"]]), "drift matrix", ValueError, id="schur_form-text"),
+        pytest.param(lambda: schur_form(np.zeros(3)), "drift matrix", ValueError, id="schur_form-vector"),
+        pytest.param(lambda: transform_triple(HALF, I2, NAN_2), "w", ValueError, id="transform_triple-nan"),
+        pytest.param(lambda: transform_triple(HALF, I2, np.ones((3, 2))), "w", ValueError,
+                     id="transform_triple-3x2"),
+        pytest.param(lambda: transform_triple(HALF, I2, np.zeros((2, 2))), "w", ValueError,
+                     id="transform_triple-singular"),
+        pytest.param(lambda: shifted_source(I2, NAN_2, I2), "generator", ValueError, id="shifted_source"),
+        pytest.param(lambda: squeeze_transform(math.nan), "squeezing r", ValueError, id="squeeze_transform"),
+        pytest.param(lambda: xi_matrix(Classicality(), 0), "mode count", ValueError, id="xi_matrix"),
+    ],
+)
+def test_boundary_refuses_by_name_without_a_warning(call, field, error):
+    """Bad input to each public function is refused at the boundary: a ValueError (for alpha, an
+    EngineeringError) whose message starts with the field, not a TypeError, a LinAlgError, a warning or
+    a NaN or empty result."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as refusal:
+            call()
+    assert caught == []
+    assert str(refusal.value).startswith(f"{field} ")
+
+
+CONTRACT_PHRASES = ("is not finite", "must be square", "must be finite", "must be numeric", "must be a number")
+
+
+def contract_refusals(tree: ast.Module):
+    """(line, phrase) of each raise statement whose text holds a refusal phrase of the input contract."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            text = "".join(c.value for c in ast.walk(node.exc)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            yield from ((node.lineno, phrase) for phrase in CONTRACT_PHRASES if phrase in text)
+
+
+def test_the_input_contract_is_refused_in_core_alone():
+    """The readers of lindlyap.core are the one home of the contract's refusals, so it cannot fork again."""
+    src = Path(lindlyap.__file__).parent
+    found = [f"{path.name}:{line}: {phrase}" for path in sorted(src.glob("*.py")) if path.name != "core.py"
+             for line, phrase in contract_refusals(ast.parse(path.read_text()))]
+    assert found == []
+    assert any(contract_refusals(ast.parse((src / "core.py").read_text())))  # the scan sees core's own refusals
 
 
 def test_every_name_in_a_module_all_exists():

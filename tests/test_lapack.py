@@ -179,18 +179,12 @@ def scipy_package_imports(tree: ast.Module):
             yield node.lineno, ast.unparse(node)
 
 
-def test_only_the_loader_and_rsf2csf_import_a_scipy_package():
-    """The seam: the kernels come through lindlyap._lapack, and the one package import left is the
-    rsf2csf of lyapunov.solve, which only a complex source on a real Schur form reaches."""
-    found = []
-    for path in sorted(Path(SRC, "lindlyap").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        solve = next((fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "solve"), None)
-        for line, statement in scipy_package_imports(tree):
-            rsf2csf = (path.name == "lyapunov.py" and solve.lineno <= line <= solve.end_lineno
-                       and statement == "from scipy.linalg import rsf2csf")
-            if path.name != "_lapack.py" and not rsf2csf:
-                found.append(f"{path.name}:{line}: {statement}")
+def test_only_the_loader_imports_a_scipy_package():
+    """The seam: every kernel comes through lindlyap._lapack, and no other module imports from the
+    scipy.linalg or scipy.optimize package."""
+    found = [f"{path.name}:{line}: {statement}"
+             for path in sorted(Path(SRC, "lindlyap").glob("*.py")) if path.name != "_lapack.py"
+             for line, statement in scipy_package_imports(ast.parse(path.read_text()))]
     assert found == []
 
 
