@@ -5,11 +5,13 @@ Every public argument is read here, by one reader per shape, and refused with a
 ValueError whose message starts with the field's name: :func:`read_number` (a
 number, optionally finite with a lower bound), :func:`read_integer`,
 :func:`read_vector` (a real or complex vector of a given length),
-:func:`read_matrix` (a square matrix: a real 2n x 2n one, or any nonempty float
-or complex one) and :func:`require_finite`, with :func:`read_real`, the array
-conversion beneath them.  The refusal phrases ("must be a number", "must be
-finite", "is not finite", "must be numeric", "must be square", ...) are raised
-in this module alone.
+:func:`read_matrix` (a nonempty square matrix: a real 2n x 2n one, or a float or
+complex one, of a given size if one is asked for) and :func:`require_finite`,
+with :func:`read_real`, the array conversion beneath them.  The refusal phrases
+("must be a number", "must be finite", "is not finite", "must be numeric",
+"must be square", ...) are raised in this module alone, but for two bound checks
+that keep their own wording: a catalog rate's "must be >= 0" and the CLI's
+"--v0-scale must be nonnegative".
 
 Phase-space vectors are ordered as x = (q_1, ..., q_n, p_1, ..., p_n): all
 positions first, then all momenta.
@@ -51,9 +53,13 @@ def read_number(value, what: str, bound: str | None = None, *, real: bool = True
 
     With a ``bound``, "finite", "nonnegative" or "positive", the value is a Python argument that must be a
     real number, finite and, for the last two, >= 0 or > 0; text, which ``float`` would parse, is refused
-    (a document's text is read first without a bound).  A Python scalar is tested by :mod:`math`.
+    (a document's text is read first without a bound).  A Python scalar is tested by :mod:`math`.  A
+    numpy complex scalar read as real is read as its real part if its imaginary part is zero, and
+    refused otherwise (a Python complex is not a number to ``float``).
     """
     requirement = bound and _BOUNDS[bound]
+    if real and isinstance(value, np.complexfloating):  # float() would warn and drop its imaginary part
+        value = read_real(value, what)
     try:
         if requirement and isinstance(value, (str, bytes, bytearray)):
             raise TypeError("text is not a number")
@@ -76,17 +82,11 @@ def read_integer(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite.  One BLAS sum of squares proves it, at half the cost of the
-    entrywise test, which runs only when that sum is not finite: an entry is not, or the sum overflowed."""
-    return cmath.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
-
-
 def require_finite(value, what: str) -> None:
     """Refuse a number or array with a NaN or infinity by a ValueError naming ``what``."""
     # cmath on a plain number is some thirty times cheaper than a numpy round trip
     if isinstance(value, np.ndarray):
-        if not _all_finite(value):
+        if not np.isfinite(value).all():
             raise ValueError(f"{what} is not finite: it has a NaN or infinite entry")
     elif not cmath.isfinite(value):
         raise ValueError(f"{what} is not finite")
@@ -125,15 +125,19 @@ def read_vector(
 
 
 def read_matrix(
-    value, what: str, *, phase_space: bool = True, finite: bool = True, form: str = "a numeric matrix"
+    value, what: str, size: int | None = None, *, phase_space: bool = True, finite: bool = True,
+    form: str = "a numeric matrix",
 ) -> np.ndarray:
-    """``value`` as a square matrix, read by :func:`read_real`: a real 2n x 2n float array if
-    ``phase_space``, otherwise a nonempty float or complex one of any size.  If ``finite``, a NaN or
-    infinite entry is refused.  A refusal is a ValueError naming ``what``; a float64 array is not copied."""
+    """``value`` as a nonempty square matrix, read by :func:`read_real`: a real float array if
+    ``phase_space``, otherwise a float or complex one.  It is ``size`` x ``size`` if that is given, and
+    otherwise, if ``phase_space``, 2n x 2n.  If ``finite``, a NaN or infinite entry is refused.  A refusal
+    is a ValueError naming ``what``; a float64 array is not copied."""
     m = read_real(value, what, form, real=phase_space)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    if phase_space and (m.shape[0] % 2 or not m.size):
+    if size is not None and len(m) != size:
+        raise ValueError(f"{what} must be {size} x {size}, got shape {m.shape}")
+    if phase_space and size is None and (m.shape[0] % 2 or not m.size):
         raise ValueError(f"{what} must be 2n x 2n with n >= 1, got shape {m.shape}")
     if not m.size:
         raise ValueError(f"{what} is empty, got shape {m.shape}")
@@ -229,7 +233,7 @@ def hermitian_deviation(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray
     m = np.asarray(m)
     kind, shape = m.dtype.kind, m.shape
     if (kind in "fc" and len(shape) == 2 and shape[0] == shape[1] and m.size
-            and (m == (m.conj() if kind == "c" else m).T).all() and _all_finite(m)):
+            and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all()):
         return m, 0.0, 0.0
     m = read_matrix(m, what, phase_space=False)
     return hermitian_part(m), float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import read_integer, read_number, read_real, read_vector, require_finite
+from .core import read_integer, read_matrix, read_number, read_vector
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -92,10 +92,7 @@ def evolve(
         dt = read_number(dt, "dt", "positive")
     record_every = read_integer(record_every, "record_every", 1)
     dim = dyn.drift_matrix.shape[0]
-    x, v = read_vector(x0, "x0", dim), read_real(v0, "v0")
-    if v.shape != (dim, dim):
-        raise ValueError(f"v0 must have shape ({dim}, {dim}), got {v.shape}")
-    require_finite(v, "v0")
+    x, v = read_vector(x0, "x0", dim), read_matrix(v0, "v0", dim)
     v = 0.5 * (v + v.T)
 
     if dt is None:

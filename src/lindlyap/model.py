@@ -30,7 +30,6 @@ from .core import (
     hermitian_deviation,
     read_matrix,
     read_number,
-    read_real,
     read_vector,
     require_finite,
     symplectic_form,
@@ -136,7 +135,10 @@ class GaussianDynamics:
     mean_shift is the constant term of the mean equation.
 
     The arrays are read-only copies, so the cached Schur form of the drift
-    cannot go stale.  Every entry must be finite.
+    cannot go stale.  Each is finite and read by its field's name: the
+    matrices as square float or complex ones of the hessian's size
+    (:func:`~lindlyap.core.read_matrix`) and the vectors as real ones of
+    that length (:func:`~lindlyap.core.read_vector`).
     """
 
     hessian: np.ndarray
@@ -147,9 +149,12 @@ class GaussianDynamics:
     drive: np.ndarray
 
     def __post_init__(self):
+        dim = None  # the hessian, read first, sets it
         for f in fields(self):
-            arr = np.array(getattr(self, f.name))
-            require_finite(arr, f.name)
+            value, vector = getattr(self, f.name), f.name in ("mean_shift", "drive")
+            arr = read_vector(value, f.name, dim) if vector else read_matrix(value, f.name, dim, phase_space=False)
+            arr = np.array(arr)
+            dim = len(arr)
             arr.flags.writeable = False
             object.__setattr__(self, f.name, arr)
 
@@ -387,10 +392,9 @@ def realize_lindblad(
     carried.
     """
     gamma = read_matrix(drift_matrix, "drift matrix")
-    d = read_real(diffusion, "diffusion")
-    if d.shape != gamma.shape:
-        raise ValueError(f"diffusion shape {d.shape} does not match drift shape {gamma.shape}")
-    d = check_hermitian(d, tol, what="diffusion")
+    # check_hermitian refuses a NaN or infinite entry
+    d = check_hermitian(read_matrix(diffusion, "diffusion", len(gamma), finite=False, form="numeric"), tol,
+                        what="diffusion")
     n = gamma.shape[0] // 2
     j = symplectic_form(n)
 

@@ -71,9 +71,12 @@ def transform_triple(
 
     Returns (W Gamma W^-1, W D W^T, W V W^T).  The stationary equation is
     covariant under this action: if V solves the original pair, W V W^T
-    solves the transformed one.  W must be a finite, invertible real 2n x 2n matrix.
+    solves the transformed one.  W must be a finite, invertible real 2n x 2n matrix, and gamma,
+    diffusion and cm finite real matrices of its size.
     """
     w = _invertible(w, "w", "numeric")
+    gamma, diffusion = read_matrix(gamma, "gamma", len(w)), read_matrix(diffusion, "diffusion", len(w))
+    cm = None if cm is None else read_matrix(cm, "cm", len(w))
     gamma_t = w @ gamma @ np.linalg.inv(w)
     diffusion_t = w @ diffusion @ w.T
     cm_t = None if cm is None else w @ cm @ w.T

@@ -271,13 +271,14 @@ def engineer_covariant_target(
     engineered pair (S^-1 Gamma S, S^-1 D S^-T) whose steady state is
     S^-1 base_cm S^-T.  Used with the normal form of a target: if
     S M S^T = Lambda and a pair with steady state Lambda is available, the
-    output pair steers the system into M.
+    output pair steers the system into M.  The base triple must be finite
+    real matrices of the transform's size.
     """
     s = read_real(transform, "transform")
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
-    lam, g0, d0 = (read_real(base_cm, "base_cm"), read_real(base_drift, "base_drift"),
-                   read_real(base_diffusion, "base_diffusion"))
+    lam, g0, d0 = (read_matrix(base_cm, "base_cm", len(s)), read_matrix(base_drift, "base_drift", len(s)),
+                   read_matrix(base_diffusion, "base_diffusion", len(s)))
     res = np.abs(g0 @ lam + lam @ g0.T + d0).max()
     if not within(res, tol.residual_tol, np.abs(d0).max()):
         raise EngineeringError(

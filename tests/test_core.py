@@ -18,6 +18,7 @@ import lindlyap
 from lindlyap import (
     Classicality,
     Conclusiveness,
+    GaussianDynamics,
     InertiaIndex,
     Level,
     LindbladVector,
@@ -358,6 +359,13 @@ def opo_dynamics():
 NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
 
 
+def dynamics_with(**changed):
+    """GaussianDynamics of a one-mode damped pair, with the fields ``changed`` replaced."""
+    arrays = dict(hessian=I2, drift_matrix=HALF, diffusion=I2, noise_gram=0.5 * I2.astype(complex),
+                  mean_shift=np.zeros(2), drive=np.zeros(2))
+    return GaussianDynamics(**{**arrays, **changed})
+
+
 @pytest.mark.parametrize(
     "call, field, error",
     [
@@ -383,6 +391,19 @@ NAN_2 = np.array([[np.nan, 0.0], [0.0, 1.0]])
         pytest.param(lambda: shifted_source(I2, NAN_2, I2), "generator", ValueError, id="shifted_source"),
         pytest.param(lambda: squeeze_transform(math.nan), "squeezing r", ValueError, id="squeeze_transform"),
         pytest.param(lambda: xi_matrix(Classicality(), 0), "mode count", ValueError, id="xi_matrix"),
+        pytest.param(lambda: QuadraticHamiltonian(I2, None, np.complex128(1 + 2j)), "offset h0", ValueError,
+                     id="offset-h0-complex"),
+        pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), I2, np.complex128(5 + 1j)), "t_end", ValueError,
+                     id="evolve-t_end-complex"),
+        pytest.param(lambda: dynamics_with(drift_matrix=[["a", 0], [0, 1]]), "drift_matrix", ValueError,
+                     id="GaussianDynamics-text"),
+        pytest.param(lambda: dynamics_with(mean_shift=np.zeros(5)), "mean_shift", ValueError,
+                     id="GaussianDynamics-length"),
+        pytest.param(lambda: dynamics_with(hessian=np.eye(4)), "drift_matrix", ValueError,
+                     id="GaussianDynamics-size"),
+        pytest.param(lambda: transform_triple(NAN_2, I2, I2), "gamma", ValueError, id="transform_triple-gamma"),
+        pytest.param(lambda: engineer_covariant_target(np.eye(3), HALF, I2, I2), "base_cm", ValueError,
+                     id="engineer_covariant_target-size"),
     ],
 )
 def test_boundary_refuses_by_name_without_a_warning(call, field, error):
@@ -397,7 +418,13 @@ def test_boundary_refuses_by_name_without_a_warning(call, field, error):
     assert str(refusal.value).startswith(f"{field} ")
 
 
-CONTRACT_PHRASES = ("is not finite", "must be square", "must be finite", "must be numeric", "must be a number")
+CONTRACT_PHRASES = (
+    "is not finite", "must be square", "must be finite", "must be numeric", "must be a number", "must be real",
+    "must be nonnegative", "must be >= 0", "must have shape", "must have length",
+)
+# two bound checks keep the wording that their tests pin, each in the one place that reads the value:
+# resolve_params names a rate or occupation, and cmd_evolve the --v0-scale flag
+PINNED_OUTSIDE_CORE = [("catalog.py", "must be >= 0"), ("cli.py", "must be nonnegative")]
 
 
 def contract_refusals(tree: ast.Module):
@@ -412,9 +439,9 @@ def contract_refusals(tree: ast.Module):
 def test_the_input_contract_is_refused_in_core_alone():
     """The readers of lindlyap.core are the one home of the contract's refusals, so it cannot fork again."""
     src = Path(lindlyap.__file__).parent
-    found = [f"{path.name}:{line}: {phrase}" for path in sorted(src.glob("*.py")) if path.name != "core.py"
+    found = [(path.name, line, phrase) for path in sorted(src.glob("*.py")) if path.name != "core.py"
              for line, phrase in contract_refusals(ast.parse(path.read_text()))]
-    assert found == []
+    assert [(name, phrase) for name, _, phrase in found] == PINNED_OUTSIDE_CORE, found
     assert any(contract_refusals(ast.parse((src / "core.py").read_text())))  # the scan sees core's own refusals
 
 
