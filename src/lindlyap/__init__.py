@@ -32,7 +32,6 @@ from .evolution import Trajectory, evolve
 from .lyapunov import (
     LyapunovProblem,
     residual,
-    shifted_source,
     solve,
     solve_integral,
     steady_covariance,

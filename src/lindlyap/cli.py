@@ -46,7 +46,7 @@ import numpy as np
 from . import catalog as catalog_mod
 from . import criteria as criteria_mod
 from . import evolution, lyapunov, scan, williamson
-from .core import Tolerances, check_hermitian, read_matrix, read_number, read_vector, require_finite
+from .core import Tolerances, check_hermitian, read_choice, read_matrix, read_number, read_vector, require_finite
 from .model import (
     LindbladVector,
     ModelSpec,
@@ -243,19 +243,18 @@ def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
 
 def cmd_steady(args) -> tuple[int, str | dict]:
     dyn, tol = _load_model(args)
-    abscissa = require_stable(dyn, "steady", tol).spectral_abscissa
-    cm = lyapunov.steady_covariance(dyn, tol)
+    cm = lyapunov.steady_covariance(dyn, tol)  # the solve refuses an unstable model, on the form read below
     res = lyapunov.residual(lyapunov.steady_state_problem(dyn), cm)
     if args.json:
         return EXIT_OK, {
             "n": dyn.n,
-            "spectral_abscissa": abscissa,
+            "spectral_abscissa": dyn.drift_schur.abscissa,
             "drift_matrix": dyn.drift_matrix,
             "diffusion": dyn.diffusion,
             "steady_cm": cm,
             "residual": res,
         }
-    lines = [f"modes: {dyn.n}", f"spectral abscissa: {_fmt(abscissa)}", "steady covariance matrix:"]
+    lines = [f"modes: {dyn.n}", f"spectral abscissa: {_fmt(dyn.drift_schur.abscissa)}", "steady covariance matrix:"]
     lines += _matrix_lines(cm)
     lines.append(f"residual: {_fmt(res)}")
     return EXIT_OK, "\n".join(lines)
@@ -409,10 +408,8 @@ _QUANTITIES = {
 
 def _parse_threshold_spec(spec_str: str, cid) -> tuple[str, str, str, tuple[str, ...]]:
     kind_name, level, param = _fields(spec_str, "--threshold", "KIND:LEVEL:PARAM", (str, str, str))
-    if kind_name not in _KINDS or kind_name == "uncertainty":
-        raise ValueError(f"--threshold kind must be one of {tuple(_KINDS)[1:]}, got {kind_name!r}")
-    if level not in ("state", "env"):
-        raise ValueError(f"--threshold level must be state or env, got {level!r}")
+    read_choice(kind_name, "--threshold kind", tuple(_KINDS)[1:])  # not uncertainty, which always holds
+    read_choice(level, "--threshold level", ("state", "env"))
     return kind_name, level, param, catalog_mod.resolve_param(cid, param)
 
 
@@ -430,7 +427,10 @@ def cmd_sweep(args) -> tuple[int, str]:
     if (args.param2 is None) != (args.range2 is None):
         raise ValueError("--range2 needs --param2" if args.param2 is None else "--param2 needs --range2")
     if args.param2 is not None:
-        axes.append((_sweep_range(args.range2, "--range2"), catalog_mod.resolve_param(cid, args.param2)))
+        names = catalog_mod.resolve_param(cid, args.param2)
+        if common := [name for name in names if name in axes[0][1]]:
+            raise ValueError(f"--param2 {args.param2} sets parameter {common[0]!r}, which --param sets too")
+        axes.append((_sweep_range(args.range2, "--range2"), names))
 
     quantities = args.quantity or ["abscissa"]
     for q in quantities:
@@ -575,7 +575,6 @@ def cmd_williamson(args) -> tuple[int, str | dict]:
         cm = _load_cm(args.cm, "covariance matrix", tol)
     elif args.model:
         dyn, tol = _load_model(args)
-        require_stable(dyn, "williamson", tol)
         cm = lyapunov.steady_covariance(dyn, tol)
     else:
         raise ValueError("williamson needs a model document or --cm FILE")

@@ -6,7 +6,8 @@ ValueError whose message starts with the field's name: :func:`read_number` (a
 number, optionally finite with a lower bound), :func:`read_integer`,
 :func:`read_vector` (a real or complex vector of a given length),
 :func:`read_matrix` (a nonempty square matrix: a real 2n x 2n one, or a float or
-complex one, of a given size if one is asked for) and :func:`require_finite`,
+complex one, of a given size if one is asked for), :func:`read_choice` (one of
+some strings) and :func:`require_finite`,
 with :func:`read_real`, the array conversion beneath them.  The refusal phrases
 ("must be a number", "must be finite", "is not finite", "must be numeric",
 "must be square", ...) are raised in this module alone, but for two bound checks
@@ -40,6 +41,7 @@ __all__ = [
     "read_integer",
     "read_vector",
     "read_matrix",
+    "read_choice",
     "require_finite",
 ]
 
@@ -80,6 +82,14 @@ def read_integer(value, what: str, least: int | None = None) -> int:
     if not integral or (least is not None and value < least):
         raise ValueError(f"{what} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
     return int(value)
+
+
+def read_choice(value, what: str, choices: tuple[str, ...]) -> str:
+    """``value`` if it is one of the strings ``choices``; anything else is refused by a ValueError naming
+    ``what``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{what} must be one of {list(choices)}, got {value!r}")
+    return value
 
 
 def require_finite(value, what: str) -> None:
@@ -211,42 +221,28 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is Hermitian within tolerance and return its Hermitian part.
+    """Validate that ``m`` is Hermitian within tolerance and return its Hermitian part, a new array.
 
-    The deviation ||m - m^dag||_inf is judged relative to ||m||_inf (:func:`within`).
-    An empty matrix is refused, and one with a NaN or infinite entry is rejected as not finite.
-    """
-    part, dev, scale = hermitian_deviation(m, what)
-    require_hermitian(dev, scale, tol, what)
-    return part if dev else part.copy()  # the fast gate hands back m itself
-
-
-def hermitian_deviation(m: np.ndarray, what: str = "matrix") -> tuple[np.ndarray, float, float]:
-    """(Hermitian part, ||m - m^dag||_inf, ||m||_inf) of a square, nonempty, finite ``m``: what
-    :func:`check_hermitian` measures before it judges.  Other input is refused by :func:`read_matrix`,
-    by a ValueError naming ``what``.
+    The deviation ||m - m^dag||_inf is judged relative to ||m||_inf (:func:`within`).  Input that is not
+    a square, nonempty, finite matrix is refused by :func:`read_matrix`, by a ValueError naming ``what``.
 
     Fast gate: a float or complex m that equals m^dag entry for entry is its own Hermitian part, so
-    ``(m, 0.0, 0.0)``, with m itself and not a copy, is returned after one comparison and one finiteness
-    pass, bit for bit the part of the full path; a zero deviation passes at any scale.
+    ``m.copy()`` is returned after one comparison and one finiteness pass, bit for bit the result of the
+    full path; a zero deviation passes at any scale.
     """
     m = np.asarray(m)
     kind, shape = m.dtype.kind, m.shape
     if (kind in "fc" and len(shape) == 2 and shape[0] == shape[1] and m.size
             and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all()):
-        return m, 0.0, 0.0
+        return m.copy()
     m = read_matrix(m, what, phase_space=False)
-    return hermitian_part(m), float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
-
-
-def require_hermitian(dev: float, scale: float, tol: Tolerances, what: str) -> None:
-    """Refuse, by a ValueError naming ``what``, a deviation ``dev`` from Hermiticity beyond
-    ``tol.residual_tol`` times ``scale`` (:func:`within`)."""
+    dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
     if not within(dev, tol.residual_tol, scale):
         raise ValueError(
             f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "
             f"exceeds {tol.residual_tol:.1e} * {scale:.3e}"
         )
+    return hermitian_part(m)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ State level verdicts are two-sided; environment level verdicts are two-sided
 only when the drift matrix is symmetric and commutes with D^, otherwise
 positivity is merely sufficient and a violated test is inconclusive.
 
+D^ = D - Xi Gamma^T - Gamma Xi is formed here, from the drift and diffusion of
+a model as :mod:`lindlyap.model` built and read them, so the environment level
+never reaches the solver: this module imports from ``core`` and ``model`` only.
+
 Partitions split the n modes into part one and part two; part two is the set
 whose momenta are flipped by the partial time reversal entering separability
 and steerability tests.
@@ -30,11 +34,9 @@ from .core import (
     classify_spectrum,
     read_integer,
     read_matrix,
-    require_hermitian,
     symplectic_form,
     within,
 )
-from .lyapunov import shifted_source
 from .model import GaussianDynamics, require_stable
 
 __all__ = [
@@ -250,15 +252,14 @@ def environment_criterion(
     test two-sided.
     """
     require_stable(dyn, "environment criterion", tol)
-    n = dyn.n
     gamma = dyn.drift_matrix
-    xi = xi_matrix(kind, n)
-
-    # exactly Hermitian, as the checked diffusion is, and not measured against its own size, which
-    # cancellation can shrink; the diffusion is measured once per model and judged here against tol
-    diffusion, dev, scale = dyn._diffusion_hermitian
-    require_hermitian(dev, scale, tol, "diffusion")
-    tested = shifted_source(diffusion, gamma, xi, tol)
+    g = gamma @ xi_matrix(kind, dyn.n)  # the kind's partition is read before the diffusion
+    # One product G = Gamma Xi gives both terms, as Xi is exactly Hermitian: Xi Gamma^T = G^dag.  The
+    # sum G + G^dag is exactly Hermitian, since its (i, j) entry g_ij + conj(g_ji) and the conjugate of
+    # its (j, i) entry add the same two numbers, so D^ is exactly Hermitian with the checked diffusion,
+    # as the eigensolve needs, and is not measured against its own size, which cancellation can shrink.
+    # Two subtractions, D - G - G^dag, would round the mirrored entries in different orders.
+    tested = check_hermitian(dyn.diffusion, tol, what="diffusion") - (g + g.conj().T)
     if isinstance(kind, Uncertainty):
         gram_twice = 2.0 * dyn.noise_gram.conj()
         dev = np.abs(tested - gram_twice).max()
@@ -269,7 +270,7 @@ def environment_criterion(
             )
         two_sided = True
     else:
-        two_sided = within(dyn._drift_asymmetry, tol.residual_tol, dyn.drift_schur.size)  # both measured once
+        two_sided = within(np.abs(gamma - gamma.T).max(), tol.residual_tol, dyn.drift_schur.size)
         if two_sided:
             # G - G^dag with G = Gamma D^ is the commutator [Gamma, D^] of a symmetric Gamma
             g = gamma @ tested

@@ -1,5 +1,4 @@
-"""Continuous Lyapunov equations A P + P A^dag + Q = 0 and the shifted source
-matrices used by the stationary-state criteria.
+"""Continuous Lyapunov equations A P + P A^dag + Q = 0.
 
 The primary solver follows Bartels and Stewart (CACM 15(9), 1972): one Schur
 factorization A = U T U^dag (a :class:`~lindlyap.model.SchurForm`) both
@@ -43,7 +42,6 @@ __all__ = [
     "solve_integral",
     "residual",
     "steady_covariance",
-    "shifted_source",
 ]
 
 
@@ -262,25 +260,3 @@ def residual(problem, p: np.ndarray, source=None) -> float:
 def steady_covariance(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Stationary covariance matrix of a stable model."""
     return solve(steady_state_problem(dyn), tol=tol)
-
-
-def shifted_source(source, generator, shift, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Source matrix shifted by a Hermitian test matrix: Q - Xi A^dag - A Xi, of a square, finite Q and A
-    (:func:`~lindlyap.core.read_matrix`).
-
-    Solving with the shifted source returns P + Xi, so positivity of the
-    shifted source certifies P + Xi >= 0 for any stable generator.
-
-    It takes one product, G = A Xi, and returns Q - (G + G^dag): the checked
-    Xi is exactly Hermitian, so Xi A^dag = (A Xi)^dag.  The sum G + G^dag is
-    exactly Hermitian, since its (i, j) entry g_ij + conj(g_ji) and the
-    conjugate of its (j, i) entry add the same two numbers.  So the result is
-    exactly Hermitian whenever Q is, as a criterion's eigensolve needs.  Two
-    subtractions, Q - G - G^dag, would round the mirrored entries in
-    different orders and lose that.
-    """
-    q = read_matrix(source, "source", phase_space=False)
-    a = read_matrix(generator, "generator", phase_space=False)
-    xi = check_hermitian(shift, tol, what="shift")
-    g = a @ xi
-    return q - (g + g.conj().T)

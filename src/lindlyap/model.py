@@ -27,7 +27,6 @@ from .core import (
     DEFAULT_TOL,
     Tolerances,
     check_hermitian,
-    hermitian_deviation,
     read_matrix,
     read_number,
     read_vector,
@@ -166,21 +165,6 @@ class GaussianDynamics:
     def drift_schur(self) -> SchurForm:
         """Schur form of drift_matrix, factorized on first use and shared by every later reader."""
         return schur_form(self.drift_matrix)
-
-    @cached_property
-    def _drift_asymmetry(self) -> float:
-        """max|Gamma - Gamma^T| of drift_matrix, measured once per model; its scale is drift_schur.size."""
-        gamma = self.drift_matrix
-        return float(np.abs(gamma - gamma.T).max())
-
-    @cached_property
-    def _diffusion_hermitian(self) -> tuple[np.ndarray, float, float]:
-        """(Hermitian part, max|D - D^dag|, max|D|) of diffusion, measured once per model; the
-        deviation is judged against a tolerance by each reader.  The part is read-only, and it is
-        diffusion itself where that is exactly Hermitian."""
-        part, dev, scale = hermitian_deviation(self.diffusion, "diffusion")
-        part.flags.writeable = False
-        return part, dev, scale
 
 
 def _moment_pair(

@@ -25,10 +25,36 @@ import numpy as np
 
 from . import catalog as catalog_mod, criteria as criteria_mod, lyapunov, williamson
 from ._lapack import load
-from .core import DEFAULT_TOL, Tolerances
+from .core import DEFAULT_TOL, Tolerances, read_choice, read_number, read_vector
 from .model import stability_check
 
 __all__ = ["ScanPoint", "threshold", "scan"]
+
+_POINT_QUANTITIES, _LEVELS = ("abscissa", "purity", "min_symplectic_eig"), ("state", "env")
+
+
+def _read_value(quantity, kind, what: str, quantities=_POINT_QUANTITIES + _LEVELS) -> None:
+    """Refuse, by a ValueError naming ``what``, a ``quantity`` not among ``quantities``, or a ``kind`` that
+    is not a criterion kind at a criterion level or not None elsewhere."""
+    level = read_choice(quantity, what, quantities) in _LEVELS
+    if not isinstance(kind, criteria_mod.CriterionKind if level else type(None)):
+        raise ValueError(f"{what} {quantity!r} {'needs a' if level else 'takes no'} criterion kind, got {kind!r}")
+
+
+def _read_names(cid, names, what: str) -> tuple[str, ...]:
+    """``names``, a nonempty tuple or list of the family's own parameter names, as a tuple; a refusal
+    is a ValueError naming ``what``."""
+    if not isinstance(names, (tuple, list)) or not names:
+        raise ValueError(f"{what} must be a nonempty tuple of parameter names, got {names!r}")
+    return tuple(read_choice(name, what, catalog_mod.PARAM_NAMES[catalog_mod.catalog_id(cid)]) for name in names)
+
+
+def _read_search(cid, names, level, kind, bracket) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The names and the bracket of a threshold search, a pair of finite real numbers (not text), once
+    its level and kind are read."""
+    _read_value(level, kind, "level", _LEVELS)
+    read_vector(bracket, "bracket", 2, finite=False)  # its length; the entries are read one by one
+    return _read_names(cid, names, "names"), tuple(read_number(x, "bracket endpoint", "finite") for x in bracket)
 
 
 class ScanPoint:
@@ -58,8 +84,9 @@ class ScanPoint:
 
     def value(self, quantity: str, kind=None) -> float:
         """``quantity`` "abscissa", "purity" or "min_symplectic_eig", or the smallest eigenvalue of
-        criterion ``kind`` at level ``quantity`` "state" or "env".  Where it is undefined, a
-        ValueError says why: outside the family's domain, not stable, or a failed solve."""
+        criterion ``kind`` at level ``quantity`` "state" or "env" (``kind`` is None otherwise).  Where it
+        is undefined, a ValueError says why: outside the family's domain, not stable, or a failed solve."""
+        _read_value(quantity, kind, "quantity")
         if self.report is None:
             raise ValueError(self.failure)
         if quantity == "abscissa":
@@ -89,7 +116,10 @@ def threshold(cid, params: dict, names, level: str, kind, bracket,
     """Where criterion ``kind``'s smallest eigenvalue at ``level`` ("state" or "env") changes sign
     as the parameters ``names`` (a tuple, set together) move through ``bracket`` (a, b), the
     others held at ``params``.  Returns (value, None), or (nan, reason) where the bracket rule of
-    this module fails."""
+    this module fails.  Before the search, a ValueError refuses a level other than "state" or "env",
+    a ``kind`` that is not a criterion kind, ``names`` that are not a tuple or list of the family's own
+    parameter names, or a bracket that is not two finite real numbers."""
+    names, bracket = _read_search(cid, names, level, kind, bracket)
     label = ",".join(names)
     values = []  # f at each point evaluated, the endpoints first
 
@@ -129,8 +159,18 @@ def scan(cid, params: dict, axes, columns=(), thresholds=(), bracket=None,
     set of them, compared bit for bit, and its result fills every such cell; a threshold over a
     swept parameter is one search.
 
-    Returns the float table and, for each of its cells, None or the reason the cell is nan.
+    Returns the float table and, for each of its cells, None or the reason the cell is nan.  Before
+    the walk, a ValueError refuses the arguments that :meth:`ScanPoint.value` and :func:`threshold`
+    refuse, and axes that set a common parameter.
     """
+    # every argument is read before the walk, so that bad input is refused, not tabulated as nan
+    swept = [name for _, names in axes for name in _read_names(cid, names, "axis names")]
+    if twice := [name for name in swept if swept.count(name) > 1]:
+        raise ValueError(f"parameter {twice[0]!r} is set by more than one axis")
+    for quantity, kind in columns:
+        _read_value(quantity, kind, "quantity")
+    for names, level, kind in thresholds:
+        _read_search(cid, names, level, kind, bracket)
     rows, searches = [], {}
     for values in itertools.product(*(grid for grid, _ in axes)):
         point = {**params, **{name: float(v) for (_, names), v in zip(axes, values) for name in names}}

@@ -1008,8 +1008,15 @@ REFUSALS = [
              "--range2 must be A:B:STEPS: endpoint '-inf' is not finite"),
             (["--range", "1:2:2", "--threshold-range", "1:nan"],
              "--threshold-range must be A:B: endpoint 'nan' is not finite"),
+            (["--range", "1.1:3:2", "--param2", "zeta", "--range2", "1.1:3:2"],
+             "--param2 zeta sets parameter 'zeta', which --param sets too"),
         )
     ],
+    # an alias overlaps the per-mode names it fans out to
+    pytest.param(["sweep", DOC, "--param", "nbar", "--range", "0.1:0.3:2", "--param2", "nbar1",
+                  "--range2", "0.1:0.3:2"],
+                 {"catalog": "TwoOscThermal", "params": {"omega": 0.5, "kappa": 1.0, "zeta": 0.7, "nbar": 0.3}}, 1,
+                 "--param2 nbar1 sets parameter 'nbar1', which --param sets too", id="sweep:--param2=alias-of-param"),
     # --partition and --tol refusals of the library name the flag
     *[
         pytest.param([*argv, "--partition", value], FULL_CATALOG_DOC, 1,

@@ -34,7 +34,6 @@ from lindlyap import (
     realize_lindblad,
     residual,
     schur_form,
-    shifted_source,
     solve,
     solve_integral,
     squeeze_transform,
@@ -388,7 +387,6 @@ def dynamics_with(**changed):
                      id="transform_triple-3x2"),
         pytest.param(lambda: transform_triple(HALF, I2, np.zeros((2, 2))), "w", ValueError,
                      id="transform_triple-singular"),
-        pytest.param(lambda: shifted_source(I2, NAN_2, I2), "generator", ValueError, id="shifted_source"),
         pytest.param(lambda: squeeze_transform(math.nan), "squeezing r", ValueError, id="squeeze_transform"),
         pytest.param(lambda: xi_matrix(Classicality(), 0), "mode count", ValueError, id="xi_matrix"),
         pytest.param(lambda: QuadraticHamiltonian(I2, None, np.complex128(1 + 2j)), "offset h0", ValueError,

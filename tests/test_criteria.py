@@ -22,6 +22,7 @@ from lindlyap import (
     catalog_build,
     environment_criterion,
     realize_lindblad,
+    solve,
     stability_check,
     state_criterion,
     steady_covariance,
@@ -29,9 +30,7 @@ from lindlyap import (
     transform_triple,
     xi_matrix,
 )
-from lindlyap.core import (
-    DEFAULT_TOL, Tolerances, check_hermitian, classify_spectrum, hermitian_deviation, require_hermitian,
-)
+from lindlyap.core import DEFAULT_TOL, Tolerances, check_hermitian, classify_spectrum
 
 HALF = Partition(2, frozenset({1}))
 
@@ -489,8 +488,7 @@ class TestSharedXi:
 
 
 def count_hermitian_checks(monkeypatch):
-    """Count the Hermiticity checks made from the criteria and lyapunov modules: check_hermitian calls,
-    and the judgements of a model's diffusion, which is measured once and judged on every call."""
+    """Count the check_hermitian calls made from the criteria and lyapunov modules."""
     import lindlyap.criteria
     import lindlyap.lyapunov
 
@@ -500,13 +498,8 @@ def count_hermitian_checks(monkeypatch):
         calls.append(kwargs.get("what", "matrix"))
         return check_hermitian(*args, **kwargs)
 
-    def judged(dev, scale, tol, what):
-        calls.append(what)
-        return require_hermitian(dev, scale, tol, what)
-
     monkeypatch.setattr(lindlyap.criteria, "check_hermitian", counted)
     monkeypatch.setattr(lindlyap.lyapunov, "check_hermitian", counted)
-    monkeypatch.setattr(lindlyap.criteria, "require_hermitian", judged)
     return calls
 
 
@@ -536,9 +529,9 @@ class TestHermitianChecksPerVerdict:
         calls = count_hermitian_checks(monkeypatch)
         res = environment_criterion(dyn, kind)
         assert (res.conclusiveness is Conclusiveness.IFF) == (kind.name in two_sided)
-        # the diffusion and the shift, on either route: the shifted source is Hermitian with them,
-        # and its terms can cancel below its own size, so it is not measured again
-        assert calls == ["diffusion", "shift"]
+        # the diffusion alone, on either route: the shifted diffusion is Hermitian with it, as Xi is
+        # built exactly Hermitian, and its terms can cancel below its own size, so it is not measured
+        assert calls == ["diffusion"]
 
     def test_hand_built_diffusion_is_checked_per_call(self, monkeypatch):
         """A diffusion that is not exactly Hermitian is judged on every call, against that call's tol."""
@@ -558,37 +551,15 @@ class TestHermitianChecksPerVerdict:
         for _ in range(2):
             res = environment_criterion(skewed, Classicality(), loose)
             assert np.array_equal(res.tested_matrix, want.tested_matrix)
-        assert calls == ["diffusion", "shift"] * 2
+        assert calls == ["diffusion"] * 2
 
-    def test_diffusion_is_measured_once_per_model(self, monkeypatch):
-        """The diffusion's Hermitian part and deviation are measured on the model's first environment
-        verdict and kept; every later verdict reuses them.  An exactly symmetric diffusion is its own
-        part, so the model keeps no copy."""
-        import lindlyap.model
-
-        measured = []
-
-        def counted(m, what):
-            measured.append(what)
-            return hermitian_deviation(m, what)
-
-        monkeypatch.setattr(lindlyap.model, "hermitian_deviation", counted)
-        dyn = opo_thermal(1.5)
-        for kind in self.KINDS:
-            environment_criterion(dyn, kind)
-        assert measured == ["diffusion"]
-        part, dev, scale = dyn._diffusion_hermitian
-        assert part is dyn.diffusion and (dev, scale) == (0.0, 0.0)
-
-    def test_drift_symmetry_is_measured_once_and_judged_per_call(self):
-        """The drift's asymmetry is measured on the model's first environment verdict and kept;
-        each call judges it against its own residual_tol, relative to the drift's size (0.1 here)."""
+    def test_drift_symmetry_is_judged_per_call(self):
+        """Each call measures the drift's asymmetry and judges it against its own residual_tol, relative
+        to the drift's size (0.1 here)."""
         dyn = catalog_build("CascadedOPO", dict(epsilon1=0.03, epsilon2=-0.02, kappa=0.1)).build()
-        assert "_drift_asymmetry" not in vars(dyn)
         assert environment_criterion(dyn, Classicality()).conclusiveness is Conclusiveness.SUFFICIENT_ONLY
         gamma = dyn.drift_matrix
-        assert vars(dyn)["_drift_asymmetry"] == np.abs(gamma - gamma.T).max()
-        asymmetry, scale = dyn._drift_asymmetry, dyn.drift_schur.size
+        asymmetry, scale = np.abs(gamma - gamma.T).max(), dyn.drift_schur.size
         assert scale == np.abs(gamma).max()
         tight = Tolerances(residual_tol=0.99 * asymmetry / scale)
         assert environment_criterion(dyn, Classicality(), tight).conclusiveness is Conclusiveness.SUFFICIENT_ONLY
@@ -628,6 +599,40 @@ def test_state_tested_matrix_is_exactly_hermitian(case):
     for kind in kinds:
         tested = hv + xi_matrix(kind, n)
         assert np.array_equal(tested, tested.conj().T)
+
+
+@st.composite
+def models_and_kinds(draw):
+    """A random stable model on 1 to 3 modes with every criterion kind on its modes."""
+    n = draw(st.integers(1, 3))
+    dyn = random_stable_model(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n)
+    kinds = [Uncertainty(), Classicality()]
+    if n > 1:
+        part = Partition(n, draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+        kinds += [Separability(part), Steerability(part, 1), Steerability(part, 2)]
+    return dyn, kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(models_and_kinds())
+def test_environment_tested_matrix_is_the_shifted_diffusion(case):
+    """The tested matrix equals its conjugate transpose entry for entry, and D - Xi Gamma^T - Gamma Xi to
+    rounding; solving with it as the source gives V + Xi, and for uncertainty it is twice the conjugate
+    noise Gram matrix."""
+    dyn, kinds = case
+    gamma, d = dyn.drift_matrix, dyn.diffusion
+    dim = len(gamma)
+    cm = steady_covariance(dyn)
+    for kind in kinds:
+        xi = xi_matrix(kind, dyn.n)
+        tested = environment_criterion(dyn, kind).tested_matrix
+        assert (tested == tested.conj().T).all()
+        scale = np.abs(d).max() + dim * np.abs(gamma).max() * np.abs(xi).max()
+        assert np.abs(tested - (d - xi @ gamma.T - gamma @ xi)).max() <= 8 * dim * np.finfo(float).eps * scale
+        shifted = solve(gamma, tested)
+        assert np.abs(shifted - (cm + xi)).max() <= 1e-9 * (np.abs(cm).max() + 1.0)
+        if isinstance(kind, Uncertainty):
+            assert np.allclose(tested, 2.0 * dyn.noise_gram.conj(), rtol=0.0, atol=1e-12)
 
 
 def momentum_flip_form(n, flip):

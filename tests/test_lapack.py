@@ -188,6 +188,24 @@ def test_only_the_loader_imports_a_scipy_package():
     assert found == []
 
 
+def test_criteria_imports_core_and_model_only():
+    """The environment route never reaches the solver: within the package, criteria.py imports from
+    .core and .model alone."""
+    path = Path(SRC, "lindlyap", "criteria.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module]
+            modules = [m for m in names if m == "lindlyap" or m.startswith("lindlyap.")]
+        else:
+            continue
+        if any(m not in ("core", "model") for m in modules):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 9).flatmap(

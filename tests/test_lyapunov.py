@@ -11,31 +11,21 @@ from hypothesis.extra import numpy as hnp
 
 import lindlyap.lyapunov
 import lindlyap.model
-from conftest import random_stable_model
 from lindlyap import (
-    Classicality,
     LyapunovProblem,
-    Partition,
     QuadraticHamiltonian,
-    Separability,
-    Steerability,
     Tolerances,
-    Uncertainty,
     UnstableDriftError,
     build_dynamics,
     catalog_build,
     residual,
-    shifted_source,
     solve,
     solve_integral,
     steady_covariance,
     stability_check,
     steady_state_problem,
-    symplectic_form,
     thermal_bath,
-    xi_matrix,
 )
-from lindlyap.core import hermitian_part
 from lindlyap.lyapunov import _flow, _square
 from lindlyap.model import schur_form
 
@@ -289,17 +279,8 @@ class TestShiftedSources:
             xi = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             xi = 0.5 * (xi + xi.conj().T)
             p = solve(a, q)
-            p_shifted = solve(a, shifted_source(q, a, xi))
+            p_shifted = solve(a, q - xi @ a.conj().T - a @ xi)
             assert np.allclose(p_shifted, p + xi, atol=1e-10)
-
-    def test_uncertainty_shift_reduces_to_noise_gram(self):
-        """D shifted by iJ equals twice the conjugate noise Gram matrix."""
-        rng = np.random.default_rng(31)
-        for _ in range(8):
-            dyn = random_stable_model(rng)
-            j = symplectic_form(dyn.n)
-            tested = shifted_source(dyn.diffusion, dyn.drift_matrix, 1j * j)
-            assert np.allclose(tested, 2.0 * dyn.noise_gram.conj(), atol=1e-12)
 
     def test_psd_shift_transfers_to_solution(self):
         """A PSD shifted source forces the shifted solution to be PSD."""
@@ -332,33 +313,6 @@ class TestShiftedSources:
         assert np.allclose(p, [[0.5, 0.35], [0.35, 0.25]], atol=1e-12)
         assert np.linalg.eigvalsh(p).min() > 0
         assert np.linalg.eigvalsh(q).min() < 0
-
-    @settings(max_examples=200)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(), st.integers(0, 5))
-    def test_exactly_hermitian_with_one_product(self, seed, n, complex_gen, pick):
-        """For an exactly Hermitian Q the shifted source equals its conjugate transpose entry for
-        entry, and Q - Xi A^dag - A Xi to rounding; Xi is a criterion's or a random Hermitian matrix."""
-        rng = np.random.default_rng(seed)
-        dim = 2 * n
-        a = rng.normal(size=(dim, dim)) + (1j * rng.normal(size=(dim, dim)) if complex_gen else 0.0)
-        b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        q = hermitian_part(b @ b.conj().T)
-        kinds = [Uncertainty(), Classicality()]
-        if n > 1:
-            part = Partition(n, frozenset({n - 1}))
-            kinds += [Separability(part), Steerability(part, 1), Steerability(part, 2)]
-        if pick < len(kinds):
-            xi = xi_matrix(kinds[pick], n)
-        else:
-            xi = hermitian_part(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        out = shifted_source(q, a, xi)
-        assert (out == out.conj().T).all()
-        scale = np.abs(q).max() + dim * np.abs(a).max() * np.abs(xi).max()
-        assert np.abs(out - (q - xi @ a.conj().T - a @ xi)).max() <= 8 * dim * np.finfo(float).eps * scale
-
-    def test_shift_must_be_hermitian(self):
-        with pytest.raises(ValueError):
-            shifted_source(np.eye(2), -np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestSteadyStateProblem:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import lindlyap.catalog
 import lindlyap.scan
 from lindlyap import Classicality, Partition, Separability, catalog_analytic
+from lindlyap.catalog import CatalogId, resolve_params
 from lindlyap.cli import main
 from lindlyap.scan import ScanPoint, scan, threshold
 
@@ -89,6 +91,45 @@ def test_nan_threshold_says_why(bracket, reason):
     value, why = threshold("OPOThermal", README, ("zeta",), "env", Separability(HALF), bracket)
     assert math.isnan(value)
     assert why.startswith(reason)
+
+
+ZETA_AXIS = (np.linspace(1.1, 3.0, 2), ("zeta",))
+SEPARABILITY_SEARCH = (("zeta",), "env", Separability(HALF))
+TWO_OSC = resolve_params(CatalogId.TWO_OSC_THERMAL, dict(omega=0.5, kappa=1.0, zeta=0.7, nbar=0.3))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: scan("OPOThermal", README, [ZETA_AXIS], thresholds=[SEPARABILITY_SEARCH]), "bracket"),
+        (lambda: threshold("OPOThermal", README, ("zeta",), "env", Separability(HALF), (1.1,)), "bracket"),
+        (lambda: threshold("OPOThermal", README, ("zeta",), "env", Separability(HALF), ("1.1", "40")),
+         "bracket endpoint"),
+        (lambda: threshold("OPOThermal", README, ("zeta",), "foo", Separability(HALF), (1.1, 40)), "level"),
+        (lambda: threshold("OPOThermal", README, ("zeta",), "env", None, (1.1, 40)), "level 'env'"),
+        (lambda: threshold("OPOThermal", README, "zeta", "env", Separability(HALF), (1.1, 40)), "names"),
+        (lambda: threshold("OPOThermal", README, ("nbar1",), "env", Separability(HALF), (1.1, 40)), "names"),
+        (lambda: scan("OPOThermal", README, [ZETA_AXIS], [("foo", None)]), "quantity"),
+        (lambda: scan("OPOThermal", README, [ZETA_AXIS], [("state", None)]), "quantity 'state'"),
+        (lambda: scan("OPOThermal", README, [ZETA_AXIS], [("purity", Classicality())]), "quantity 'purity'"),
+        (lambda: scan("OPOThermal", README, [ZETA_AXIS, ZETA_AXIS]), "parameter 'zeta'"),
+        (lambda: scan("TwoOscThermal", TWO_OSC, [(np.linspace(0.1, 0.3, 2), ("nbar1", "nbar2")),
+                                                  (np.linspace(0.1, 0.3, 2), ("nbar1",))]), "parameter 'nbar1'"),
+        (lambda: scan("OPOThermal", README, [(np.linspace(0.1, 0.3, 2), "nbar")]), "axis names"),
+        (lambda: scan("Nope", README, [ZETA_AXIS]), "catalog id"),
+        (lambda: ScanPoint("OPOThermal", README).value("foo"), "quantity"),
+    ],
+    ids=["scan-no-bracket", "bracket-short", "bracket-text", "level", "level-no-kind", "names-text",
+         "names-unknown", "column-quantity", "column-no-kind", "column-extra-kind", "axes-overlap",
+         "axes-overlap-alias", "axis-names-text", "scan-cid", "point-quantity"],
+)
+def test_bad_arguments_are_refused_before_the_walk(call, field):
+    """Each argument is refused by a ValueError naming it, with no warning, not turned into a nan cell,
+    a "no sign change" reason or another quantity's value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{field} "):
+            call()
 
 
 def test_point_outside_the_domain():
