@@ -295,7 +295,7 @@ def _cascade_pure_cm(p: dict[str, float]) -> np.ndarray:
 
 
 def _guard_nbar(nbar: float) -> float | None:
-    # thresholds scale like 1/nbar; below the floor report a divergent threshold
+    # thresholds diverge like 1/nbar (steering like 1/sqrt(nbar)); below the floor report inf
     if nbar < _NBAR_FLOOR:
         return math.inf
     return None
@@ -452,7 +452,8 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
             guard = _guard_nbar(nb)
             return guard if guard is not None else kap / (2 * nb)
         if quantity == "steerability_flip":
-            return kap / math.sqrt(4 * (2 * nb + 0.5) ** 2 - 1.0)
+            guard = _guard_nbar(nb)
+            return guard if guard is not None else kap / math.sqrt(4 * (2 * nb + 0.5) ** 2 - 1.0)
         if quantity == "stability_edge":
             return eps + kap
 

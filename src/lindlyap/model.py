@@ -109,11 +109,6 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lindblad", tuple(self.lindblad))
-        for v in self.lindblad:
-            if v.n != self.hamiltonian.n:
-                raise ValueError(
-                    f"coupling vector has {v.n} modes, Hamiltonian has {self.hamiltonian.n}"
-                )
 
     @property
     def n(self) -> int:

@@ -328,6 +328,11 @@ class TestThresholdFormulas:
             "OPOThermal", "separability_flip", dict(epsilon=0.05, kappa=0.8, zeta=1.0, nbar=0.0)
         )
         assert flip == math.inf
+        for nbar in (0.0, 1e-13):  # 4 (2 nbar + 1/2)^2 - 1 vanishes at nbar = 0
+            flip = catalog_analytic(
+                "OPOThermal", "steerability_flip", dict(epsilon=0.05, kappa=0.8, zeta=1.0, nbar=nbar)
+            )
+            assert flip == math.inf, nbar
 
     def test_state_threshold_leaves_window(self):
         # above nbar = 1/4 at omega/kappa = 1/2 the state classicality flip has no real solution

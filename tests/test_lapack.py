@@ -188,10 +188,10 @@ def test_only_the_loader_imports_a_scipy_package():
     assert found == []
 
 
-def test_criteria_imports_core_and_model_only():
-    """The environment route never reaches the solver: within the package, criteria.py imports from
-    .core and .model alone."""
-    path = Path(SRC, "lindlyap", "criteria.py")
+def package_imports_outside(module, allowed):
+    """Every import statement of src/lindlyap/<module>.py that reaches a lindlyap module not in
+    ``allowed``, as "file:line: statement"."""
+    path = Path(SRC, "lindlyap", f"{module}.py")
     found = []
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -201,9 +201,21 @@ def test_criteria_imports_core_and_model_only():
             modules = [m for m in names if m == "lindlyap" or m.startswith("lindlyap.")]
         else:
             continue
-        if any(m not in ("core", "model") for m in modules):
+        if any(m not in allowed for m in modules):
             found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-    assert found == []
+    return found
+
+
+def test_criteria_imports_core_and_model_only():
+    """The environment route never reaches the solver: within the package, criteria.py imports from
+    .core and .model alone."""
+    assert package_imports_outside("criteria", ("core", "model")) == []
+
+
+def test_symmetry_imports_core_model_and_williamson_only():
+    """Symmetries are read off the pair (Gamma, D) and never reach the solver: within the package,
+    symmetry.py imports from .core, .model and .williamson alone."""
+    assert package_imports_outside("symmetry", ("core", "model", "williamson")) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,6 +8,7 @@ import lindlyap.model
 from lindlyap import (
     GaussianDynamics,
     LindbladVector,
+    ModelSpec,
     QuadraticHamiltonian,
     Tolerances,
     UnstableDriftError,
@@ -338,10 +339,15 @@ class TestGramAssembly:
         assert np.allclose(dyn.mean_shift, ((0.3 + 0.4j) * lam - 3j * lam).imag, rtol=0, atol=1e-16)
         assert np.allclose(dyn.drive, -dyn.mean_shift, rtol=0, atol=1e-16)
 
-    def test_mode_mismatch_names_both_counts(self):
+    @pytest.mark.parametrize(
+        "build",
+        [build_dynamics, lambda ham, vectors: ModelSpec(ham, vectors).build()],
+        ids=["build_dynamics", "ModelSpec.build"],
+    )
+    def test_mode_mismatch_names_both_counts(self, build):
         vectors = [LindbladVector(np.ones(4)), LindbladVector(np.ones(2))]
         with pytest.raises(ValueError, match="^coupling vector has 1 modes, Hamiltonian has 2$"):
-            build_dynamics(QuadraticHamiltonian(np.eye(4)), vectors)
+            build(QuadraticHamiltonian(np.eye(4)), vectors)
 
 
 EIGENVALUES = (-2.5, -1.0, -0.5, -0.125, 0.0, 0.25, 1.0, 3.0)  # drawn with repeats

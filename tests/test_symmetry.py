@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import haar_unitary, local_rotation, random_stable_model, rotation_from_unitary, two_mode_symplectic
@@ -14,6 +14,7 @@ from lindlyap import (
     invariance_check,
     is_symplectic,
     match_template,
+    realize_lindblad,
     solve,
     squeeze_transform,
     stability_check,
@@ -147,11 +148,33 @@ class TestInvariance:
         rep = invariance_check(dyn.drift_matrix, dyn.diffusion, w)
         assert rep.cm_invariant
 
-    def test_invariant_pair_factorized_once(self, drift_factorizations):
+    def test_invariant_pair_needs_no_factorization(self, drift_factorizations):
         dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
         rep = invariance_check(dyn.drift_matrix, dyn.diffusion, np.diag([1.0, 1.0, -1.0, -1.0]))
         assert rep.cm_invariant
-        assert drift_factorizations == ["schur"]
+        assert drift_factorizations == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+    def test_group_averaged_pair_has_an_invariant_steady_state(self, seed, n):
+        """Averaging a random model over the cyclic group of a signed mode permutation W = diag(P, P)
+        gives an invariant pair, and the solved stationary covariance obeys W V W^T = V."""
+        rng = np.random.default_rng(seed)
+        dyn = random_stable_model(rng, n=n)
+        p = np.zeros((n, n))
+        p[rng.permutation(n), np.arange(n)] = rng.choice([-1.0, 1.0], size=n)
+        w = np.block([[p, np.zeros((n, n))], [np.zeros((n, n)), p]])
+        powers = [np.eye(2 * n)]
+        while not np.array_equal(powers[-1] @ w, np.eye(2 * n)):
+            powers.append(powers[-1] @ w)
+        gamma = sum(m @ dyn.drift_matrix @ m.T for m in powers) / len(powers)
+        d = sum(m @ dyn.diffusion @ m.T for m in powers) / len(powers)
+        averaged = raw_pair_dynamics(gamma, d)
+        assume(stability_check(averaged).is_stable)
+        rep = invariance_check(gamma, d, w)
+        assert rep.gamma_invariant and rep.diffusion_invariant and rep.cm_invariant
+        v = steady_covariance(averaged)
+        assert np.abs(w @ v @ w.T - v).max() <= 1e-12 * np.abs(v).max()
 
     def test_broken_symmetry_detected(self):
         dyn = catalog_build(
@@ -220,9 +243,16 @@ class TestGibbsCondition:
 
     def test_reads_the_models_cached_form(self, drift_factorizations):
         dyn = build_dynamics(QuadraticHamiltonian(np.zeros((2, 2))), thermal_bath(1, 0, 0.7, 0.4))
-        assert stability_check(dyn).is_stable
         assert gibbs_condition(dyn) == pytest.approx(1.8, abs=1e-12)
+        assert drift_factorizations == []
+        assert stability_check(dyn).is_stable
         assert drift_factorizations == ["schur"]
+
+    def test_ill_conditioned_isotropic_pair(self):
+        """D = -60 (G + G^T) within residual_tol; the 1/(2e-4) gain of the Lyapunov operator leaves
+        the solved covariance 9e-5 relative off 60 I, which does not change the answer."""
+        spec = realize_lindblad(np.diag([-1.0, -1e-4]), np.diag([120 + 1.08e-6, 0.012 - 1.08e-6])).spec
+        assert gibbs_condition(spec.build()) == pytest.approx(60.0, abs=1e-12)
 
     def test_squeezed_reservoir_is_not_isotropic(self):
         res = engineer_gibbs_target(squeeze_transform(0.4), 2.0)
