@@ -35,7 +35,6 @@ from .lyapunov import (
     solve,
     solve_integral,
     steady_covariance,
-    steady_state_problem,
 )
 from .model import (
     GaussianDynamics,

@@ -244,7 +244,7 @@ def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:
 def cmd_steady(args) -> tuple[int, str | dict]:
     dyn, tol = _load_model(args)
     cm = lyapunov.steady_covariance(dyn, tol)  # the solve refuses an unstable model, on the form read below
-    res = lyapunov.residual(lyapunov.steady_state_problem(dyn), cm)
+    res = lyapunov.residual(dyn.drift_matrix, cm, dyn.diffusion)
     if args.json:
         return EXIT_OK, {
             "n": dyn.n,

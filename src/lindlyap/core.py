@@ -236,7 +236,8 @@ def check_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL, what: str = "m
             and (m == (m.conj() if kind == "c" else m).T).all() and np.isfinite(m).all()):
         return m.copy()
     m = read_matrix(m, what, phase_space=False)
-    dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
+    with np.errstate(over="ignore"):  # a deviation past the largest float is inf, which `within` refuses
+        dev, scale = np.abs(m - m.conj().T).max(), np.abs(m).max()
     if not within(dev, tol.residual_tol, scale):
         raise ValueError(
             f"{what} is not Hermitian (symmetric if real): ||m - m^dag||_inf = {dev:.3e} "

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lyapunov
-from .core import read_integer, read_matrix, read_number, read_vector
+from .core import DEFAULT_TOL, check_hermitian, read_integer, read_matrix, read_number, read_vector
 from .model import GaussianDynamics
 
 __all__ = ["Trajectory", "evolve"]
@@ -84,16 +84,17 @@ def evolve(
     long time) is not squared further, but applied block by block, so an
     unexcited unstable mode does not poison the trajectory.  t_end and dt
     must be finite and positive, record_every an integer >= 1, and x0 and v0
-    finite and real (a zero imaginary part is dropped).  Aborts, naming the
-    first recorded step, if a recorded moment stops being finite.
+    finite and real (a zero imaginary part is dropped).  v0 must be symmetric
+    within the default residual_tol, as a --cm document is, and its symmetric
+    part is used.  Aborts, naming the first recorded step, if a recorded
+    moment stops being finite.
     """
     t_end = read_number(t_end, "t_end", "positive")
     if dt is not None:
         dt = read_number(dt, "dt", "positive")
     record_every = read_integer(record_every, "record_every", 1)
     dim = dyn.drift_matrix.shape[0]
-    x, v = read_vector(x0, "x0", dim), read_matrix(v0, "v0", dim)
-    v = 0.5 * (v + v.T)
+    x, v = read_vector(x0, "x0", dim), check_hermitian(read_matrix(v0, "v0", dim), DEFAULT_TOL, what="v0")
 
     if dt is None:
         dt = min(1e-3, 0.05 / max(np.linalg.norm(dyn.drift_matrix, 2), 1e-12))

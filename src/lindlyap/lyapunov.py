@@ -37,7 +37,6 @@ from .model import GaussianDynamics, SchurForm, UnstableDriftError, require_stab
 
 __all__ = [
     "LyapunovProblem",
-    "steady_state_problem",
     "solve",
     "solve_integral",
     "residual",
@@ -68,12 +67,6 @@ class LyapunovProblem:
             raise ValueError(f"source shape {q.shape} does not match generator shape {a.shape}")
         object.__setattr__(self, "generator", a)
         object.__setattr__(self, "source", q)
-
-
-def steady_state_problem(dyn: GaussianDynamics) -> LyapunovProblem:
-    """The covariance steady-state equation of a model: generator = drift (with its cached
-    Schur form), source = diffusion."""
-    return LyapunovProblem(dyn.drift_schur, dyn.diffusion)
 
 
 def _as_problem(problem, source=None) -> LyapunovProblem:
@@ -250,13 +243,15 @@ def solve_integral(
 
 
 def residual(problem, p: np.ndarray, source=None) -> float:
-    """Max-norm residual ||A P + P A^dag + Q||_inf of a candidate solution."""
+    """Max-norm residual ||A P + P A^dag + Q||_inf of a candidate solution P, which must be a finite
+    float or complex matrix of the generator's size (:func:`~lindlyap.core.read_matrix`)."""
     prob = _as_problem(problem, source)
-    a = prob.generator
-    q = prob.source
+    a, q = prob.generator, prob.source
+    p = read_matrix(p, "candidate solution", len(a), phase_space=False)
     return float(np.abs(a @ p + p @ a.conj().T + q).max())
 
 
 def steady_covariance(dyn: GaussianDynamics, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Stationary covariance matrix of a stable model."""
-    return solve(steady_state_problem(dyn), tol=tol)
+    """Stationary covariance matrix of a stable model: the solve of its drift, given as the model's
+    cached Schur form, and its diffusion."""
+    return solve(LyapunovProblem(dyn.drift_schur, dyn.diffusion), tol=tol)

@@ -10,9 +10,9 @@ V' = Gamma V + V Gamma^T + D.
 
 A drift matrix is factorized once, into a Schur form Gamma = U T U^dag
 (:func:`schur_form`, by LAPACK ``gees`` from scipy's compiled wrapper module,
-:mod:`lindlyap._lapack`).  Its spectrum is read off T, so the same record
-certifies stability and feeds the Bartels-Stewart solve of
-:mod:`lindlyap.lyapunov`; a model caches the record of its drift.
+:mod:`lindlyap._lapack`).  Its spectrum is the eigenvalues ``gees`` returns
+with T, so the same record certifies stability and feeds the Bartels-Stewart
+solve of :mod:`lindlyap.lyapunov`; a model caches the record of its drift.
 """
 
 from __future__ import annotations
@@ -158,8 +158,9 @@ class GaussianDynamics:
 
     @cached_property
     def drift_schur(self) -> SchurForm:
-        """Schur form of drift_matrix, factorized on first use and shared by every later reader."""
-        return schur_form(self.drift_matrix)
+        """Schur form of drift_matrix, factorized on first use and shared by every later reader.  The
+        drift was read and made read-only when the model was built, so the form keeps it as its matrix."""
+        return _factorize(self.drift_matrix)
 
 
 def _moment_pair(
@@ -209,7 +210,7 @@ def build_dynamics(
 
 @dataclass(frozen=True)
 class SchurForm:
-    """Schur factorization matrix = u t u^dag, with the spectrum read off t.
+    """Schur factorization matrix = u t u^dag, with the eigenvalues ``gees`` returned with t.
 
     For a real matrix t is quasi-upper-triangular and u orthogonal; for a
     complex one t is upper triangular and u unitary.  spectrum is sorted by
@@ -246,8 +247,8 @@ def _schur_lwork(dtype: np.dtype, size: int) -> int:
 
 def _gees(a: np.ndarray, lwork: int) -> tuple:
     """LAPACK ``gees`` of a with the arguments ``scipy.linalg.schur`` passes (no sorting, a kept):
-    the tuple (t, sdim, eigenvalues, u, work, info).  :func:`schur_form` factorizes through this
-    call alone."""
+    the tuple (t, sdim, eigenvalues, u, work, info), whose eigenvalues are ``w``, or ``wr, wi`` for a
+    real a.  Every :class:`SchurForm` is factorized through this call alone."""
     return _gees_of(a.dtype)(lambda *_: None, a, lwork=lwork, overwrite_a=False, sort_t=0)
 
 
@@ -257,27 +258,27 @@ def schur_form(matrix: np.ndarray) -> SchurForm:
     The form is real for a real matrix and complex otherwise, the bits that
     ``scipy.linalg.schur`` gives, and a failure raises the same errors; input that is not a
     nonempty, finite, square numeric matrix is refused by :func:`~lindlyap.core.read_matrix`,
-    naming the "drift matrix".  The eigenvalues
-    are the diagonal of t, except that each standardized 2 x 2 block
-    [[a, b], [c, a]] of a real form holds the pair a +- i sqrt(-b c).  As
-    with ``numpy.linalg.eigvals``, the spectrum of a real matrix is real
-    when it has no such pair.
+    naming the "drift matrix".  The form keeps a read-only copy of the matrix.
     """
-    a = read_matrix(matrix, "drift matrix", phase_space=False).copy()  # the form makes its copy read-only
+    return _factorize(read_matrix(matrix, "drift matrix", phase_space=False).copy())
+
+
+def _factorize(a: np.ndarray) -> SchurForm:
+    """The Schur form of a finite, square float or complex matrix, kept as its matrix and made read-only.
+
+    The spectrum is the eigenvalues ``gees`` returns: ``w`` of a complex form, and ``wr + 1j wi``
+    of a real one, where each standardized 2 x 2 block holds a conjugate pair.  As with
+    ``numpy.linalg.eigvals``, the spectrum of a real matrix is real when it has no such pair.
+    """
     result = _gees(a, _schur_lwork(a.dtype, len(a)))
     t, u, info = result[0], result[-3], result[-1]
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    eig = np.diag(t)
-    k = np.flatnonzero(np.diag(t, -1))  # the first row of each 2 x 2 block; a complex t has none
-    if k.size:
-        # b c < 0 in a standardized block; |b|^(1/2) |c|^(1/2) neither goes negative nor overflows
-        im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
-        eig = eig.astype(complex)
-        eig[k] += 1j * im
-        eig[k + 1] -= 1j * im
+    eig = result[2]
+    if a.dtype.kind != "c" and (wi := result[3]).any():
+        eig = eig + 1j * wi
     spectrum = eig[np.lexsort((eig.imag, eig.real))]
     for arr in (a, t, u, spectrum):
         arr.flags.writeable = False

@@ -25,7 +25,7 @@ settings.load_profile("ci")
 @pytest.fixture
 def drift_factorizations(monkeypatch):
     """Names of the eigensolvers run from here on: ``numpy.linalg.eigvals`` anywhere, and as
-    ``"schur"`` each LAPACK ``gees`` call of ``schur_form`` (each one factorizes a matrix)."""
+    ``"schur"`` each LAPACK ``gees`` call of a Schur form (each one factorizes a matrix)."""
     calls = []
 
     def counting(name, fn):

@@ -402,6 +402,14 @@ def dynamics_with(**changed):
         pytest.param(lambda: transform_triple(NAN_2, I2, I2), "gamma", ValueError, id="transform_triple-gamma"),
         pytest.param(lambda: engineer_covariant_target(np.eye(3), HALF, I2, I2), "base_cm", ValueError,
                      id="engineer_covariant_target-size"),
+        pytest.param(lambda: residual(HALF, [["a", 0], [0, 1]], I2), "candidate solution", ValueError,
+                     id="residual-text"),
+        pytest.param(lambda: residual(HALF, NAN_2, I2), "candidate solution", ValueError, id="residual-nan"),
+        pytest.param(lambda: residual(HALF, np.eye(3), I2), "candidate solution", ValueError, id="residual-3x3"),
+        pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), [[1, 5], [0, 1]], 1.0), "v0", ValueError,
+                     id="evolve-v0-asymmetric"),
+        pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), [[1, 1e308], [-1e308, 1]], 1.0), "v0", ValueError,
+                     id="evolve-v0-asymmetric-huge"),
     ],
 )
 def test_boundary_refuses_by_name_without_a_warning(call, field, error):

@@ -164,6 +164,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="v0"):
             evolve(dyn, np.zeros(2), np.eye(3), t_end=1.0)
 
+    def test_v0_within_roundoff_of_symmetric(self):
+        """v0 is read as a --cm document is: symmetric within residual_tol, and its symmetric part is used."""
+        dyn = raw_pair_dynamics(-np.eye(2), np.eye(2))
+        v0 = np.array([[2.0, 0.5], [0.5 + 1e-13, 1.0]])
+        assert np.array_equal(evolve(dyn, np.zeros(2), v0, t_end=1.0).cms[0], 0.5 * v0 + 0.5 * v0.T)
+
 
 class TestExactness:
     @pytest.mark.parametrize("dt", [0.1, 1.0])
@@ -381,6 +387,7 @@ class TestInPlaceRecording:
         dyn = raw_pair_dynamics(gamma, b @ b.T, drive=rng.normal(size=dim))
         x0 = rng.normal(size=dim)
         v0 = rng.normal(size=(dim, dim))
+        v0 = v0 + v0.T  # evolve refuses a v0 that is not symmetric
         t_end = steps * h
         try:
             want = reference_trajectory(dyn, x0, v0, t_end, h, record_every)

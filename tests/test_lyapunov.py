@@ -23,7 +23,6 @@ from lindlyap import (
     solve_integral,
     steady_covariance,
     stability_check,
-    steady_state_problem,
     thermal_bath,
 )
 from lindlyap.lyapunov import _flow, _square
@@ -230,7 +229,7 @@ class TestBartelsStewart:
         dyn = damped_chain(32, seed=1)
         p = steady_covariance(dyn)
         assert p.shape == (64, 64)
-        assert residual(steady_state_problem(dyn), p) <= 1e-12 * np.abs(dyn.diffusion).max()
+        assert residual(dyn.drift_matrix, p, dyn.diffusion) <= 1e-12 * np.abs(dyn.diffusion).max()
 
     def test_allocation_peak_at_n24(self):
         """O(n^2) working memory: the n^4 Kronecker matrix alone would take 42 MB."""
@@ -317,11 +316,13 @@ class TestShiftedSources:
 
 class TestSteadyStateProblem:
     def test_fields(self):
+        """The model's steady-state equation is its cached form and its diffusion, read as they are."""
         dyn = catalog_build("OPO", dict(epsilon=0.3, kappa=1.0)).build()
-        prob = steady_state_problem(dyn)
-        assert np.allclose(prob.generator, dyn.drift_matrix)
-        assert np.allclose(prob.source, dyn.diffusion)
-        assert np.allclose(solve(prob), steady_covariance(dyn))
+        prob = LyapunovProblem(dyn.drift_schur, dyn.diffusion)
+        assert prob.form is dyn.drift_schur
+        assert prob.generator is dyn.drift_matrix
+        assert np.array_equal(prob.source, dyn.diffusion)
+        assert np.array_equal(solve(prob), steady_covariance(dyn))
 
 
 class TestResidualGate:

@@ -400,7 +400,54 @@ def multiset_distance(x, y):
     return cost[rows, cols].max()
 
 
+def rebuilt_spectrum(t):
+    """The sorted eigenvalues of a Schur factor t, rebuilt from its diagonal: each standardized 2 x 2
+    block [[a, b], [c, a]] of a real form holds the pair a +- i sqrt(-b c).  The spectrum was read
+    this way before it was taken from ``gees``'s own output, which must give the same bits."""
+    eig = np.diag(t)
+    k = np.flatnonzero(np.diag(t, -1))  # the first row of each 2 x 2 block; a complex t has none
+    if k.size:
+        # b c < 0 in a standardized block; |b|^(1/2) |c|^(1/2) neither goes negative nor overflows
+        im = np.sqrt(np.abs(t[k, k + 1])) * np.sqrt(np.abs(t[k + 1, k]))
+        eig = eig.astype(complex)
+        eig[k] += 1j * im
+        eig[k + 1] -= 1j * im
+    return eig[np.lexsort((eig.imag, eig.real))]
+
+
+def reference_matrices():
+    rng = np.random.default_rng(32)
+    for n in (2, 3, 5, 8, 13, 24):
+        g = rng.standard_normal((n, n))
+        yield pytest.param(g, id=f"real-{n}")
+        yield pytest.param(g + g.T, id=f"symmetric-{n}")
+        # integer entries, every eigenvalue twice
+        yield pytest.param(np.kron(np.eye(2), np.round(2 * g)), id=f"integer-repeated-{2 * n}")
+        yield pytest.param(g + 1j * rng.standard_normal((n, n)), id=f"complex-{n}")
+    yield pytest.param(np.array([[-0.5]]), id="1x1")
+    yield pytest.param(np.zeros((4, 4)), id="zero")
+    yield pytest.param(np.array([[0.0, 1.0], [-1.0, 0.0]]), id="rotation")
+    yield pytest.param(np.array([[-0.0, 1.0], [-1.0, -0.0]]), id="rotation-signed-zero")
+
+
 class TestSchurForm:
+    @pytest.mark.parametrize("matrix", reference_matrices())
+    def test_spectrum_is_the_rebuilt_one_bit_for_bit(self, matrix):
+        form = schur_form(matrix)
+        want = rebuilt_spectrum(form.t)
+        assert form.spectrum.dtype == want.dtype
+        assert np.array_equal(form.spectrum, want)
+        assert form.spectrum.tobytes() == want.tobytes()  # signed zeros too, which the CLI prints
+
+    def test_model_form_keeps_the_models_drift(self):
+        dyn = catalog_build("CascadedOPO", dict(epsilon1=0.3, epsilon2=-0.2, kappa=1.0)).build()
+        form = dyn.drift_schur
+        assert form.matrix is dyn.drift_matrix
+        assert not form.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            form.matrix[0, 0] = 0.0
+        assert form.spectrum.tobytes() == schur_form(dyn.drift_matrix).spectrum.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(real_drifts())
     def test_spectrum_matches_eigvals(self, gamma):
