@@ -267,18 +267,18 @@ def _factorize(a: np.ndarray) -> SchurForm:
     """The Schur form of a finite, square float or complex matrix, kept as its matrix and made read-only.
 
     The spectrum is the eigenvalues ``gees`` returns: ``w`` of a complex form, and ``wr + 1j wi``
-    of a real one, where each standardized 2 x 2 block holds a conjugate pair.  As with
-    ``numpy.linalg.eigvals``, the spectrum of a real matrix is real when it has no such pair.
+    of a real one, where each standardized 2 x 2 block holds a conjugate pair and a real eigenvalue
+    is ``wr`` as returned.  As with ``numpy.linalg.eigvals``, the spectrum of a real matrix is real
+    when it has no such pair.
     """
-    result = _gees(a, _schur_lwork(a.dtype, len(a)))
-    t, u, info = result[0], result[-3], result[-1]
+    t, _, *w, u, _, info = _gees(a, _schur_lwork(a.dtype, len(a)))  # w is [w], or [wr, wi] for a real a
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
         raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
-    eig = result[2]
-    if a.dtype.kind != "c" and (wi := result[3]).any():
-        eig = eig + 1j * wi
+    eig = w[0]
+    if len(w) == 2 and (wi := w[1]).any():
+        eig = np.where(wi, eig + 1j * wi, eig)  # a real eigenvalue stays wr, a zero's sign included
     spectrum = eig[np.lexsort((eig.imag, eig.real))]
     for arr in (a, t, u, spectrum):
         arr.flags.writeable = False

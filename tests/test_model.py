@@ -423,11 +423,15 @@ def reference_matrices():
         yield pytest.param(g + g.T, id=f"symmetric-{n}")
         # integer entries, every eigenvalue twice
         yield pytest.param(np.kron(np.eye(2), np.round(2 * g)), id=f"integer-repeated-{2 * n}")
+        yield pytest.param(np.round(g) - np.round(g).T, id=f"integer-skew-{n}")
         yield pytest.param(g + 1j * rng.standard_normal((n, n)), id=f"complex-{n}")
     yield pytest.param(np.array([[-0.5]]), id="1x1")
     yield pytest.param(np.zeros((4, 4)), id="zero")
     yield pytest.param(np.array([[0.0, 1.0], [-1.0, 0.0]]), id="rotation")
     yield pytest.param(np.array([[-0.0, 1.0], [-1.0, -0.0]]), id="rotation-signed-zero")
+    # gees returns the real eigenvalue -0.0 beside a conjugate pair
+    yield pytest.param(np.array([[-2.0, -1, -2, -1], [-1, -0.0, 0, -1], [0, 0, -0.0, -0.0], [-2, 1, -1, 1]]),
+                       id="signed-zero-beside-a-pair")
 
 
 class TestSchurForm:
