@@ -2,13 +2,13 @@
 
 The primary solver follows Bartels and Stewart (CACM 15(9), 1972): one Schur
 factorization A = U T U^dag (a :class:`~lindlyap.model.SchurForm`) both
-certifies stability (the spectral abscissa is read off T) and reduces the
-equation to the triangular Sylvester system T X + X T^dag = -U^dag Q U,
-solved by LAPACK ``trsyl`` (taken from scipy's compiled wrapper module, see
-:mod:`lindlyap._lapack`), with P = U X U^dag.  Cost is O(n^3) time and
-O(n^2) memory.  A generator may be given as its Schur form, so a model's
-cached form (or one shared with a stability gate) is not factorized again;
-a real form meeting a complex source is not refactorized either: as
+certifies stability (the spectral abscissa is read off the eigenvalues ``gees``
+returns with T) and reduces the equation to the triangular Sylvester system
+T X + X T^dag = -U^dag Q U, solved by LAPACK ``trsyl`` (taken from scipy's
+compiled wrapper module, see :mod:`lindlyap._lapack`), with P = U X U^dag.
+Cost is O(n^3) time and O(n^2) memory.  A generator may be given as its
+Schur form, so a model's cached form (or one shared with a stability gate) is
+not factorized again; a real form meeting a complex source is not refactorized either: as
 X -> T X + X T^T is a real map, the real and imaginary parts of the source are
 solved as two real systems on the same T.
 An independent solver evaluates the integral representation
