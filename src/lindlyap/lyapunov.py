@@ -8,9 +8,9 @@ T X + X T^dag = -U^dag Q U, solved by LAPACK ``trsyl`` (taken from scipy's
 compiled wrapper module, see :mod:`lindlyap._lapack`), with P = U X U^dag.
 Cost is O(n^3) time and O(n^2) memory.  A generator may be given as its
 Schur form, so a model's cached form (or one shared with a stability gate) is
-not factorized again; a real form meeting a complex source is not refactorized either: as
-X -> T X + X T^T is a real map, the real and imaginary parts of the source are
-solved as two real systems on the same T.
+not factorized again; a real form meeting a complex source is not refactorized
+either: as X -> T X + X T^T is a real map, the real and imaginary parts of the
+source are solved as two real systems on the same T.
 An independent solver evaluates the integral representation
 P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
 finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
