@@ -21,8 +21,10 @@ CascadedOPO : two squeezed modes sharing one unidirectional decay channel.
 OPOThermal : two modes with joint squeezing and beamsplitter coupling, equal
     thermal baths; symmetric drift matrix.  Params: epsilon, kappa, zeta,
     nbar.
-TMTSS : two-mode squeezed thermal target state, stored as an engineering
-    recipe (the model is the reservoir that prepares it).  Params: r, nbar.
+TMTSS : two-mode squeezed thermal target state alpha S S^T.  The model is
+    realized from its Gibbs pair (-I/2, alpha S S^T), the reservoir that
+    prepares it; it is not engineered at build time, so no solve checks it
+    against the target.  Params: r, nbar.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ import math
 import numpy as np
 
 from .core import DEFAULT_TOL, Tolerances, read_integer, read_number
-from .model import LindbladVector, ModelSpec, QuadraticHamiltonian
-from .williamson import engineer_gibbs_target
+from .model import LindbladVector, ModelSpec, QuadraticHamiltonian, realize_lindblad, stability_check
 
 __all__ = [
     "CatalogId",
@@ -226,8 +227,9 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
     if cid is CatalogId.TMTSS:
         try:  # squeezing beyond what double precision resolves is bad input, not an engineering request
             with np.errstate(over="raise", invalid="raise"):
-                transform = squeeze_transform(p["r"] / 2.0)
-                return engineer_gibbs_target(transform, 2.0 * p["nbar"] + 1.0, tol=tol).realization.spec
+                s = squeeze_transform(p["r"] / 2.0)
+                # the Gibbs pair (-I/2, alpha S S^T), its drift built as engineer_target builds it
+                return realize_lindblad(np.diag(np.full(4, -0.5)), (2.0 * p["nbar"] + 1.0) * (s @ s.T), tol).spec
         except (ValueError, ArithmeticError) as exc:
             raise ValueError(f"TMTSS parameters r = {p['r']!r}, nbar = {p['nbar']!r} lie outside the "
                              f"range its engineering recipe realizes: {exc}") from exc
@@ -294,6 +296,15 @@ def _cascade_pure_cm(p: dict[str, float]) -> np.ndarray:
     return s @ s.T
 
 
+def _require_steady(cid: CatalogId, p: dict[str, float], quantity: str) -> None:
+    """Refuse ``quantity``, a steady state, where the model built from ``p`` has none: where its drift is
+    not asymptotically stable, there a closed form divides by zero or returns a false state."""
+    report = stability_check(catalog_build(cid, p).build())
+    if not report.is_stable:
+        raise ValueError(f"{quantity} of {cid.value}: the model has no steady state at these parameters, "
+                         f"its drift has spectral abscissa {report.spectral_abscissa:.6e}")
+
+
 def _guard_nbar(nbar: float) -> float | None:
     # thresholds diverge like 1/nbar (steering like 1/sqrt(nbar)); below the floor report inf
     if nbar < _NBAR_FLOOR:
@@ -308,6 +319,8 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
     which the named criterion changes verdict.  Threshold quantities diverge
     as occupations vanish and return inf below an occupation floor; threshold
     formulas whose argument leaves the valid window return nan (no crossing).
+    A steady state (steady_cm, pure_cm) is refused by a ValueError where the
+    model is not asymptotically stable, as it has none there.
 
     Quantities by id
     ----------------
@@ -331,6 +344,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
 
     if cid is CatalogId.TWO_OSC_THERMAL:
         if quantity == "steady_cm":
+            _require_steady(cid, p, quantity)
             return _two_osc_thermal_cm(p)
         if quantity == "drift_spectrum":
             om, z, _ = _symmetric_two_osc(p)
@@ -370,6 +384,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
 
     elif cid is CatalogId.TWO_OSC_RWA:
         if quantity == "steady_cm":
+            _require_steady(cid, p, quantity)
             return _rwa_cm(p)
         if quantity == "classicality_spectrum_env":
             a, b = 2 * p["zeta1"] * p["nbar1"], 2 * p["zeta2"] * p["nbar2"]
@@ -378,6 +393,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
     elif cid is CatalogId.OPO:
         eps, kap = p["epsilon"], p["kappa"]
         if quantity == "steady_cm":
+            _require_steady(cid, p, quantity)
             return np.diag([kap / (kap - eps), kap / (kap + eps)])
         if quantity == "drift_spectrum":
             return np.sort(np.array([(eps - kap) / 2, -(eps + kap) / 2]))
@@ -386,10 +402,9 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
 
     elif cid is CatalogId.CASCADED_OPO:
         kap = p["kappa"]
-        if quantity == "steady_cm":
-            return _cascade_cm(p)
-        if quantity == "pure_cm":
-            return _cascade_pure_cm(p)
+        if quantity in ("steady_cm", "pure_cm"):
+            _require_steady(cid, p, quantity)
+            return _cascade_cm(p) if quantity == "steady_cm" else _cascade_pure_cm(p)
         if quantity == "drift_spectrum":
             e1, e2 = p["epsilon1"], p["epsilon2"]
             return np.sort(

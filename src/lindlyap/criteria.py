@@ -138,7 +138,14 @@ class Steerability:
 CriterionKind = Uncertainty | Classicality | Separability | Steerability
 
 
-@functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2 and pass unread
+def _read_kind(kind, what: str) -> CriterionKind:
+    """``kind`` if it is a criterion kind; anything else is refused by a ValueError naming ``what``."""
+    if not isinstance(kind, CriterionKind):
+        raise ValueError(f"{what} must be a criterion kind (Uncertainty, Classicality, Separability or "
+                         f"Steerability), got {kind!r}")
+    return kind
+
+
 def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     """Hermitian test matrix of a criterion on n modes.
 
@@ -149,15 +156,20 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     elsewhere, (J + T J T) / 2 with T flipping the momenta of the other part.
 
     The result is built once per (kind, n) and shared by every caller, so it
-    is read-only; copy it before modifying it.  A mode count that is not an integer >= 1 is refused by
-    a ValueError.
+    is read-only; copy it before modifying it.  A kind that is not a criterion kind, or a mode count that
+    is not an integer >= 1, is refused by a ValueError naming it.
     """
+    return _xi_matrix(_read_kind(kind, "kind"), n)
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: 2.0 must not hit the entry of 2 and pass unread
+def _xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
     n = read_integer(n, "mode count", 1)
     if isinstance(kind, Uncertainty):
         xi = 1j * symplectic_form(n)
     elif isinstance(kind, Classicality):
         xi = -np.eye(2 * n, dtype=complex)
-    elif isinstance(kind, (Separability, Steerability)):
+    else:
         part = kind.partition
         if part.mode_count != n:
             raise ValueError(f"partition is over {part.mode_count} modes, expected {n}")
@@ -167,8 +179,6 @@ def xi_matrix(kind: CriterionKind, n: int) -> np.ndarray:
             w = np.isin(np.arange(n), kind.steered) * 1.0
         # + 0.0 clears the signed zeros that 0 * -1 leaves
         xi = 1j * (symplectic_form(n) * np.tile(w, 2)[:, None] + 0.0)
-    else:
-        raise TypeError(f"unknown criterion kind {kind!r}")
     xi.flags.writeable = False
     return xi
 

@@ -36,9 +36,10 @@ _POINT_QUANTITIES, _LEVELS = ("abscissa", "purity", "min_symplectic_eig"), ("sta
 def _read_value(quantity, kind, what: str, quantities=_POINT_QUANTITIES + _LEVELS) -> None:
     """Refuse, by a ValueError naming ``what``, a ``quantity`` not among ``quantities``, or a ``kind`` that
     is not a criterion kind at a criterion level or not None elsewhere."""
-    level = read_choice(quantity, what, quantities) in _LEVELS
-    if not isinstance(kind, criteria_mod.CriterionKind if level else type(None)):
-        raise ValueError(f"{what} {quantity!r} {'needs a' if level else 'takes no'} criterion kind, got {kind!r}")
+    if read_choice(quantity, what, quantities) in _LEVELS:
+        criteria_mod._read_kind(kind, f"{what} {quantity!r} kind")
+    elif kind is not None:
+        raise ValueError(f"{what} {quantity!r} takes no criterion kind, got {kind!r}")
 
 
 def _read_names(cid, names, what: str) -> tuple[str, ...]:

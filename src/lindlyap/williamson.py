@@ -8,8 +8,10 @@ normal form its eigenvectors too (`_symplectic_eigh`).
 
 Reservoir engineering needs no normal form: a covariance V is the unique steady state of the
 pair (-I/2, V), whose noise Gram matrix (V - iJ)/2 is PSD exactly when V obeys the uncertainty
-relation V + iJ >= 0 (Koga & Yamamoto, PRA 85, 022103 (2012)).  Transporting a solved base pair
-by a symplectic congruence, the other route here, reaches the same targets from other drifts.
+relation V + iJ >= 0 (Koga & Yamamoto, PRA 85, 022103 (2012)).  The Gibbs recipe alpha S S^T is
+such a target.  Transporting a solved base pair by a symplectic congruence, the other route here,
+reaches the same targets from other drifts.  Every pair ends in one finishing step: one Lyapunov
+solve, whose Schur form also gates stability, then the Lindblad realization and the target check.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .core import (
     DEFAULT_TOL, Tolerances, check_hermitian, read_matrix, read_number, read_real, symplectic_form, within,
     zero_band,
 )
-from .model import LindbladRealization, realize_lindblad, require_stable, schur_form
+from .model import LindbladRealization, realize_lindblad
 
 __all__ = [
     "EngineeringError",
@@ -178,15 +180,17 @@ class EngineeredTarget(EngineeredReservoir):
 def _finish_engineering(
     target: np.ndarray, gamma: np.ndarray, d: np.ndarray, tol: Tolerances
 ) -> EngineeredReservoir:
-    # one factorization of the drift serves the stability gate and the solve
+    """The reservoir of the pair (gamma, d) built for ``target``.
+
+    The pair is solved first: the solve's one Schur form of gamma gates stability before
+    realizability is judged, and a refusal of either is an EngineeringError.  The solved covariance
+    must then meet the target.
+    """
     try:
-        form = schur_form(gamma)
-        require_stable(form, "engineered reservoir", tol)
+        cm = lyapunov.solve(gamma, d, tol)
         realization = realize_lindblad(gamma, d, tol)
     except ValueError as exc:
         raise EngineeringError(f"engineering infeasible: {exc}") from exc
-    problem = lyapunov.LyapunovProblem(form, d)
-    cm = lyapunov.solve(problem, tol=tol)
     dev = float(np.abs(cm - target).max())
     if not within(dev, 1e3 * tol.residual_tol, np.abs(target).max()):
         raise EngineeringError(f"engineered pair misses the target by {dev:.3e}")
@@ -195,7 +199,7 @@ def _finish_engineering(
         drift_matrix=gamma,
         diffusion=d,
         realization=realization,
-        residual=lyapunov.residual(problem, target),
+        residual=lyapunov.residual(gamma, target, d),
         steady_cm=cm,
         target_deviation=dev,
     )
@@ -239,8 +243,8 @@ def engineer_target(target: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> Engine
 
 def engineer_gibbs_target(
     transform: np.ndarray, alpha: float, tol: Tolerances = DEFAULT_TOL
-) -> EngineeredReservoir:
-    """The :func:`engineer_target` pair (-I/2, alpha S S^T) for a symplectic S.
+) -> EngineeredTarget:
+    """:func:`engineer_target` of alpha S S^T for a symplectic S: the pair (-I/2, alpha S S^T).
 
     It is also the isotropic pair (-I/2, alpha I) transported by S, and S is
     not inverted.  alpha must be a finite number >= 1, within the zero band of ``tol``.
@@ -254,8 +258,8 @@ def engineer_gibbs_target(
         raise EngineeringError("transform must be symplectic")
     if not within(1.0 - alpha, tol.eig_zero_band, 1.0):  # the vacuum bound alpha >= 1, of size 1
         raise EngineeringError(f"alpha must be >= 1 for a physical target, got {alpha}")
-    target = alpha * (s @ s.T)  # exactly symmetric: numpy forms S S^T by a symmetric rank-k update
-    return _finish_engineering(target, np.diag(np.full(len(s), -0.5)), target, tol)
+    # exactly symmetric: numpy forms S S^T by a symmetric rank-k update
+    return engineer_target(alpha * (s @ s.T), tol)
 
 
 def engineer_covariant_target(

@@ -205,6 +205,26 @@ class TestSteadyStateFormulas:
         with pytest.raises(ValueError, match="epsilon1 = -epsilon2"):
             catalog_analytic("CascadedOPO", "pure_cm", dict(epsilon1=0.3, epsilon2=0.1, kappa=1.0))
 
+    @pytest.mark.parametrize(
+        "cid, quantity, params",
+        [
+            ("OPO", "steady_cm", dict(epsilon=1.0, kappa=1.0)),
+            ("OPO", "steady_cm", dict(epsilon=2.0, kappa=1.0)),
+            ("TwoOscThermal", "steady_cm", dict(omega=0.5, kappa=1.0, zeta=0.0, nbar=0.3)),
+            ("TwoOscRWA", "steady_cm", dict(varpi=1.1, Omega=0.0, zeta1=0.0, zeta2=0.0, nbar1=0.4, nbar2=1.3)),
+            ("CascadedOPO", "steady_cm", dict(epsilon1=0.5, epsilon2=-0.5, kappa=0.5)),
+            ("CascadedOPO", "pure_cm", dict(epsilon1=0.5, epsilon2=-0.5, kappa=0.5)),
+            ("CascadedOPO", "steady_cm", dict(epsilon1=1.5, epsilon2=0.2, kappa=1.0)),
+        ],
+        ids=["OPO-edge", "OPO-beyond", "TwoOscThermal-edge", "TwoOscRWA-edge", "CascadedOPO-edge",
+             "CascadedOPO-pure-edge", "CascadedOPO-beyond"],
+    )
+    def test_no_steady_state_outside_the_stable_window(self, cid, quantity, params):
+        """At the stability edge a closed form divided by zero, and beyond it returned a false state
+        (OPO diag(-1, 1/3), a CascadedOPO variance of -48.75): both are refused, naming the quantity."""
+        with pytest.raises(ValueError, match=f"^{quantity} of {cid}: the model has no steady state "):
+            catalog_analytic(cid, quantity, params)
+
     def test_tmtss_target_is_built_steady_state(self):
         params = dict(r=0.7, nbar=0.5)
         target = catalog_analytic("TMTSS", "target_cm", params)
@@ -420,6 +440,22 @@ def test_tmtss_squeezing_beyond_the_recipe_refused_naming_r(r, reason):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         catalog_build("TMTSS", dict(r=r, nbar=0.2))
     assert type(info.value) is ValueError  # bad input, not an engineering request
+
+
+def test_tmtss_build_neither_factorizes_nor_solves(drift_factorizations):
+    """The model is realized from its Gibbs pair, with no engineering: no Schur form, so no solve."""
+    catalog_build("TMTSS", dict(r=0.8, nbar=0.25))
+    assert drift_factorizations == []
+
+
+@pytest.mark.parametrize("r", [-700.0, -30.0, -0.7, 0.0, 0.8, 17.0, 60.0, 700.0])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_tmtss_model_is_the_gibbs_reservoirs_realization(r, nbar):
+    """The catalog model carries, bit for bit, the couplings the Gibbs recipe realizes for its pair."""
+    spec = catalog_build("TMTSS", dict(r=r, nbar=nbar))
+    realization = engineer_gibbs_target(squeeze_transform(r / 2.0), 2.0 * nbar + 1.0).realization
+    assert spec.hamiltonian.hessian.tobytes() == realization.hamiltonian.hessian.tobytes()
+    assert [v.coupling.tobytes() for v in spec.lindblad] == [c.tobytes() for c in realization.couplings]
 
 
 @pytest.mark.parametrize("value", ["abc", None, ["OPO"], "opo"])

@@ -29,6 +29,7 @@ from lindlyap import (
     catalog_build,
     engineer_covariant_target,
     engineer_gibbs_target,
+    environment_criterion,
     evolve,
     physical_spectrum,
     realize_lindblad,
@@ -410,6 +411,11 @@ def dynamics_with(**changed):
                      id="evolve-v0-asymmetric"),
         pytest.param(lambda: evolve(opo_dynamics(), np.zeros(2), [[1, 1e308], [-1e308, 1]], 1.0), "v0", ValueError,
                      id="evolve-v0-asymmetric-huge"),
+        pytest.param(lambda: state_criterion(I2, "classicality"), "kind", ValueError, id="state_criterion-kind-text"),
+        pytest.param(lambda: state_criterion(I2, [1]), "kind", ValueError, id="state_criterion-kind-list"),
+        pytest.param(lambda: environment_criterion(opo_dynamics(), "classicality"), "kind", ValueError,
+                     id="environment_criterion-kind-text"),
+        pytest.param(lambda: xi_matrix([1], 1), "kind", ValueError, id="xi_matrix-kind-list"),
     ],
 )
 def test_boundary_refuses_by_name_without_a_warning(call, field, error):

@@ -206,16 +206,20 @@ def package_imports_outside(module, allowed):
     return found
 
 
-def test_criteria_imports_core_and_model_only():
-    """The environment route never reaches the solver: within the package, criteria.py imports from
-    .core and .model alone."""
-    assert package_imports_outside("criteria", ("core", "model")) == []
-
-
-def test_symmetry_imports_core_model_and_williamson_only():
-    """Symmetries are read off the pair (Gamma, D) and never reach the solver: within the package,
-    symmetry.py imports from .core, .model and .williamson alone."""
-    assert package_imports_outside("symmetry", ("core", "model", "williamson")) == []
+@pytest.mark.parametrize(
+    "module, allowed",
+    [
+        ("catalog", ("core", "model")),
+        ("criteria", ("core", "model")),
+        ("symmetry", ("core", "model", "williamson")),
+    ],
+    ids=["catalog", "criteria", "symmetry"],
+)
+def test_module_never_reaches_the_solver(module, allowed):
+    """Within the package, each of these modules imports from ``allowed`` alone: a catalog model is
+    realized from its pair with no engineering, the environment route reads the model, and symmetries
+    are read off the pair (Gamma, D); none reaches the solver."""
+    assert package_imports_outside(module, allowed) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from conftest import random_physical_cm, two_mode_symplectic
 import lindlyap.model
 from lindlyap import (
     DEFAULT_TOL,
+    EngineeredTarget,
     EngineeringError,
     Tolerances,
     catalog_analytic,
@@ -308,6 +311,9 @@ class TestEngineerTarget:
         assert np.array_equal(gibbs.drift_matrix, direct.drift_matrix)
         assert np.array_equal(gibbs.diffusion, direct.diffusion)
         assert np.array_equal(gibbs.steady_cm, direct.steady_cm)
+        assert type(gibbs) is type(direct) is EngineeredTarget
+        assert np.array_equal(gibbs.symplectic_spectrum, direct.symplectic_spectrum)
+        assert np.array_equal(gibbs.realization.couplings, direct.realization.couplings)
 
 
 class TestCovariantEngineering:
@@ -358,6 +364,14 @@ class TestCovariantEngineering:
         lam = solve(g0 - 0.2 * np.eye(2), d0)  # deliberately inconsistent base
         with pytest.raises(EngineeringError):
             engineer_covariant_target(lam, g0, d0, np.eye(2))
+
+    def test_unstable_transported_pair_is_refused_by_the_solve(self):
+        """The base triple (I, I/2, -I) is consistent, so the transported pair (I/2, -I) reaches the
+        finishing step, whose solve refuses its drift before realizability is judged."""
+        message = ("engineering infeasible: Lyapunov solve needs an asymptotically stable drift matrix "
+                   "(spectral abscissa 5.000000e-01)")
+        with pytest.raises(EngineeringError, match=f"^{re.escape(message)}$"):
+            engineer_covariant_target(np.eye(2), 0.5 * np.eye(2), -np.eye(2), np.eye(2))
 
 
 ENGINEERED = {
