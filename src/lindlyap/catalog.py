@@ -297,8 +297,8 @@ def _cascade_pure_cm(p: dict[str, float]) -> np.ndarray:
 
 
 def _require_steady(cid: CatalogId, p: dict[str, float], quantity: str) -> None:
-    """Refuse ``quantity``, a steady state, where the model built from ``p`` has none: where its drift is
-    not asymptotically stable, there a closed form divides by zero or returns a false state."""
+    """Refuse ``quantity``, a steady state, where the model built from ``p`` has none, as its drift is not
+    asymptotically stable: there a closed form would divide by zero or return a false state."""
     report = stability_check(catalog_build(cid, p).build())
     if not report.is_stable:
         raise ValueError(f"{quantity} of {cid.value}: the model has no steady state at these parameters, "

@@ -258,7 +258,7 @@ def engineer_gibbs_target(
         raise EngineeringError("transform must be symplectic")
     if not within(1.0 - alpha, tol.eig_zero_band, 1.0):  # the vacuum bound alpha >= 1, of size 1
         raise EngineeringError(f"alpha must be >= 1 for a physical target, got {alpha}")
-    # exactly symmetric: numpy forms S S^T by a symmetric rank-k update
+    # exactly symmetric, as numpy forms S S^T by a symmetric rank-k update, so engineer_target keeps its bits
     return engineer_target(alpha * (s @ s.T), tol)
 
 
