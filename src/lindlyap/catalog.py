@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerances, read_integer, read_number
+from .core import read_integer, read_number
 from .model import LindbladVector, ModelSpec, QuadraticHamiltonian, realize_lindblad, stability_check
 
 __all__ = [
@@ -181,8 +181,12 @@ def resolve_params(cid: CatalogId, params: dict) -> dict[str, float]:
     return resolved
 
 
-def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_TOL) -> ModelSpec:
-    """Instantiate a catalog model from its named parameters (a failed TMTSS recipe names r)."""
+def catalog_build(cid: CatalogId | str, params: dict) -> ModelSpec:
+    """Instantiate a catalog model from its named parameters (a failed TMTSS recipe names r).
+
+    A build takes no tolerance: TMTSS's realization drops its Gram eigenvalues inside the zero band of
+    DEFAULT_TOL, so one document names one model whatever tolerances later judge it.
+    """
     cid = catalog_id(cid)
     p = resolve_params(cid, params)
 
@@ -225,16 +229,22 @@ def catalog_build(cid: CatalogId | str, params: dict, tol: Tolerances = DEFAULT_
         return ModelSpec(ham, vecs)
 
     if cid is CatalogId.TMTSS:
-        try:  # squeezing beyond what double precision resolves is bad input, not an engineering request
-            with np.errstate(over="raise", invalid="raise"):
-                s = squeeze_transform(p["r"] / 2.0)
-                # the Gibbs pair (-I/2, alpha S S^T), its drift built as engineer_target builds it
-                return realize_lindblad(np.diag(np.full(4, -0.5)), (2.0 * p["nbar"] + 1.0) * (s @ s.T), tol).spec
-        except (ValueError, ArithmeticError) as exc:
-            raise ValueError(f"TMTSS parameters r = {p['r']!r}, nbar = {p['nbar']!r} lie outside the "
-                             f"range its engineering recipe realizes: {exc}") from exc
+        # the Gibbs pair (-I/2, alpha S S^T), its drift built as engineer_target builds it
+        return _tmtss(p, p["r"] / 2.0,
+                      lambda s: realize_lindblad(np.diag(np.full(4, -0.5)), (2.0 * p["nbar"] + 1.0) * (s @ s.T)).spec)
 
     raise ValueError(f"unknown catalog id {cid!r}")
+
+
+def _tmtss(p: dict[str, float], squeezing: float, recipe):
+    """``recipe(S)`` of the two-mode squeeze S = squeeze_transform(squeezing) for the TMTSS parameters p,
+    with overflow and invalid operations raised; a failure is refused by a ValueError naming r and nbar."""
+    try:  # squeezing beyond what double precision resolves is bad input, not an engineering request
+        with np.errstate(over="raise", invalid="raise"):
+            return recipe(squeeze_transform(squeezing))
+    except (ValueError, ArithmeticError) as exc:
+        raise ValueError(f"TMTSS parameters r = {p['r']!r}, nbar = {p['nbar']!r} lie outside the "
+                         f"range its engineering recipe realizes: {exc}") from exc
 
 
 def _symmetric_two_osc(p: dict[str, float]) -> tuple[float, float, float]:
@@ -475,7 +485,7 @@ def catalog_analytic(cid: CatalogId | str, quantity: str, params: dict):
     elif cid is CatalogId.TMTSS:
         r, nb = p["r"], p["nbar"]
         if quantity == "target_cm":
-            return (2 * nb + 1) * squeeze_transform(r)
+            return _tmtss(p, r, lambda s: (2 * nb + 1) * s)
         if quantity == "separability_flip":
             return math.log(2 * nb + 1)
         if quantity == "steerability_flip":

@@ -16,7 +16,8 @@ or spelled out explicitly
                    "mu_re": 0.0, "mu_im": 0.0}]}
 
 with an optional "tolerances" object ({"eig_zero_band", "stability_margin", "residual_tol"},
-each relative to the size of what it compares) in either form.  `engineer` takes a target
+each relative to the size of what it compares) in either form; it and --tol judge results
+and never change the model a document builds.  `engineer` takes a target
 covariance V instead (--target, or --catalog TMTSS --params r=...,nbar=...) and builds
 the pair (-I/2, V) after refusing an unphysical V; its symplectic_spectrum
 is null, and sweep's purity and min_symplectic_eig cells are nan, where
@@ -216,7 +217,7 @@ def _load_model(args):
     """(dynamics, tolerances) of the model document ``args.model``, --tol applied."""
     spec, doc_tols, _ = _parse_model(_load_json(args.model))
     tol = _resolve_tol(args, doc_tols)
-    return spec.build(tol), tol
+    return spec.build(), tol
 
 
 def _parse_partition(arg: str | None, n: int) -> criteria_mod.Partition:

@@ -11,6 +11,10 @@ Schur form, so a model's cached form (or one shared with a stability gate) is
 not factorized again; a real form meeting a complex source is not refactorized
 either: as X -> T X + X T^T is a real map, the real and imaginary parts of the
 source are solved as two real systems on the same T.
+Whether a P solves the equation is judged by one rule, in the solve and in the
+base gate of :func:`~lindlyap.williamson.engineer_covariant_target`: the
+max-norm residual must lie within residual_tol of the larger of
+2 max|A| max|P| and max|Q|, and a residual or scale that is not finite fails.
 An independent solver evaluates the integral representation
 P = int_0^inf exp(A t) Q exp(A^dag t) dt, cut at a horizon T, exactly: the
 finite-horizon integral W(T) = P - exp(A T) P exp(A^dag T) is read off one
@@ -86,7 +90,9 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     a real form is solved as two real systems, one for the real and one for the
     imaginary part of -U^T Q U, since X -> T X + X T^T is a real map.  The unique
     solution is returned Hermitian (real when the inputs are real), after an
-    explicit residual check.
+    explicit residual check: the residual must lie within residual_tol of the
+    larger of 2 max|A| max|P| and max|Q|, and both it and that scale must be
+    finite.
     """
     prob = _as_problem(problem, source)
     a = prob.generator
@@ -104,16 +110,24 @@ def solve(problem, source=None, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     else:
         x = _trsyl(flapack.ztrsyl, t, c, "C")
     p = hermitian_part(u @ x @ u.conj().T)
-
-    # the residual is judged against the size of the equation's terms, 2 |A| |P| + |Q|, the
-    # normwise backward error (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    # ed., sec. 16.2); a non-normal A makes |P| >> |Q| and then |Q| alone cannot be reached
-    scale = 2.0 * form.size * np.abs(p).max() + np.abs(q).max()
-    g = a @ p  # P is exactly Hermitian, so P A^dag = (A P)^dag: one product gives both terms
-    res = np.abs(g + g.conj().T + q).max()
-    if not within(res, tol.residual_tol, scale):
-        raise ValueError(f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}")
+    if failure := _residual_failure(a, p, q, tol):
+        raise ValueError(failure)
     return p
+
+
+def _residual_failure(a: np.ndarray, p: np.ndarray, q: np.ndarray, tol: Tolerances) -> str | None:
+    """Why P is refused as the solution of A P + P A^dag + Q = 0, or None if it is accepted: its max-norm
+    residual must lie within residual_tol of the equation's scale, the larger of 2 max|A| max|P| and max|Q|.
+
+    The scale is the size of the equation's largest term, as in the normwise backward error (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 16.2); a non-normal A makes
+    |P| >> |Q|, and then |Q| alone cannot be reached.  It is the larger term, not their sum, which
+    overflows first.  A residual or scale that is not finite fails.
+    """
+    res = float(np.abs(a @ p + p @ a.conj().T + q).max())
+    scale = max(2.0 * float(np.abs(a).max()) * float(np.abs(p).max()), float(np.abs(q).max()))
+    passes = np.isfinite(scale) and within(res, tol.residual_tol, scale)
+    return None if passes else f"Lyapunov residual {res:.3e} exceeds tolerance on scale {scale:.3e}"
 
 
 def _trsyl(trsyl, t: np.ndarray, c: np.ndarray, tranb: str) -> np.ndarray:

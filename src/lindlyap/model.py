@@ -114,8 +114,9 @@ class ModelSpec:
     def n(self) -> int:
         return self.hamiltonian.n
 
-    def build(self, tol: Tolerances = DEFAULT_TOL) -> "GaussianDynamics":
-        return build_dynamics(self.hamiltonian, self.lindblad, tol)
+    def build(self) -> "GaussianDynamics":
+        """The model's moment dynamics, by :func:`build_dynamics`, which takes no tolerance."""
+        return build_dynamics(self.hamiltonian, self.lindblad)
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,6 @@ def _moment_pair(
 def build_dynamics(
     hamiltonian: QuadraticHamiltonian,
     lindblad: tuple[LindbladVector, ...] | list[LindbladVector] = (),
-    tol: Tolerances = DEFAULT_TOL,
 ) -> GaussianDynamics:
     """Assemble the moment dynamics of a model.
 
@@ -187,7 +187,9 @@ def build_dynamics(
     with J the symplectic form.  With the couplings stacked as the rows of C
     and the offsets in mu, noise_gram = C^T conj(C) and the mean shift is
     Im(conj(mu) C), one product each.  Models with no jump operators are
-    allowed (closed dynamics, zero diffusion).
+    allowed (closed dynamics, zero diffusion).  A build takes no tolerance:
+    its one check, that the noise Gram matrix is Hermitian, runs at
+    DEFAULT_TOL, as a tolerance judges results and never changes the model.
     """
     n = hamiltonian.n
     lindblad = tuple(lindblad)
@@ -197,7 +199,7 @@ def build_dynamics(
     couplings = np.array([v.coupling for v in lindblad], dtype=complex).reshape(len(lindblad), 2 * n)
     offsets = np.array([v.offset for v in lindblad], dtype=complex)
     shift = (offsets.conj() @ couplings).imag
-    gram, drift_matrix, diffusion = _moment_pair(hamiltonian.hessian, couplings, tol)
+    gram, drift_matrix, diffusion = _moment_pair(hamiltonian.hessian, couplings, DEFAULT_TOL)
     return GaussianDynamics(
         hessian=hamiltonian.hessian,
         drift_matrix=drift_matrix,

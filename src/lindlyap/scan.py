@@ -62,14 +62,15 @@ class ScanPoint:
     """One catalog model at one parameter point, built and stability-checked once.
 
     ``dyn`` and ``report`` are the model and its stability report.  Where the parameters lie
-    outside the family's domain both are None, and ``failure`` says why.
+    outside the family's domain both are None, and ``failure`` says why.  ``tol`` judges every value
+    read from the point; the build takes no tolerance, so ``dyn`` is the same model at any ``tol``.
     """
 
     def __init__(self, cid, params: dict, tol: Tolerances = DEFAULT_TOL):
         self.tol = tol
         self.dyn = self.report = self.failure = None
         try:
-            self.dyn = catalog_mod.catalog_build(cid, params, tol).build(tol)
+            self.dyn = catalog_mod.catalog_build(cid, params).build()
             self.report = stability_check(self.dyn, tol)
         except ValueError as exc:
             self.dyn, self.failure = None, f"outside the family's domain: {exc}"

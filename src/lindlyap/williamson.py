@@ -276,18 +276,17 @@ def engineer_covariant_target(
     S^-1 base_cm S^-T.  Used with the normal form of a target: if
     S M S^T = Lambda and a pair with steady state Lambda is available, the
     output pair steers the system into M.  The base triple must be finite
-    real matrices of the transform's size.
+    real matrices of the transform's size, and base_cm must solve the base
+    pair by the rule of :func:`~lindlyap.lyapunov.solve`: its residual lies
+    within residual_tol of the larger of 2 max|Gamma| max|base_cm| and max|D|.
     """
     s = read_real(transform, "transform")
     if not is_symplectic(s):
         raise EngineeringError("transform must be symplectic")
     lam, g0, d0 = (read_matrix(base_cm, "base_cm", len(s)), read_matrix(base_drift, "base_drift", len(s)),
                    read_matrix(base_diffusion, "base_diffusion", len(s)))
-    res = np.abs(g0 @ lam + lam @ g0.T + d0).max()
-    if not within(res, tol.residual_tol, np.abs(d0).max()):
-        raise EngineeringError(
-            f"base covariance does not solve the base stationary equation, residual {res:.3e}"
-        )
+    if failure := lyapunov._residual_failure(g0, lam, d0, tol):
+        raise EngineeringError(f"base covariance does not solve the base stationary equation: {failure}")
     s_inv = np.linalg.inv(s)
     gamma = s_inv @ g0 @ s
     d = s_inv @ d0 @ s_inv.T

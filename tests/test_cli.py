@@ -494,12 +494,49 @@ class TestCatalogDomain:
         got = np.array(json.loads(out)["steady_cm"])
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_extreme_tmtss_target_is_checked(self, capsys):
+        """The residual check's scale is the larger of its two terms, not their sum, which overflowed
+        here and passed the residual behind a RuntimeWarning."""
+        rc, out, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=710,nbar=0")
+        assert (rc, err) == (0, "") and "stationary residual of target: 0\n" in out
+
+    def test_engineer_names_an_overflowing_squeeze(self, capsys):
+        rc, out, err = run(capsys, "engineer", "--catalog", "TMTSS", "--params", "r=710,nbar=1.7")
+        assert (rc, out) == (1, "")
+        assert err == ("error: TMTSS parameters r = 710.0, nbar = 1.7 lie outside the range its engineering "
+                       "recipe realizes: overflow encountered in multiply\n")
+
     def test_sweep_cells_outside_the_domain_are_nan(self, capsys, tmp_path):
         model = catalog_doc(tmp_path, "OPOThermal", epsilon=0.05, kappa=1.0, zeta=1.7, nbar=0.3)
         rc, out, _ = run(capsys, "sweep", model, "--param", "nbar", "--range=-0.2:0.2:3", "--quantity", "purity")
         assert rc == 0
         cells = [line.split(",")[1] for line in out.strip().splitlines()[1:]]
         assert cells[0] == "nan" and all(np.isfinite(float(c)) for c in cells[1:])
+
+
+class TestToleranceNeverBuilds:
+    """--tol and a document's "tolerances" judge results; the model built is the one the document names."""
+
+    def test_sweep_cells_are_steadys(self, capsys, tmp_path):
+        """At a loose band the sweep's build once dropped TMTSS's two gain couplings and printed a pure
+        state; its cells are now steady's, purity 1/(2 nbar + 1)^2."""
+        model = catalog_doc(tmp_path, "TMTSS", r=0.8, nbar=1e-4)
+        rc, out, err = run(capsys, "sweep", model, "--param", "r", "--range", "0.8:0.8:1", "--quantity", "purity",
+                           "--quantity", "min_symplectic_eig", "--tol", "1e-3")
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[1] == "0.80000000000000004,0.99960011996800713,1.0002000000000004"
+        assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(1 / 1.0002**2, rel=1e-14)
+
+    def test_zero_tol_builds_the_model(self, capsys, tmp_path):
+        """--tol 0 once refused the build, as rounding leaves the noise Gram matrix Hermitian only to
+        within eps; stability now prints the report it prints at the default tolerances."""
+        rng = np.random.default_rng(0)
+        lindblad = [{"lambda_re": rng.normal(size=6).tolist(), "lambda_im": rng.normal(size=6).tolist()}
+                    for _ in range(3)]
+        model = write_doc(tmp_path, "explicit.json", {"n": 3, "hessian": np.eye(6).tolist(), "lindblad": lindblad})
+        rc, out, err = run(capsys, "stability", model, "--tol", "0")
+        assert (rc, err) == (2, "") and out.startswith("asymptotically stable: no\n")
+        assert run(capsys, "stability", model) == (rc, out, err)
 
 
 NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(float).tolist()

@@ -2,6 +2,7 @@
 compiled modules, without the scipy.linalg and scipy.optimize packages."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from hypothesis.extra import numpy as hnp
 
 import lindlyap.model
 from lindlyap._lapack import load
+from lindlyap.catalog import catalog_build
 from lindlyap.lyapunov import _expm
-from lindlyap.model import schur_form
+from lindlyap.model import ModelSpec, build_dynamics, schur_form
 
 SRC = os.path.dirname(os.path.dirname(lindlyap.__file__))
 MODULES = ("scipy.linalg._flapack", "scipy.linalg._matfuncs_expm", "scipy.optimize._zeros")
@@ -220,6 +222,16 @@ def test_module_never_reaches_the_solver(module, allowed):
     realized from its pair with no engineering, the environment route reads the model, and symmetries
     are read off the pair (Gamma, D); none reaches the solver."""
     assert package_imports_outside(module, allowed) == []
+
+
+def test_no_build_takes_a_tolerance():
+    """A tolerance judges results and never changes the model a document names: no build takes one,
+    and ``catalog`` imports none to pass."""
+    tree = ast.parse(Path(SRC, "lindlyap", "catalog.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"Tolerances", "DEFAULT_TOL"})
+    for build in (catalog_build, ModelSpec.build, build_dynamics):
+        assert "tol" not in inspect.signature(build).parameters
 
 
 @settings(max_examples=60, deadline=None)

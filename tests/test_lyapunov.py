@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -335,7 +336,7 @@ class TestResidualGate:
     def test_non_normal_generator_with_a_huge_solution(self):
         """A Jordan block makes |P| ~ 3e13 |Q|.  The residual then sits near
         eps |A| |P|, far above eps |Q|, although P is accurate to 1e-15; the
-        gate measures it against 2 |A| |P| + |Q| and so accepts the solve."""
+        gate measures it against the larger of 2 |A| |P| and |Q| and so accepts the solve."""
         a = -0.109375 * np.eye(8) + np.diag(np.ones(7), 1)
         q = np.full((8, 8), 8.0)
         p = solve(a, q)
@@ -343,6 +344,15 @@ class TestResidualGate:
         assert np.abs(p).max() > 1e13 * np.abs(q).max()
         assert residual(a, p, q) > 1e-8 * np.abs(q).max()
         assert np.abs(p - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_scale_that_is_not_finite_fails(self):
+        """A = diag(-1e200, -1) and Q = diag(0, 2e200) make 2 |A| |P| overflow for a P of size 1e200:
+        a sum scale 2 |A| |P| + |Q| is inf and passes any residual, so a scale that is not finite fails,
+        the exact solution's included."""
+        a, q = np.diag([-1e200, -1.0]), np.diag([0.0, 2e200])
+        for p in (np.diag([1.0, 1e200]), np.diag([0.0, 1e200])):
+            failure = lindlyap.lyapunov._residual_failure(a, p, q, Tolerances())
+            assert re.fullmatch(r"Lyapunov residual \S+ exceeds tolerance on scale inf", failure)
 
 
 def mp_finite_horizon(a, q, horizon):

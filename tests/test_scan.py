@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import lindlyap.catalog
 import lindlyap.scan
-from lindlyap import Classicality, Partition, Separability, catalog_analytic
-from lindlyap.catalog import CatalogId, resolve_params
+from lindlyap import Classicality, Partition, Separability, Tolerances, catalog_analytic, catalog_build
+from lindlyap.catalog import PARAM_NAMES, CatalogId, resolve_params
 from lindlyap.cli import main
 from lindlyap.scan import ScanPoint, scan, threshold
 
@@ -130,6 +130,19 @@ def test_bad_arguments_are_refused_before_the_walk(call, field):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{field} "):
             call()
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), band=st.floats(0.0, 1e-2), residual=st.floats(0.0, 1e-2))
+def test_tolerance_never_changes_the_model(data, band, residual):
+    """A point builds the model its parameters name whatever tolerances judge it: the drift and
+    diffusion bytes of a default build, in every family."""
+    cid = data.draw(st.sampled_from(list(CatalogId)), label="family")
+    params = {name: data.draw(st.floats(0.0, 3.0), label=name) for name in PARAM_NAMES[cid]}
+    point = ScanPoint(cid, params, Tolerances(eig_zero_band=band, residual_tol=residual))
+    want = catalog_build(cid, params).build()
+    assert point.dyn.drift_matrix.tobytes() == want.drift_matrix.tobytes()
+    assert point.dyn.diffusion.tobytes() == want.diffusion.tobytes()
 
 
 def test_point_outside_the_domain():

@@ -357,6 +357,19 @@ class TestCovariantEngineering:
         with pytest.raises(EngineeringError, match="does not solve"):
             engineer_covariant_target(2.0 * np.eye(4), g0, d0, np.eye(4))
 
+    def test_base_gate_has_the_solves_rule(self):
+        """A weakly damped base pair, whose max|D| = 1.6e-8 is small against Gamma and V: the gate
+        once judged the residual 1.776e-15 against max|D| alone and refused the triple that the solve
+        accepted.  It now judges by the solve's scale, and the wrong base is refused on it."""
+        dyn = catalog_build("TwoOscThermal", dict(omega1=1.0, omega2=1.3, kappa=0.5, zeta=1e-8, nbar=0.3)).build()
+        res = engineer_covariant_target(steady_covariance(dyn), dyn.drift_matrix, dyn.diffusion, np.eye(4))
+        assert res.target_deviation == 0.0
+        g0, d0 = self.kappa_pair(0.0, 0.0, 1.0)
+        message = ("base covariance does not solve the base stationary equation: Lyapunov residual 1.000e+00 "
+                   "exceeds tolerance on scale 4.000e+00")
+        with pytest.raises(EngineeringError, match=f"^{re.escape(message)}$"):
+            engineer_covariant_target(2.0 * np.eye(4), g0, d0, np.eye(4))
+
     def test_unstable_transport_rejected(self):
         # transporting an unstable base drift fails the stability gate
         g0 = np.diag([0.1, -1.0])
